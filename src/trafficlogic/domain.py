@@ -468,6 +468,10 @@ class Scene:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between processes
+        return (Scene, (self.occ, self.vrel, self.prel, self.orel))
+
     def __repr__(self) -> str:
         occ = ", ".join(f"{c}:{{{','.join(sorted(ls))}}}" for c, ls in sorted(self.occ.items()))
         return f"<Scene {occ} |vrel|={len(self.vrel)} |prel|={len(self.prel)} |orel|={len(self.orel)}>"

@@ -6,7 +6,15 @@ optionally filtered by a final-scene goal.  Two modes:
 
 * ``exact``    — all scenarios of exactly ``horizon`` scenes;
 * ``shortest`` — all goal-satisfying scenarios of the minimal length
-  T* ≤ horizon (iterative deepening).
+  T* ≤ horizon.
+
+The search is layered, as in bounded model checking: a forward pass
+builds one layer of distinct scenes per step, sharing one successor memo
+across every depth, and stops at the last layer (``horizon`` scenes, or in
+shortest mode the first layer holding an acceptable final scene).  A
+backward pass keeps the (scene, depth) pairs that can still reach an
+acceptable final scene, and paths are enumerated iteratively through those
+pairs only, so the work is proportional to the output.
 
 Successor scenes are generated constructively (per-atom candidate moves,
 then cross-filtered by the full rule checker, which stays authoritative)
@@ -23,11 +31,11 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Mapping, Optional
 
 from trafficlogic.domain import (
-    LON_RANK,
     LonRel,
     RoadNetwork,
     Scenario,
@@ -47,8 +55,6 @@ from trafficlogic.facts import (
 from trafficlogic.rules import PREL_NEXT, check_scene, check_transition
 
 A, C, B, N = LonRel.AHEAD, LonRel.COVER, LonRel.BEHIND, LonRel.NONE
-
-_INF = 10**9
 
 _VREL_STEPS = {A: (A, C), C: (A, C, B), B: (B, C)}
 _PREL_STEPS = {B: (B, C), C: (C, A), A: (A,)}
@@ -102,8 +108,8 @@ class ExpansionRequest:
 
 @dataclass
 class Stats:
-    nodes: int = 0
-    pruned: int = 0
+    nodes: int = 0  # distinct (scene, depth) pairs the forward pass reached
+    pruned: int = 0  # of those, the pairs no acceptable final scene is reachable from
     wall_time_s: float = 0.0
 
 
@@ -312,97 +318,7 @@ def successors(scene: Scene, n: RoadNetwork, frozen: frozenset[str] = frozenset(
     return _gen_successors(scene, n, frozen, {}, {})
 
 
-# -- goal-distance lower bounds (sound pruning) --------------------------------
-
-
-def _atom_bound(atom: GoalAtom, scene: Scene, n: RoadNetwork, roads_fixed: bool) -> int:
-    kind = atom.kind
-    if kind == "on":
-        c, l = atom.args
-        present = l in scene.occ_of(c)
-        if atom.negated:
-            return 1 if present else 0
-        if present:
-            return 0
-        rid = _road(scene, n, c)
-        lane_road = n.road_of_lane(l)
-        if roads_fixed:
-            if rid is None or lane_road != rid:
-                return _INF
-            return min(abs(n.lane_index(l) - n.lane_index(a)) for a in scene.occ_of(c))
-        return 1
-    if kind == "lonr":
-        u = scene.vrel_of(*atom.args)
-        t = atom.rel
-        if atom.negated:
-            return 1 if u is t else 0
-        if u is t:
-            return 0
-        if t is N:
-            return _INF if roads_fixed else 1
-        if u is N:
-            return _INF if roads_fixed else 1
-        return 2 if {u, t} == {A, B} else 1
-    if kind == "lonpr":
-        c, p = atom.args
-        u = scene.prel_of(c, p)
-        t = atom.rel
-        if atom.negated:
-            if u is not t:
-                return 0
-            if roads_fixed and t is A:
-                return _INF  # a passed point stays passed
-            return 1
-        if u is t:
-            return 0
-        if t is N or u is N:
-            return _INF if roads_fixed else 1
-        d = LON_RANK[t] - LON_RANK[u]
-        if d > 0:
-            return d
-        return _INF if roads_fixed else 2
-    # lonro
-    x, y = atom.args
-    u = scene.orel_of(x, y)
-    t = atom.rel
-    if atom.negated:
-        return 1 if u is t else 0
-    if u is t:
-        return 0
-    if t is N:
-        return 1
-    if roads_fixed:
-        rx, ry = _road(scene, n, x), _road(scene, n, y)
-        zs = [
-            z
-            for z in n.zones
-            if rx in z.orientation and ry in z.orientation
-        ]
-        if not zs:
-            return _INF
-        if u is not N:
-            z = zs[0]
-            ox = z.orientation[rx]
-            u_ref = u if ox > 0 else invert(u)
-            t_ref = t if ox > 0 else invert(t)
-            engaged = _engaged_prev(scene, n, x, rx, z) and _engaged_prev(scene, n, y, ry, z)
-            if engaged:
-                d = LON_RANK[t_ref] - LON_RANK[u_ref]
-                return d if d > 0 else _INF
-    return 1
-
-
-def _goal_bound(goal: Optional[Goal], scene: Scene, n: RoadNetwork, roads_fixed: bool) -> int:
-    if goal is None:
-        return 0
-    worst = 0
-    for atom in goal.atoms:
-        b = _atom_bound(atom, scene, n, roads_fixed)
-        if b > worst:
-            worst = b
-            if worst >= _INF:
-                break
-    return worst
+# -- goal-implied candidate pins ----------------------------------------------
 
 
 def _monotone_pins(goal: Optional[Goal], net: RoadNetwork, initial: Scene):
@@ -445,48 +361,29 @@ def _monotone_pins(goal: Optional[Goal], net: RoadNetwork, initial: Scene):
 # -- search --------------------------------------------------------------------
 
 
-class _Searcher:
-    def __init__(self, net, frozen, goal, prel_pins, oref_pins, roads_fixed):
-        self.net = net
-        self.frozen = frozen
-        self.goal = goal
-        self.prel_pins = prel_pins
-        self.oref_pins = oref_pins
-        self.roads_fixed = roads_fixed
-        self.memo: dict = {}
-        self.nodes = 0
-        self.pruned = 0
-
-    def successors(self, scene: Scene) -> tuple[Scene, ...]:
-        cached = self.memo.get(scene.key())
-        if cached is None:
-            cached = _gen_successors(scene, self.net, self.frozen, self.prel_pins, self.oref_pins)
-            self.memo[scene.key()] = cached
-        return cached
-
-    def dfs(self, scene: Scene, steps_left: int, require_goal: bool, final_stable: bool):
-        """Yield all rule-conforming continuations as scene tuples."""
-        self.nodes += 1
-        if steps_left == 0:
-            if require_goal and self.goal is not None and not self.goal.holds(scene):
-                return
-            if final_stable and any(len(ls) != 1 for ls in scene.occ.values()):
-                return
-            yield (scene,)
-            return
-        if require_goal and _goal_bound(self.goal, scene, self.net, self.roads_fixed) > steps_left:
-            self.pruned += 1
-            return
-        for nxt in self.successors(scene):
-            for tail_scenes in self.dfs(nxt, steps_left - 1, require_goal, final_stable):
-                yield (scene,) + tail_scenes
-
-
-def _search_payload(args):
-    (net, frozen, goal, prel_pins, oref_pins, roads_fixed, root, steps_left, require_goal, final_stable) = args
-    s = _Searcher(net, frozen, goal, prel_pins, oref_pins, roads_fixed)
-    paths = list(s.dfs(root, steps_left, require_goal, final_stable))
-    return paths, s.nodes, s.pruned
+def _live_paths(root: Scene, memo, live) -> list[tuple[Scene, ...]]:
+    """Every path from ``root`` through live (scene, depth) pairs to the last layer."""
+    last = len(live) - 1
+    if root not in live[0]:
+        return []
+    if last == 0:
+        return [(root,)]
+    paths = []
+    path = [root]
+    branches = [iter(memo[root])]
+    while branches:
+        nxt = next(branches[-1], None)
+        if nxt is None:
+            branches.pop()
+            path.pop()
+        elif nxt not in live[len(path)]:
+            continue
+        elif len(path) == last:
+            paths.append((*path, nxt))
+        else:
+            path.append(nxt)
+            branches.append(iter(memo[nxt]))
+    return paths
 
 
 def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
@@ -508,45 +405,43 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
     if final_stable is None:
         final_stable = req.mode == "shortest"
     prel_pins, oref_pins = _monotone_pins(req.goal, net, req.initial)
-    roads_fixed = not net.succ_c
-    stats = Stats()
-    require_goal = req.goal is not None
+    gen = partial(_gen_successors, n=net, frozen=req.frozen, prel_pins=prel_pins, oref_pins=oref_pins)
 
-    def run_depth(T: int) -> list[tuple[Scene, ...]]:
-        steps = T - 1
-        searcher = _Searcher(net, req.frozen, req.goal, prel_pins, oref_pins, roads_fixed)
-        if workers <= 1 or steps <= 1:
-            paths = list(searcher.dfs(req.initial, steps, require_goal, final_stable))
-            stats.nodes += searcher.nodes
-            stats.pruned += searcher.pruned
-            return paths
-        # fan out one level: each first move explored in its own process
-        stats.nodes += 1
-        roots = searcher.successors(req.initial)
-        payloads = [
-            (net, req.frozen, req.goal, prel_pins, oref_pins, roads_fixed, r, steps - 1, require_goal, final_stable)
-            for r in roots
-        ]
-        paths = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sub_paths, nodes, pruned in pool.map(_search_payload, payloads):
-                stats.nodes += nodes
-                stats.pruned += pruned
-                for p in sub_paths:
-                    paths.append((req.initial,) + p)
-        return paths
+    def accept(scene: Scene) -> bool:
+        if req.goal is not None and not req.goal.holds(scene):
+            return False
+        return not final_stable or all(len(ls) == 1 for ls in scene.occ.values())
 
-    collected: list[tuple[Scene, ...]] = []
-    if req.mode == "exact":
-        collected = run_depth(req.horizon)
-    else:
-        for T in range(1, req.horizon + 1):
-            collected = run_depth(T)
-            if collected:
+    # forward: layer d holds the distinct scenes reachable in exactly d steps
+    memo: dict[Scene, tuple[Scene, ...]] = {}
+    layers = [[req.initial]]
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    try:
+        while layers[-1] and len(layers) < req.horizon:
+            layer = layers[-1]
+            if req.mode == "shortest" and any(accept(s) for s in layer):
                 break
-    scenarios = [Scenario(req.vehicles, net, path) for path in collected]
-    scenarios.sort(key=canonicalize)
-    stats.wall_time_s = time.monotonic() - t0
+            todo = [s for s in layer if s not in memo]
+            if pool is None:
+                memo.update(zip(todo, map(gen, todo)))
+            else:
+                memo.update(zip(todo, pool.map(gen, todo)))
+            layers.append(list(dict.fromkeys(nxt for s in layer for nxt in memo[s])))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+    # backward: keep the pairs that still reach an acceptable final scene
+    live = [{s for s in layers[-1] if accept(s)}]
+    for layer in reversed(layers[:-1]):
+        ahead = live[-1]
+        live.append({s for s in layer if any(nxt in ahead for nxt in memo[s])})
+    live.reverse()
+
+    nodes = sum(map(len, layers))
+    paths = _live_paths(req.initial, memo, live)
+    scenarios = sorted((Scenario(req.vehicles, net, path) for path in paths), key=canonicalize)
+    stats = Stats(nodes, nodes - sum(map(len, live)), time.monotonic() - t0)
     return ExpansionResult(tuple(scenarios), stats)
 
 

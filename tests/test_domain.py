@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import trafficlogic
 from trafficlogic.domain import (
     LON_RANK,
     LonRel,
@@ -240,6 +247,23 @@ class TestScene:
         s = Scene.build({"c1": ["l1"], "c2": ["l1"]}, vrel={("c1", "c2"): A, ("c2", "c1"): A})
         # ill-formed on purpose; the rule checker must flag it, not the type
         assert s.vrel[("c2", "c1")] is A
+
+    def test_unpickled_scene_hashes_like_a_local_one(self):
+        # worker processes may run under another string-hash seed
+        code = (
+            "import pickle, sys\n"
+            "from trafficlogic.domain import LonRel, Scene\n"
+            "s = Scene.build({'c1': ['l1'], 'c2': ['l1']}, vrel={('c1', 'c2'): LonRel.BEHIND})\n"
+            "sys.stdout.buffer.write(pickle.dumps(s))\n"
+        )
+        src = str(pathlib.Path(trafficlogic.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        local = Scene.build({"c1": ["l1"], "c2": ["l1"]}, vrel={("c1", "c2"): B})
+        remote = pickle.loads(out.stdout)
+        assert remote == local
+        assert hash(remote) == hash(local)
+        assert len({remote, local}) == 1
 
 
 class TestScenario:

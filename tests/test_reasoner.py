@@ -9,6 +9,7 @@ minimal length instead.
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
@@ -22,6 +23,7 @@ from trafficlogic.reasoner import (
     canonicalize,
     expand,
     parse_request,
+    successors,
 )
 from trafficlogic.rules import check_scenario
 
@@ -36,6 +38,25 @@ def load_request(name: str) -> ExpansionRequest:
 
 def req_text(body: str) -> str:
     return body.strip() + "\n"
+
+
+def chain_network(n: int) -> str:
+    """n single-lane roads l1..ln joined end to end by connections pc1..pc(n-1)."""
+    facts_ = [f"lane(l{i}, r{i})." for i in range(1, n + 1)]
+    for i in range(1, n):
+        facts_ += [f"class(pc{i}, c).", f"pon(pc{i}, l{i}).", f"pon(pc{i}, l{i + 1}).",
+                   f"succl(pc{i}, l{i + 1})."]
+    facts_ += [f"succp(l{i}, pc{i - 1}, pc{i})." for i in range(2, n)]
+    return "\n".join(facts_) + "\n"
+
+
+def chain_request(n: int, directives: str) -> str:
+    """c1 on l1 behind pc1, with a goal of reaching the last lane."""
+    return (
+        chain_network(n)
+        + f"#init\non(c1, l1).\nlonpr(c1, pc1, behind).\n#goal on(c1, l{n})\n"
+        + directives
+    )
 
 
 class TestRequestParsing:
@@ -217,6 +238,44 @@ class TestExpansionSemantics:
         assert got == oracle_expand(parse_request(text))
 
 
+class TestChainNetworks:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mode", ["shortest", "exact"])
+    def test_engine_matches_oracle_on_chains(self, n, mode):
+        text = chain_request(n, f"#mode {mode}\n#horizon {n + 2}\n")
+        got = sorted(canonicalize(sc) for sc in expand(parse_request(text)).scenarios)
+        assert got == oracle_expand(parse_request(text))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 80])
+    def test_one_road_per_step(self, n):
+        # entering a road may already cover its exit connection, so the
+        # chain is crossed at one road per step: T* = n + 1, one scenario
+        res = expand(parse_request(chain_request(n, f"#mode shortest\n#horizon {2 * n}\n")))
+        assert res.shortest_length == n + 1
+        assert len(res.scenarios) == 1
+
+    def test_entering_past_the_exit_is_a_dead_end(self):
+        net = chain_network(3)
+        covering = parse_request(net + "#init\non(c1, l1).\nlonpr(c1, pc1, cover).\n#horizon 1\n")
+        stuck = parse_request(
+            net + "#init\non(c1, l2).\nlonpr(c1, pc1, ahead).\nlonpr(c1, pc2, ahead).\n#horizon 1\n"
+        )
+        assert stuck.initial in successors(covering.initial, covering.network)
+        assert successors(stuck.initial, stuck.network) == ()
+
+    @pytest.mark.parametrize("mode", ["shortest", "exact"])
+    def test_long_horizon_needs_no_recursion(self, mode):
+        n = 250
+        req = parse_request(chain_request(n, f"#mode {mode}\n#horizon {n + 1}\n"))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            res = expand(req)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [sc.horizon for sc in res.scenarios] == [n + 1]
+
+
 class TestFixtureRequests:
     @pytest.mark.parametrize(
         "name,count,length",
@@ -253,11 +312,11 @@ class TestFixtureRequests:
 
     def test_overtake_search_effort_is_stable(self):
         res = expand(load_request("ex1_overtake.req"))
-        assert res.stats.nodes == 64
+        assert res.stats.nodes == 33
 
     def test_opposing_pass_search_effort_is_stable(self):
         res = expand(load_request("ex5_opposing_pass.req"))
-        assert res.stats.nodes == 619
+        assert res.stats.nodes == 90
 
     @pytest.mark.parametrize("name", ["ex1_overtake.req", "ex5_opposing_pass.req"])
     def test_worker_fanout_is_deterministic(self, name):
@@ -266,6 +325,8 @@ class TestFixtureRequests:
         assert [canonicalize(s) for s in serial.scenarios] == [
             canonicalize(s) for s in fanned.scenarios
         ]
+        assert serial.stats.nodes == fanned.stats.nodes
+        assert serial.stats.pruned == fanned.stats.pruned
 
     def test_result_rendering_roundtrips(self):
         res = expand(load_request("ex3_branching.req"))
