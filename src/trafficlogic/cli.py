@@ -118,7 +118,7 @@ def cmd_generate(
         result = expand(req, workers=cfg.workers)
     except (facts.ParseError, RequestError) as exc:
         return _fail(str(exc), INPUT_ERROR)
-    _emit(facts.render_result(result.scenarios), _default_out(cfg, request_path, ".result", out))
+    _emit(facts.render_result(result.scenarios, result.texts), _default_out(cfg, request_path, ".result", out))
     stats = result.stats
     tstar = "-" if result.shortest_length is None else str(result.shortest_length)
     print(

@@ -30,6 +30,10 @@ class LonRel(Enum):
     BEHIND = "behind"
     NONE = "none"
 
+    #: members are singletons compared by identity; Enum's own hash runs in
+    #: Python and dominated lookups in the relation tables
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # noqa: D105 - compact debugging output
         return f"LonRel.{self.name}"
 

@@ -268,21 +268,38 @@ def scene_atom_lines(scene: Scene) -> list[str]:
     return sorted(out)
 
 
-def render_scenario(sc: Scenario) -> str:
+def render_scenario(sc: Scenario, scene_text: Optional[dict[Scene, str]] = None) -> str:
+    """``#step <k>`` blocks of canonical atom lines, one per scene.
+
+    ``scene_text`` caches each scene's atom lines: pass one dict to render
+    many scenarios that share scenes, and each scene is formatted once.
+    """
+    if scene_text is None:
+        scene_text = {}
     blocks = []
     for k, scene in enumerate(sc.scenes, start=1):
         blocks.append(f"#step {k}")
-        blocks.extend(scene_atom_lines(scene))
+        text = scene_text.get(scene)
+        if text is None:
+            text = scene_text[scene] = "\n".join(scene_atom_lines(scene))
+        if text:
+            blocks.append(text)
     return "\n".join(blocks) + "\n"
 
 
-def render_result(scenarios: Sequence[Scenario]) -> str:
-    """Concatenated scenario renderings with ``#scenario <n>`` separators."""
+def render_result(scenarios: Sequence[Scenario], texts: Optional[Sequence[str]] = None) -> str:
+    """Concatenated scenario renderings with ``#scenario <n>`` separators.
+
+    ``texts``, when given, are the scenarios' ``render_scenario`` output,
+    already made (``reasoner.ExpansionResult.texts``).
+    """
+    if texts is None:
+        scene_text: dict[Scene, str] = {}
+        texts = [render_scenario(sc, scene_text) for sc in scenarios]
     parts = []
-    for i, sc in enumerate(scenarios, start=1):
-        parts.append(f"#scenario {i}")
-        parts.append(render_scenario(sc).rstrip("\n"))
-    return "\n".join(parts) + "\n" if parts else ""
+    for i, text in enumerate(texts, start=1):
+        parts += (f"#scenario {i}\n", text)
+    return "".join(parts)
 
 
 def parse_scenarios(

@@ -16,9 +16,18 @@ backward pass keeps the (scene, depth) pairs that can still reach an
 acceptable final scene, and paths are enumerated iteratively through those
 pairs only, so the work is proportional to the output.
 
-Successor scenes are generated constructively (per-atom candidate moves,
-then cross-filtered by the full rule checker, which stays authoritative)
-and never stutter: consecutive scenes always differ, because steps carry
+Successor scenes are generated constructively: each relation slot gets
+its candidate one-step moves, and the slots are assigned in a fixed order
+(vehicle pairs, vehicle-point pairs, window pairs).  A partial assignment
+is dropped as soon as the slots set so far break a scene rule it can
+already decide: cover on a shared lane (TR2), composition of three vehicle
+relations (PR2, PR3), point-cover exclusivity (PR11), and point order and
+mixed transitivity (PR14_TRANS).  These are the triangle tests of path
+consistency over the qualitative point algebra, applied to each partial
+assignment; window relations are tested the same way once a window map is
+complete.  Only complete survivors become scenes, and the full rule
+checker, which stays authoritative, still judges each one.  Successors
+never stutter: consecutive scenes always differ, because steps carry
 order, not duration.
 
 In shortest mode the final scene is additionally required to be *steady*
@@ -32,7 +41,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import combinations, permutations, product
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from trafficlogic.domain import (
@@ -52,7 +62,15 @@ from trafficlogic.facts import (
     scene_from_atoms,
     strip_comment,
 )
-from trafficlogic.rules import PREL_NEXT, check_scene, check_transition
+from trafficlogic.rules import (
+    COMPOSITION,
+    MIXED_FORBIDDEN,
+    ORDER_FORBIDDEN,
+    PREL_NEXT,
+    check_scene,
+    check_transition,
+    window_composes,
+)
 
 A, C, B, N = LonRel.AHEAD, LonRel.COVER, LonRel.BEHIND, LonRel.NONE
 
@@ -117,6 +135,8 @@ class Stats:
 class ExpansionResult:
     scenarios: tuple[Scenario, ...]
     stats: Stats
+    #: ``canonicalize`` of each scenario, in the same order
+    texts: tuple[str, ...]
 
     @property
     def shortest_length(self) -> Optional[int]:
@@ -150,6 +170,63 @@ def _occ_options(scene: Scene, n: RoadNetwork, c: str, frozen: frozenset[str]):
     return opts
 
 
+def _consistent(cands: list[tuple[LonRel, ...]], checks: list[list]):
+    """Every assignment of the slots, in product order, that passes its checks.
+
+    ``cands[i]`` lists slot i's values.  ``checks[i]`` holds ``(slots,
+    allowed)`` pairs whose highest slot is i, tested as soon as slot i is
+    set: the values of ``slots``, in that order, must be in ``allowed``.  A
+    partial assignment that fails a check is abandoned with everything
+    below it.
+    """
+    if not cands:
+        yield ()
+        return
+    vals: list = [None] * len(cands)
+    get = vals.__getitem__
+    branches = [iter(cands[0])]
+    while branches:
+        i = len(branches) - 1
+        tests = checks[i]
+        for v in branches[-1]:
+            vals[i] = v
+            if not tests or all(tuple(map(get, slots)) in allowed for slots, allowed in tests):
+                break
+        else:
+            branches.pop()
+            continue
+        if i + 1 == len(cands):
+            yield tuple(vals)
+        else:
+            branches.append(iter(cands[i + 1]))
+
+
+def _add_check(checks: list[list], slots: tuple[int, ...], allowed) -> None:
+    checks[max(slots)].append((slots, allowed))
+
+
+def _vrel_composes(xy: LonRel, xz: LonRel, yz: LonRel) -> bool:
+    rel = {(0, 1): xy, (0, 2): xz, (1, 2): yz}
+    rel.update({(b, a): invert(v) for (a, b), v in rel.items()})
+    return all(rel[a, c] in COMPOSITION[rel[a, b], rel[b, c]] for a, b, c in permutations(range(3)))
+
+
+#: (rel(x,y), rel(x,z), rel(y,z)) for three vehicles on one road that pass
+#: PR2 and PR3 in every order
+_VREL_TRIPLES = frozenset(t for t in product(_ALL3, repeat=3) if _vrel_composes(*t))
+#: (rel(x,y), rel(x,p), rel(y,p)) for two vehicles on one road and one of
+#: its points that pass mixed transitivity both ways round (PR14_TRANS)
+_MIXED_OK = frozenset(
+    (v, px, py)
+    for v, px, py in product(_ALL3, repeat=3)
+    if (v, py, px) not in MIXED_FORBIDDEN and (invert(v), px, py) not in MIXED_FORBIDDEN
+)
+#: (rel(c,p1), rel(c,p2)) for p1 before p2 on a lane of c's road (PR14_TRANS)
+_ORDER_OK = frozenset(product(_ALL3, repeat=2)) - ORDER_FORBIDDEN
+#: two vehicles on a point's lanes do not both cover it (PR11)
+_NOT_BOTH_COVER = frozenset(product(_ALL3, repeat=2)) - {(C, C)}
+
+
 def _gen_successors(
     scene: Scene,
     n: RoadNetwork,
@@ -157,9 +234,19 @@ def _gen_successors(
     prel_pins: Mapping[tuple[str, str], frozenset[LonRel]],
     oref_pins: Mapping[tuple[str, str], frozenset[LonRel]],
 ) -> tuple[Scene, ...]:
+    """Every valid, non-stuttering successor of ``scene``, in a fixed order.
+
+    Per occupancy choice, the relation slots (vehicle pairs, then
+    vehicle-point pairs) are assigned in order, and a partial assignment is
+    dropped as soon as it breaks TR2, PR2, PR3, PR11 or PR14_TRANS; window
+    maps that break PR14_TRANS are dropped too.  The survivors come out in
+    the order of the full product of candidate values, and each still
+    passes through the rule checkers, which decide the remaining rules.
+    """
     vehicles = scene.vehicles
     prev_road = {c: _road(scene, n, c) for c in vehicles}
     occ_lists = [_occ_options(scene, n, c, frozen) for c in vehicles]
+    order_pairs: dict[str, frozenset[tuple[str, str]]] = {}
     results: dict = {}
     order: list[Scene] = []
     for occ_combo in product(*occ_lists):
@@ -168,19 +255,30 @@ def _gen_successors(
         for c, ls in occ.items():
             rs = {n.road_of_lane(l) for l in ls} - {None}
             road[c] = next(iter(rs)) if len(rs) == 1 else None
-        # vehicle-vehicle relation slots (same-road pairs only)
-        vrel_slots: list[tuple[str, str]] = []
-        vrel_cands: list[tuple[LonRel, ...]] = []
+        cands: list[tuple[LonRel, ...]] = []
+        checks: list[list] = []
+        # vehicle-vehicle relation slots (same-road pairs only); vehicles
+        # sharing a lane cannot be in cover (TR2)
+        vslot: dict[tuple[str, str], int] = {}
         for i, x in enumerate(vehicles):
             for y in vehicles[i + 1 :]:
                 if road[x] is None or road[x] != road[y]:
                     continue
                 u = scene.vrel_of(x, y)
-                vrel_slots.append((x, y))
-                vrel_cands.append(_VREL_STEPS[u] if u is not N else _ALL3)
-        # vehicle-point slots (points carried by the vehicle's road)
-        prel_slots: list[tuple[str, str]] = []
-        prel_cands: list[tuple[LonRel, ...]] = []
+                vals = _VREL_STEPS[u] if u is not N else _ALL3
+                if occ[x] & occ[y]:
+                    vals = tuple(v for v in vals if v is not C)
+                vslot[x, y] = len(cands)
+                cands.append(vals)
+                checks.append([])
+        for (x, y), xy in vslot.items():
+            for z in vehicles:
+                if (y, z) in vslot and (x, z) in vslot:
+                    _add_check(checks, (xy, vslot[x, z], vslot[y, z]), _VREL_TRIPLES)
+        n_vrel = len(cands)
+        # vehicle-point slots (points carried by the vehicle's road); each
+        # vehicle's slots follow the point order of its lanes (PR14_TRANS)
+        pslot: dict[tuple[str, str], int] = {}
         dead = False
         for c in vehicles:
             rid = road[c]
@@ -188,35 +286,56 @@ def _gen_successors(
                 continue
             for p in sorted(n.points_of_road(rid)):
                 u = scene.prel_of(c, p)
-                cands = _PREL_STEPS[u] if u is not N else _ALL3
+                vals = _PREL_STEPS[u] if u is not N else _ALL3
                 pin = prel_pins.get((c, p))
                 if pin is not None:
-                    cands = tuple(v for v in cands if v in pin)
-                if not cands:
+                    vals = tuple(v for v in vals if v in pin)
+                if not vals:
                     dead = True
                     break
-                prel_slots.append((c, p))
-                prel_cands.append(cands)
+                pslot[c, p] = len(cands)
+                cands.append(vals)
+                checks.append([])
             if dead:
                 break
+            if rid not in order_pairs:
+                order_pairs[rid] = frozenset().union(*map(n.lane_order_pairs, n.road(rid).lanes))
+            for p1, p2 in order_pairs[rid]:
+                if (c, p1) in pslot and (c, p2) in pslot:
+                    _add_check(checks, (pslot[c, p1], pslot[c, p2]), _ORDER_OK)
         if dead:
             continue
-        for vrel_combo in product(*vrel_cands):
+        # two vehicles at one point: mixed transitivity (PR14_TRANS) and
+        # point-cover exclusivity (PR11)
+        for (y, p), k in pslot.items():
+            plane = n.lanes_of_point(p)
+            for x in vehicles:
+                if x == y:
+                    break
+                j = pslot.get((x, p))
+                if j is None:
+                    continue
+                if (x, y) in vslot:
+                    _add_check(checks, (vslot[x, y], j, k), _MIXED_OK)
+                if occ[x] & plane and occ[y] & plane:
+                    _add_check(checks, (j, k), _NOT_BOTH_COVER)
+        vrel_slots = list(vslot)
+        prel_slots = list(pslot)
+        for combo in _consistent(cands, checks):
             vrel: dict[tuple[str, str], LonRel] = {}
-            for (x, y), v in zip(vrel_slots, vrel_combo):
-                vrel[(x, y)] = v
-                vrel[(y, x)] = invert(v)
-            for prel_combo in product(*prel_cands):
-                prel = dict(zip(prel_slots, prel_combo))
-                pscene = _ProtoScene(occ, road, vrel, prel)
-                for orel in _orel_assignments(scene, n, pscene, prev_road, oref_pins):
-                    cand = Scene(occ, vrel, prel, orel)
-                    if cand == scene or cand.key() in results:
-                        continue
-                    if check_scene(cand, n) or check_transition(scene, cand, n):
-                        continue
-                    results[cand.key()] = cand
-                    order.append(cand)
+            for (x, y), v in zip(vrel_slots, combo):
+                vrel[x, y] = v
+                vrel[y, x] = invert(v)
+            prel = dict(zip(prel_slots, combo[n_vrel:]))
+            pscene = _ProtoScene(occ, road, vrel, prel)
+            for orel in _orel_assignments(scene, n, pscene, prev_road, oref_pins):
+                cand = Scene(occ, vrel, prel, orel)
+                if cand == scene or cand.key() in results:
+                    continue
+                if check_scene(cand, n) or check_transition(scene, cand, n):
+                    continue
+                results[cand.key()] = cand
+                order.append(cand)
     return tuple(order)
 
 
@@ -247,11 +366,16 @@ def _engaged_proto(n, proto, c, z) -> bool:
 
 
 def _orel_assignments(scene, n, proto, prev_road, oref_pins):
-    """Yield every admissible window-relation map for a candidate scene."""
+    """Yield every admissible window-relation map for a candidate scene.
+
+    Maps whose relations inside a window do not compose are left out.
+    """
     vehicles = sorted(proto.occ)
     pair_zones: dict[tuple[str, str], list] = {}
+    triangles = []
     for z in n.zones:
         members = [c for c in vehicles if _engaged_proto(n, proto, c, z)]
+        triangles.extend((z, tri) for tri in combinations(members, 3))
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
                 pair_zones.setdefault((x, y), []).append(z)
@@ -301,7 +425,17 @@ def _orel_assignments(scene, n, proto, prev_road, oref_pins):
         for (x, y), v, inv in zip(slots, combo, mirrors):
             orel[(x, y)] = v
             orel[(y, x)] = invert(v) if inv else v
-        yield orel
+        # relation triangles inside each window (PR14_TRANS)
+        if all(_window_closed(z, proto.road, tri, orel) for z, tri in triangles):
+            yield orel
+
+
+def _window_closed(z, road, tri, orel) -> bool:
+    """Whether the window relations of three members of ``z`` compose in every order."""
+    return all(
+        window_composes(orel[x, y], orel[y, w], orel[x, w], z.orientation[road[x]], z.orientation[road[y]])
+        for x, y, w in permutations(tri)
+    )
 
 
 def _engaged_prev(scene, n, c, rid, z) -> bool:
@@ -440,9 +574,13 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
 
     nodes = sum(map(len, layers))
     paths = _live_paths(req.initial, memo, live)
-    scenarios = sorted((Scenario(req.vehicles, net, path) for path in paths), key=canonicalize)
+    scene_text: dict[Scene, str] = {}
+    ranked = sorted(
+        ((render_scenario(sc, scene_text), sc) for sc in (Scenario(req.vehicles, net, p) for p in paths)),
+        key=itemgetter(0),
+    )
     stats = Stats(nodes, nodes - sum(map(len, live)), time.monotonic() - t0)
-    return ExpansionResult(tuple(scenarios), stats)
+    return ExpansionResult(tuple(sc for _, sc in ranked), stats, tuple(text for text, _ in ranked))
 
 
 # -- request files ---------------------------------------------------------------

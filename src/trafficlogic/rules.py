@@ -101,8 +101,14 @@ VREL_NEXT = {A: frozenset({A, C}), C: frozenset({A, C, B}), B: frozenset({B, C})
 PREL_NEXT = {B: frozenset({B, C}), C: frozenset({C, A}), A: frozenset({A})}
 
 #: Pairs (earlier point, later point) of relations that contradict the
-#: point order along a lane.
-_ORDER_FORBIDDEN = {(B, C), (B, A), (C, A)}
+#: point order along a lane (PR14_TRANS).
+ORDER_FORBIDDEN = frozenset({(B, C), (B, A), (C, A)})
+
+#: Triples (rel(x,y), rel(y,p), rel(x,p)) of two vehicles on one road and a
+#: point of that road that break mixed transitivity (PR14_TRANS).
+MIXED_FORBIDDEN = frozenset(
+    {(A, A, C), (A, A, B), (B, B, C), (B, B, A), (C, A, B), (C, B, A)}
+)
 
 
 # -- derived auxiliary facts --------------------------------------------------
@@ -198,6 +204,16 @@ def _ref_frame(value: LonRel, orientation: int) -> LonRel:
     return value if orientation > 0 else invert(value)
 
 
+def window_composes(r_xy: LonRel, r_yw: LonRel, r_xw: LonRel, o_x: int, o_y: int) -> bool:
+    """Whether window relations of ``x, y, w`` compose along the window axis.
+
+    ``o_x`` and ``o_y`` are the window orientations of the roads of ``x``
+    and ``y``; a triple that does not compose breaks PR14_TRANS.
+    """
+    f1, f2, f3 = _ref_frame(r_xy, o_x), _ref_frame(r_yw, o_y), _ref_frame(r_xw, o_x)
+    return f3 in COMPOSITION[(f1, f2)]
+
+
 def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
     """All per-scene rule violations, deduplicated."""
     found: set[tuple] = set()
@@ -211,20 +227,19 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
 
     vehicles = scene.vehicles
     vset = set(vehicles)
-    known_lanes = set(n.lanes)
     road_of: dict[str, Optional[str]] = {}
 
     for c in vehicles:
-        lanes = scene.occ_of(c)
-        for l in lanes:
-            if l not in known_lanes:
+        occ = scene.occ_of(c)
+        lanes = frozenset(l for l in occ if n.road_of_lane(l) is not None)
+        for l in occ:
+            if l not in lanes:
                 add(RuleId.WF, "unknown_lane", c, l)
-        lanes = lanes & known_lanes
-        if not scene.occ_of(c):
+        if not occ:
             add(RuleId.PR6, c)
-        if len(scene.occ_of(c)) > 2:
+        if len(occ) > 2:
             add(RuleId.TR1, c)
-        roads = {n.road_of_lane(l) for l in lanes} - {None}
+        roads = {n.road_of_lane(l) for l in lanes}
         if len(roads) > 1:
             add(RuleId.PR8, c)
         road_of[c] = next(iter(roads)) if len(roads) == 1 else None
@@ -283,7 +298,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
 
     # point-cover exclusivity: two vehicles may not cover the same point
     # while both occupy lanes the point lies on
-    for p in sorted(n.points):
+    for p in sorted({p for (c, p), v in scene.prel.items() if v is C}):
         plane = n.lanes_of_point(p)
         coverers = [
             c for c in vehicles if scene.prel_of(c, p) is C and (scene.occ_of(c) & plane)
@@ -298,7 +313,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
             continue
         for l in n.road(rid).lanes:
             for p1, p2 in sorted(n.lane_order_pairs(l)):
-                if (scene.prel_of(c, p1), scene.prel_of(c, p2)) in _ORDER_FORBIDDEN:
+                if (scene.prel_of(c, p1), scene.prel_of(c, p2)) in ORDER_FORBIDDEN:
                     add(RuleId.PR14_TRANS, c, p1, p2)
     for x, y in permutations(vehicles, 2):
         rx, ry = road_of[x], road_of[y]
@@ -309,15 +324,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
             continue
         for p in sorted(n.points_of_road(rx)):
             px, py = scene.prel_of(x, p), scene.prel_of(y, p)
-            if px is N or py is N:
-                continue
-            if vxy is A and py is A and px is not A:
-                add(RuleId.PR14_TRANS, x, y, p)
-            elif vxy is B and py is B and px is not B:
-                add(RuleId.PR14_TRANS, x, y, p)
-            elif vxy is C and py is A and px is B:
-                add(RuleId.PR14_TRANS, x, y, p)
-            elif vxy is C and py is B and px is A:
+            if (vxy, py, px) in MIXED_FORBIDDEN:
                 add(RuleId.PR14_TRANS, x, y, p)
 
     # overlap windows: support, copy/symmetry, head-on exclusion,
@@ -347,10 +354,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
             r3 = scene.orel.get((x, w))
             if r1 is None or r2 is None or r3 is None:
                 continue
-            f1 = _ref_frame(r1, z.orientation[road_of[x]])
-            f2 = _ref_frame(r2, z.orientation[road_of[y]])
-            f3 = _ref_frame(r3, z.orientation[road_of[x]])
-            if f3 not in COMPOSITION[(f1, f2)]:
+            if not window_composes(r1, r2, r3, z.orientation[road_of[x]], z.orientation[road_of[y]]):
                 add(RuleId.PR14_TRANS, x, y, w)
 
     for (x, y), v in scene.orel.items():

@@ -1,0 +1,131 @@
+"""Successor generation against its generate-and-test reference.
+
+``reasoner.successors`` drops a partial relation assignment as soon as it
+breaks a scene rule; ``tests/reference_successors.py`` builds every
+candidate scene and lets the rule checkers decide.  Both must give the same
+successor tuple, order included, on every scene of these families:
+
+* the five ``tests/data`` request fixtures: every scene reachable from the
+  initial scene while the request's ``#freeze`` holds;
+* dense requests, three or four vehicles on one road of two or three lanes,
+  each vehicle behind the next: every scene within a few steps of the
+  initial scene (all of them for three vehicles on two lanes).
+
+The checker must also never reject a candidate for a rule the generator
+prunes, so the pruning is complete for those rules.
+"""
+
+from __future__ import annotations
+
+import pathlib
+from collections import Counter
+from dataclasses import dataclass
+from typing import Optional
+
+import pytest
+
+from trafficlogic import reasoner
+from trafficlogic.domain import RoadNetwork, Scene
+from trafficlogic.reasoner import _gen_successors, _monotone_pins, parse_request, successors
+from trafficlogic.rules import RuleId
+
+from reference_successors import reference_successors
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+#: rules the generator enforces on partial assignments
+PRUNED = {RuleId.TR2, RuleId.PR2, RuleId.PR3, RuleId.PR11, RuleId.PR14_TRANS}
+
+
+def dense_request(lanes: int, lane_of: tuple[int, ...]) -> str:
+    """Vehicle c_i on lane ``l<lane_of[i-1]>``, c_i behind c_j for i < j."""
+    lines = [f"lane(l{i}, ra)." for i in range(1, lanes + 1)]
+    lines += [f"left(l{i}, l{i + 1})." for i in range(1, lanes)]
+    lines.append("#init")
+    lines += [f"on(c{i}, l{l})." for i, l in enumerate(lane_of, start=1)]
+    k = len(lane_of)
+    lines += [f"lonr(c{i}, c{j}, behind)." for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    lines.append("#horizon 2")
+    return "\n".join(lines) + "\n"
+
+
+#: (name, request text, step bound on reachability; None = every reachable scene)
+FAMILIES = [(p.stem, p.read_text(), None) for p in sorted(DATA.glob("*.req"))] + [
+    ("dense-3v-2l", dense_request(2, (1, 2, 1)), None),
+    ("dense-3v-3l", dense_request(3, (1, 2, 3)), 1),
+    ("dense-3v-3l-shared", dense_request(3, (1, 3, 3)), 1),
+    ("dense-4v-2l", dense_request(2, (1, 2, 1, 2)), 0),
+    ("dense-4v-2l-shared", dense_request(2, (1, 1, 1, 2)), 0),
+    ("dense-4v-3l", dense_request(3, (1, 2, 2, 3)), 0),
+    ("dense-4v-3l-shared", dense_request(3, (1, 1, 2, 3)), 0),
+]
+
+
+@dataclass
+class Explored:
+    network: RoadNetwork
+    scenes: list[Scene]
+    successors: dict[Scene, tuple[Scene, ...]]
+    #: per rule, the candidates ``check_scene`` rejected for it
+    rejected: Counter
+
+
+def _explore(text: str, bound: Optional[int]) -> Explored:
+    req = parse_request(text)
+    net = req.network
+    rejected: Counter = Counter()
+    check_scene = reasoner.check_scene
+
+    def counting(scene, n, step=1):
+        found = check_scene(scene, n, step)
+        rejected.update({v.rule for v in found})
+        return found
+
+    depth = {req.initial: 0}
+    todo = [req.initial]
+    succ: dict[Scene, tuple[Scene, ...]] = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reasoner, "check_scene", counting)
+        while todo:
+            s = todo.pop()
+            succ[s] = successors(s, net)
+            if bound is not None and depth[s] == bound:
+                continue
+            for t in successors(s, net, req.frozen) if req.frozen else succ[s]:
+                if t not in depth:
+                    depth[t] = depth[s] + 1
+                    todo.append(t)
+    return Explored(net, list(depth), succ, rejected)
+
+
+@pytest.fixture(scope="module", params=FAMILIES, ids=[f[0] for f in FAMILIES])
+def explored(request) -> Explored:
+    _, text, bound = request.param
+    return _explore(text, bound)
+
+
+def test_successors_match_generate_and_test(explored):
+    for s in explored.scenes:
+        assert explored.successors[s] == reference_successors(s, explored.network, frozenset(), {}, {})
+
+
+def test_checker_rejects_nothing_the_generator_prunes(explored):
+    assert not PRUNED & set(explored.rejected), dict(explored.rejected)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.req")), ids=lambda p: p.stem)
+def test_pinned_successors_match_generate_and_test(path):
+    """With the request's own freeze and goal-implied pins, as ``expand`` runs it."""
+    req = parse_request(path.read_text())
+    net = req.network
+    pins = _monotone_pins(req.goal, net, req.initial)
+    seen = {req.initial}
+    todo = [req.initial]
+    while todo:
+        s = todo.pop()
+        got = _gen_successors(s, net, req.frozen, *pins)
+        assert got == reference_successors(s, net, req.frozen, *pins)
+        for t in got:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
