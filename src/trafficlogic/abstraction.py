@@ -627,24 +627,12 @@ def _qualify(
             s_p = _point_s_on(abst, pid, ref)
             prel[(v, pid)] = lon_rel_of_ranges(rng, SRange(s_p, s_p))
 
-    def engaged(v: str, zone) -> bool:
-        window = zone.entry_exit_for(road_of[v])
-        if window is None:
-            return False
-        first, second = window
-        return (
-            prel.get((v, first)) is LonRel.AHEAD
-            and prel.get((v, second)) is LonRel.BEHIND
-        )
-
     for i, a in enumerate(vehicles):
         for b in vehicles[i + 1 :]:
-            zones = [
-                z
+            if not any(
+                z.holds_inside(road_of[a], a, prel) and z.holds_inside(road_of[b], b, prel)
                 for z in n.zones
-                if road_of[a] in z.orientation and road_of[b] in z.orientation
-            ]
-            if not any(engaged(a, z) and engaged(b, z) for z in zones):
+            ):
                 continue
             if road_of[a] == road_of[b]:
                 val = vrel.get((a, b), LonRel.NONE)

@@ -273,10 +273,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else Config()
+        if getattr(args, "workers", None) is not None:
+            cfg = dataclasses.replace(cfg, workers=args.workers)
     except (OSError, ValueError) as exc:
         return _fail(str(exc), INPUT_ERROR)
-    if getattr(args, "workers", None) is not None:
-        cfg = dataclasses.replace(cfg, workers=args.workers)
     if args.command == "ingest":
         return cmd_ingest(args.map, cfg, args.out, args.coords_out)
     if args.command == "generate":

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-__all__ = ["Config", "load_config", "DEFAULTS"]
+__all__ = ["Config", "load_config"]
 
 
 @dataclass
@@ -31,8 +31,6 @@ class Config:
     workers: int = 1
     #: output directory for artifact files (None = alongside input / stdout)
     outdir: str | None = None
-    #: seed for randomized fixtures; never consulted by the core pipeline
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in (
@@ -61,8 +59,6 @@ class Config:
         return {k: repr(getattr(self, k)) for k in keys}
 
 
-DEFAULTS = Config()
-
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
 
@@ -81,7 +77,7 @@ def load_config(path: str | Path) -> Config:
         val = val.strip()
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in ("workers", "seed"):
+        if key == "workers":
             values[key] = int(val)
         elif key == "outdir":
             values[key] = val

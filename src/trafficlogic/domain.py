@@ -38,9 +38,6 @@ class LonRel(Enum):
         return f"LonRel.{self.name}"
 
 
-#: Rank used for monotone comparisons: behind < cover < ahead.
-LON_RANK = {LonRel.BEHIND: 0, LonRel.COVER: 1, LonRel.AHEAD: 2}
-
 _INVERT = {
     LonRel.AHEAD: LonRel.BEHIND,
     LonRel.BEHIND: LonRel.AHEAD,
@@ -93,10 +90,6 @@ class PointKind(Enum):
     OVERLAP_END = "oe"
 
 
-#: Back-compat style alias used by fact files (`class(p, x|c|os|oe)`).
-PointClass = PointKind
-
-
 @dataclass(frozen=True)
 class Road:
     """A carriageway: one or more same-direction lanes, ordered left-to-right."""
@@ -123,12 +116,28 @@ class OverlapZone:
     end: str
     orientation: Mapping[str, int]
 
-    def entry_exit_for(self, road_id: str) -> Optional[tuple[str, str]]:
+    def entry_exit_for(self, road_id: Optional[str]) -> Optional[tuple[str, str]]:
         """The (first, second) window points in ``road_id``'s travel order."""
         o = self.orientation.get(road_id)
         if o is None:
             return None
         return (self.start, self.end) if o > 0 else (self.end, self.start)
+
+    def holds_inside(
+        self, road_id: Optional[str], c: str, prel: Mapping[tuple[str, str], LonRel]
+    ) -> bool:
+        """Whether vehicle ``c``, on ``road_id``, sits inside the window.
+
+        Judged in the vehicle's own travel frame from ``prel``, its
+        ``(vehicle, point)`` relations: past the window point the road meets
+        first, before the one it meets second.  This is road-wide — the
+        vehicle need not occupy a carrying lane to be alongside the window.
+        False when the zone does not carry ``road_id`` (or it is None).
+        """
+        ee = self.entry_exit_for(road_id)
+        if ee is None:
+            return False
+        return prel.get((c, ee[0])) is LonRel.AHEAD and prel.get((c, ee[1])) is LonRel.BEHIND
 
 
 class RoadNetwork:
@@ -158,7 +167,6 @@ class RoadNetwork:
         "_order_by_lane",
         "_connections_by_lane",
         "_zones",
-        "_zones_by_road",
     )
 
     def __init__(
@@ -230,11 +238,6 @@ class RoadNetwork:
             for l, ps in self._points_of_lane.items()
         }
         self._zones = tuple(self._build_zone(a, b) for a, b in sorted(self.overlaps))
-        zbr: dict[str, list[OverlapZone]] = {}
-        for z in self._zones:
-            for rid in z.orientation:
-                zbr.setdefault(rid, []).append(z)
-        self._zones_by_road = {rid: tuple(zs) for rid, zs in zbr.items()}
 
     def _build_zone(self, start: str, end: str) -> OverlapZone:
         orientation: dict[str, int] = {}
@@ -264,6 +267,12 @@ class RoadNetwork:
 
     def road_of_lane(self, lane: str) -> Optional[str]:
         return self._lane_road.get(lane)
+
+    def road_of(self, lanes: Iterable[str]) -> Optional[str]:
+        """The one road the known ``lanes`` lie on; None for no road or several."""
+        roads = set(map(self._lane_road.get, lanes))
+        roads.discard(None)
+        return roads.pop() if len(roads) == 1 else None
 
     def road(self, road_id: str) -> Road:
         return self._road_by_id[road_id]
@@ -306,9 +315,6 @@ class RoadNetwork:
 
     def lane_order_pairs(self, lane: str) -> frozenset[tuple[str, str]]:
         return self._order_by_lane.get(lane, frozenset())
-
-    def zones_of_road(self, road_id: str) -> tuple[OverlapZone, ...]:
-        return self._zones_by_road.get(road_id, ())
 
 
 def validate_network(n: RoadNetwork) -> list[str]:

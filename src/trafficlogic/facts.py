@@ -94,6 +94,21 @@ def _check_arity(name: str, args: Sequence[str], arity: int, lineno: int) -> Non
         raise ParseError(f"{name} expects {arity} arguments, got {len(args)}", lineno)
 
 
+def parse_scene_atom(text: str, lineno: Optional[int] = None) -> tuple[str, tuple[str, ...]]:
+    """Parse one scene atom line, checking its name, arity and relation value.
+
+    A relation value that passes is a key of ``_REL``, the one lookup from
+    relation names to relations.
+    """
+    name, args = parse_atom(text, lineno)
+    if name not in _SCENE_ARITY:
+        raise ParseError(f"unknown scene atom {name!r}", lineno)
+    _check_arity(name, args, _SCENE_ARITY[name], lineno)
+    if name != "on" and args[-1] not in _REL:
+        raise ParseError(f"bad relation value {args[-1]!r}", lineno)
+    return name, args
+
+
 class NetworkBuilder:
     """Accumulates network facts and assembles a `RoadNetwork`.
 
@@ -241,11 +256,9 @@ def scene_from_atoms(
 def _orel_mirror(
     net: RoadNetwork, occ_x: Iterable[str], occ_y: Iterable[str], v: LonRel
 ) -> Optional[LonRel]:
-    rx = {net.road_of_lane(l) for l in occ_x} - {None}
-    ry = {net.road_of_lane(l) for l in occ_y} - {None}
-    if len(rx) != 1 or len(ry) != 1:
+    road_x, road_y = net.road_of(occ_x), net.road_of(occ_y)
+    if road_x is None or road_y is None:
         return None
-    (road_x,), (road_y,) = rx, ry
     for z in net.zones:
         ox, oy = z.orientation.get(road_x), z.orientation.get(road_y)
         if ox is not None and oy is not None:
@@ -328,10 +341,7 @@ def parse_scenarios(
         elif line.startswith("#"):
             raise ParseError(f"unexpected directive {line.split()[0]!r}", lineno)
         else:
-            name, args = parse_atom(line, lineno)
-            if name not in _SCENE_ARITY:
-                raise ParseError(f"unknown scene atom {name!r}", lineno)
-            _check_arity(name, args, _SCENE_ARITY[name], lineno)
+            name, args = parse_scene_atom(line, lineno)
             if current_atoms is None:
                 raise ParseError("scene atom before any #step header", lineno)
             current_atoms.append((name, args))

@@ -18,7 +18,6 @@ __all__ = [
     "Polyline",
     "frenet_project",
     "project_points",
-    "segment_intersection",
     "polyline_intersections",
     "angle_difference",
 ]
@@ -119,34 +118,6 @@ def frenet_project(line: Polyline, p) -> FrenetPose:
     """Project one point onto ``line``; see :class:`FrenetPose`."""
     s, d, _ = project_points(line, [p])
     return FrenetPose(float(s[0]), float(d[0]))
-
-
-def segment_intersection(a0, a1, b0, b1, eps: float = 1e-12):
-    """Proper intersection of two closed segments.
-
-    Returns ``(ta, tb, (x, y))`` with parameters in ``[0, 1]``, or ``None``
-    when the segments are (near-)parallel or miss each other.
-    """
-    a0 = np.asarray(a0, dtype=float)
-    a1 = np.asarray(a1, dtype=float)
-    b0 = np.asarray(b0, dtype=float)
-    b1 = np.asarray(b1, dtype=float)
-    r = a1 - a0
-    s = b1 - b0
-    denom = r[0] * s[1] - r[1] * s[0]
-    scale = max(float(np.hypot(*r) * np.hypot(*s)), eps)
-    if abs(denom) <= eps * scale:
-        return None
-    q = b0 - a0
-    ta = (q[0] * s[1] - q[1] * s[0]) / denom
-    tb = (q[0] * r[1] - q[1] * r[0]) / denom
-    tol = 1e-9
-    if -tol <= ta <= 1.0 + tol and -tol <= tb <= 1.0 + tol:
-        ta = min(max(ta, 0.0), 1.0)
-        tb = min(max(tb, 0.0), 1.0)
-        pt = a0 + ta * r
-        return float(ta), float(tb), (float(pt[0]), float(pt[1]))
-    return None
 
 
 def polyline_intersections(a: Polyline, b: Polyline) -> list[tuple[float, float, tuple[float, float]]]:

@@ -36,11 +36,9 @@ _PHRASE = {
 
 @dataclass(frozen=True)
 class OscDocument:
-    """A rendered OSC scenario plus its structural skeleton."""
+    """A rendered OSC scenario."""
 
     text: str
-    positions: dict[str, str]  # point id -> declared position name
-    blocks: tuple[str, ...]  # parallel block labels, in scene order
 
     def __str__(self) -> str:
         return self.text
@@ -81,12 +79,10 @@ def emit_osc(
                 )
 
     lines: list[str] = ["scenario traffic_scenario:"]
-    positions: dict[str, str] = {}
     points = sorted(n.points)
     if points:
         lines.append(_INDENT + "# road-network anchor points")
     for pid in points:
-        positions[pid] = pid
         if coords and pid in coords:
             x, y, z = coords[pid]
             lines.append(
@@ -98,11 +94,8 @@ def emit_osc(
     for c in vehicles:
         lines.append(_INDENT + f"{c}: vehicle")
     lines.append(_INDENT + "do serial:")
-    blocks: list[str] = []
     for k, scene in enumerate(sc.scenes, start=1):
-        label = f"step_{k}"
-        blocks.append(label)
-        lines.append(_INDENT * 2 + f"{label}: parallel:")
+        lines.append(_INDENT * 2 + f"step_{k}: parallel:")
         for c in vehicles:
             lines.append(_INDENT * 3 + f"{c}.drive() with:")
             lanes = ", ".join(sorted(scene.occ_of(c)))
@@ -118,4 +111,4 @@ def emit_osc(
                 if rel is not LonRel.NONE:
                     lines.append(_INDENT * 4 + f"position({_PHRASE[rel]}: {pid})")
     text = "\n".join(lines) + "\n"
-    return OscDocument(text=text, positions=positions, blocks=tuple(blocks))
+    return OscDocument(text=text)

@@ -25,7 +25,8 @@ relations (PR2, PR3), point-cover exclusivity (PR11), and point order and
 mixed transitivity (PR14_TRANS).  These are the triangle tests of path
 consistency over the qualitative point algebra, applied to each partial
 assignment; window relations are tested the same way once a window map is
-complete.  Only complete survivors become scenes, and the full rule
+complete, and opposed vehicles on a window's carrying lanes get no cover
+(PR13).  Only complete survivors become scenes, and the full rule
 checker, which stays authoritative, still judges each one.  Successors
 never stutter: consecutive scenes always differ, because steps carry
 order, not duration.
@@ -56,8 +57,9 @@ from trafficlogic.facts import (
     ParseError,
     NetworkBuilder,
     _NETWORK_ARITY,
-    _SCENE_ARITY,
+    _REL,
     parse_atom,
+    parse_scene_atom,
     render_scenario,
     scene_from_atoms,
     strip_comment,
@@ -239,22 +241,19 @@ def _gen_successors(
     Per occupancy choice, the relation slots (vehicle pairs, then
     vehicle-point pairs) are assigned in order, and a partial assignment is
     dropped as soon as it breaks TR2, PR2, PR3, PR11 or PR14_TRANS; window
-    maps that break PR14_TRANS are dropped too.  The survivors come out in
+    maps that break PR13 or PR14_TRANS are dropped too.  The survivors come out in
     the order of the full product of candidate values, and each still
     passes through the rule checkers, which decide the remaining rules.
     """
     vehicles = scene.vehicles
-    prev_road = {c: _road(scene, n, c) for c in vehicles}
+    prev_road = {c: n.road_of(scene.occ[c]) for c in vehicles}
     occ_lists = [_occ_options(scene, n, c, frozen) for c in vehicles]
     order_pairs: dict[str, frozenset[tuple[str, str]]] = {}
     results: dict = {}
     order: list[Scene] = []
     for occ_combo in product(*occ_lists):
         occ = dict(zip(vehicles, occ_combo))
-        road = {}
-        for c, ls in occ.items():
-            rs = {n.road_of_lane(l) for l in ls} - {None}
-            road[c] = next(iter(rs)) if len(rs) == 1 else None
+        road = {c: n.road_of(ls) for c, ls in occ.items()}
         cands: list[tuple[LonRel, ...]] = []
         checks: list[list] = []
         # vehicle-vehicle relation slots (same-road pairs only); vehicles
@@ -327,8 +326,7 @@ def _gen_successors(
                 vrel[x, y] = v
                 vrel[y, x] = invert(v)
             prel = dict(zip(prel_slots, combo[n_vrel:]))
-            pscene = _ProtoScene(occ, road, vrel, prel)
-            for orel in _orel_assignments(scene, n, pscene, prev_road, oref_pins):
+            for orel in _orel_assignments(scene, n, occ, road, vrel, prel, prev_road, oref_pins):
                 cand = Scene(occ, vrel, prel, orel)
                 if cand == scene or cand.key() in results:
                     continue
@@ -339,42 +337,19 @@ def _gen_successors(
     return tuple(order)
 
 
-@dataclass
-class _ProtoScene:
-    occ: dict
-    road: dict
-    vrel: dict
-    prel: dict
-
-    def prel_of(self, c, p):
-        return self.prel.get((c, p), N)
-
-
-def _road(scene: Scene, n: RoadNetwork, c: str) -> Optional[str]:
-    roads = {n.road_of_lane(l) for l in scene.occ_of(c)} - {None}
-    return next(iter(roads)) if len(roads) == 1 else None
-
-
-def _engaged_proto(n, proto, c, z) -> bool:
-    rid = proto.road.get(c)
-    if rid is None:
-        return False
-    ee = z.entry_exit_for(rid)
-    if ee is None:
-        return False
-    return proto.prel_of(c, ee[0]) is A and proto.prel_of(c, ee[1]) is B
-
-
-def _orel_assignments(scene, n, proto, prev_road, oref_pins):
+def _orel_assignments(scene, n, occ, road, vrel, prel, prev_road, oref_pins):
     """Yield every admissible window-relation map for a candidate scene.
 
-    Maps whose relations inside a window do not compose are left out.
+    ``occ``, ``road``, ``vrel`` and ``prel`` describe the candidate and
+    ``prev_road`` maps each vehicle to its road in ``scene``.  Maps whose
+    relations inside a window do not compose are left out, and so is cover
+    between opposed vehicles on a window's carrying lanes (PR13).
     """
-    vehicles = sorted(proto.occ)
+    vehicles = sorted(occ)
     pair_zones: dict[tuple[str, str], list] = {}
     triangles = []
     for z in n.zones:
-        members = [c for c in vehicles if _engaged_proto(n, proto, c, z)]
+        members = [c for c in vehicles if z.holds_inside(road[c], c, prel)]
         triangles.extend((z, tri) for tri in combinations(members, 3))
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
@@ -385,10 +360,10 @@ def _orel_assignments(scene, n, proto, prev_road, oref_pins):
     forced: dict[tuple[str, str], LonRel] = {}
     for (x, y), zs in sorted(pair_zones.items()):
         z0 = zs[0]
-        ox, oy = z0.orientation[proto.road[x]], z0.orientation[proto.road[y]]
+        ox, oy = z0.orientation[road[x]], z0.orientation[road[y]]
         if ox == oy:
-            if proto.road[x] == proto.road[y]:
-                v = proto.vrel.get((x, y))
+            if road[x] == road[y]:
+                v = vrel.get((x, y))
                 if v is None:
                     return  # same road without a relation never survives checking
                 forced[(x, y)] = v
@@ -398,18 +373,21 @@ def _orel_assignments(scene, n, proto, prev_road, oref_pins):
             mirror_invert = True
         else:
             # opposed traffic: candidates restricted by monotone continuity
-            # in the window frame for every window engaged on both steps
+            # in the window frame for every window engaged on both steps,
+            # and no cover while both are on the window's carrying lanes
             ref_cands = set(_ALL3)
+            u = scene.orel.get((x, y))
             for z in zs:
-                if _engaged_prev(scene, n, x, prev_road.get(x), z) and _engaged_prev(
-                    scene, n, y, prev_road.get(y), z
+                if (
+                    u is not None
+                    and z.holds_inside(prev_road[x], x, scene.prel)
+                    and z.holds_inside(prev_road[y], y, scene.prel)
                 ):
-                    u = scene.orel.get((x, y))
-                    if u is not None:
-                        o_prev = z.orientation.get(prev_road.get(x))
-                        if o_prev is not None:
-                            u_ref = u if o_prev > 0 else invert(u)
-                            ref_cands &= PREL_NEXT[u_ref]
+                    ref_cands &= PREL_NEXT[u if z.orientation[prev_road[x]] > 0 else invert(u)]
+                if z.orientation[road[x]] != z.orientation[road[y]]:
+                    carrying = n.lanes_of_point(z.start) & n.lanes_of_point(z.end)
+                    if occ[x] & carrying and occ[y] & carrying:
+                        ref_cands.discard(C)
             pin = oref_pins.get((x, y))
             if pin is not None:
                 ref_cands &= pin
@@ -426,7 +404,7 @@ def _orel_assignments(scene, n, proto, prev_road, oref_pins):
             orel[(x, y)] = v
             orel[(y, x)] = invert(v) if inv else v
         # relation triangles inside each window (PR14_TRANS)
-        if all(_window_closed(z, proto.road, tri, orel) for z, tri in triangles):
+        if all(_window_closed(z, road, tri, orel) for z, tri in triangles):
             yield orel
 
 
@@ -436,15 +414,6 @@ def _window_closed(z, road, tri, orel) -> bool:
         window_composes(orel[x, y], orel[y, w], orel[x, w], z.orientation[road[x]], z.orientation[road[y]])
         for x, y, w in permutations(tri)
     )
-
-
-def _engaged_prev(scene, n, c, rid, z) -> bool:
-    if rid is None:
-        return False
-    ee = z.entry_exit_for(rid)
-    if ee is None:
-        return False
-    return scene.prel_of(c, ee[0]) is A and scene.prel_of(c, ee[1]) is B
 
 
 def successors(scene: Scene, n: RoadNetwork, frozen: frozenset[str] = frozenset()) -> tuple[Scene, ...]:
@@ -478,8 +447,8 @@ def _monotone_pins(goal: Optional[Goal], net: RoadNetwork, initial: Scene):
             # the goal value applies to the sorted pair as-is; the window
             # frame is taken from the sorted-first vehicle's road
             sx, sy = sorted(atom.args)
-            rx = _road(initial, net, sx)
-            ry = _road(initial, net, sy)
+            rx = net.road_of(initial.occ_of(sx))
+            ry = net.road_of(initial.occ_of(sy))
             if rx is None or ry is None:
                 continue
             for z in net.zones:
@@ -604,26 +573,16 @@ def _split_goal_atoms(body: str) -> list[str]:
     return [p for p in parts if p]
 
 
-_REL_BY_NAME = {r.value: r for r in LonRel}
-
-
 def _parse_goal_atom(text: str, lineno: int) -> GoalAtom:
     negated = False
     body = text.strip()
     if body.startswith("not "):
         negated = True
         body = body[4:].strip()
-    name, args = parse_atom(body + ".", lineno)
-    if name not in _SCENE_ARITY:
-        raise ParseError(f"goal atom must be a scene atom, got {name!r}", lineno)
-    if len(args) != _SCENE_ARITY[name]:
-        raise ParseError(f"{name} goal atom has wrong arity", lineno)
+    name, args = parse_scene_atom(body + ".", lineno)
     if name == "on":
         return GoalAtom("on", args, None, negated)
-    rel = _REL_BY_NAME.get(args[-1])
-    if rel is None:
-        raise ParseError(f"bad relation value {args[-1]!r} in goal", lineno)
-    return GoalAtom(name, args[:-1], rel, negated)
+    return GoalAtom(name, args[:-1], _REL[args[-1]], negated)
 
 
 def parse_request(text: str) -> ExpansionRequest:
@@ -665,17 +624,13 @@ def parse_request(text: str) -> ExpansionRequest:
             else:
                 raise ParseError(f"unknown directive {directive!r}", lineno)
             continue
+        if in_init:
+            init_atoms.append(parse_scene_atom(line, lineno))
+            continue
         name, args = parse_atom(line, lineno)
-        if not in_init:
-            if name not in _NETWORK_ARITY:
-                raise ParseError(f"unknown network fact {name!r}", lineno)
-            builder.add(name, args, lineno)
-        else:
-            if name not in _SCENE_ARITY:
-                raise ParseError(f"unknown scene atom {name!r}", lineno)
-            if len(args) != _SCENE_ARITY[name]:
-                raise ParseError(f"{name} expects {_SCENE_ARITY[name]} arguments", lineno)
-            init_atoms.append((name, args))
+        if name not in _NETWORK_ARITY:
+            raise ParseError(f"unknown network fact {name!r}", lineno)
+        builder.add(name, args, lineno)
     net = builder.build()
     if horizon is None:
         raise ParseError("missing #horizon directive")

@@ -19,15 +19,7 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import Iterable, Optional
 
-from trafficlogic.domain import (
-    LonRel,
-    OverlapZone,
-    PointKind,
-    RoadNetwork,
-    Scenario,
-    Scene,
-    invert,
-)
+from trafficlogic.domain import LonRel, OverlapZone, RoadNetwork, Scenario, Scene, invert
 
 A, C, B, N = LonRel.AHEAD, LonRel.COVER, LonRel.BEHIND, LonRel.NONE
 
@@ -111,93 +103,7 @@ MIXED_FORBIDDEN = frozenset(
 )
 
 
-# -- derived auxiliary facts --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DerivedFacts:
-    """Auxiliary predicates computed from a scene over a network."""
-
-    cleft: frozenset[tuple[str, str]]
-    cbelong: frozenset[tuple[str, str]]
-    fwdover: frozenset[tuple[str, str, str]]
-    rvsover: frozenset[tuple[str, str, str]]
-
-
-def derive(scene: Scene, n: RoadNetwork) -> DerivedFacts:
-    """Compute cleft / cbelong / fwdover / rvsover for one scene.
-
-    ``cleft`` is the transitive left-of order between lanes of one road;
-    ``cbelong`` ties vehicles to the roads of their occupied lanes;
-    ``fwdover(c,p1,p2)`` holds when c occupies a lane carrying the
-    overlap window (p1,p2) and sits strictly inside it going forward
-    (past p1, before p2); ``rvsover`` is the against-the-window variant.
-    """
-    cleft = set()
-    for r in n.roads:
-        for i, a in enumerate(r.lanes):
-            for b in r.lanes[i + 1 :]:
-                cleft.add((a, b))
-    cbelong = set()
-    for c, lanes in scene.occ.items():
-        for l in lanes:
-            rid = n.road_of_lane(l)
-            if rid is None:
-                raise ValueError(f"unknown lane {l!r} occupied by {c!r}")
-            cbelong.add((c, rid))
-    fwdover = set()
-    rvsover = set()
-    for p1, p2 in n.overlaps:
-        lanes = n.lanes_of_point(p1) & n.lanes_of_point(p2)
-        for c, occ in scene.occ.items():
-            if not (occ & lanes):
-                continue
-            r1, r2 = scene.prel_of(c, p1), scene.prel_of(c, p2)
-            if r1 is A and r2 is B:
-                fwdover.add((c, p1, p2))
-            elif r1 is B and r2 is A:
-                rvsover.add((c, p1, p2))
-    return DerivedFacts(frozenset(cleft), frozenset(cbelong), frozenset(fwdover), frozenset(rvsover))
-
-
 # -- scene-level checking ------------------------------------------------------
-
-
-def _single_road(scene: Scene, n: RoadNetwork, c: str) -> Optional[str]:
-    roads = {n.road_of_lane(l) for l in scene.occ_of(c)}
-    roads.discard(None)
-    if len(roads) == 1:
-        return next(iter(roads))
-    return None
-
-
-def _engaged(scene: Scene, n: RoadNetwork, c: str, road: Optional[str], zone: OverlapZone) -> bool:
-    """Whether ``c`` (on ``road``) sits inside the overlap window.
-
-    Judged in the vehicle's own travel frame from its relations to the
-    window's two boundary points: past the one it meets first, before
-    the one it meets second.  This is road-wide — the vehicle need not
-    occupy the carrying lane itself to be alongside the window.
-    """
-    if road is None:
-        return False
-    ee = zone.entry_exit_for(road)
-    if ee is None:
-        return False
-    first, second = ee
-    return scene.prel_of(c, first) is A and scene.prel_of(c, second) is B
-
-
-def _common_zones(
-    scene: Scene, n: RoadNetwork, x: str, y: str, rx: Optional[str], ry: Optional[str]
-) -> list[OverlapZone]:
-    if rx is None or ry is None:
-        return []
-    out = []
-    for z in n.zones_of_road(rx):
-        if ry in z.orientation and _engaged(scene, n, x, rx, z) and _engaged(scene, n, y, ry, z):
-            out.append(z)
-    return out
 
 
 def _ref_frame(value: LonRel, orientation: int) -> LonRel:
@@ -329,10 +235,10 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
 
     # overlap windows: support, copy/symmetry, head-on exclusion,
     # cross-vehicle consistency inside one window
-    engaged_of_zone: dict[tuple[str, str], list[str]] = {}
+    inside: list[tuple[OverlapZone, list[str]]] = []
     for z in n.zones:
-        members = [c for c in vehicles if _engaged(scene, n, c, road_of[c], z)]
-        engaged_of_zone[(z.start, z.end)] = members
+        members = [c for c in vehicles if z.holds_inside(road_of[c], c, scene.prel)]
+        inside.append((z, members))
         for x, y in combinations(members, 2):
             rx, ry = road_of[x], road_of[y]
             same_dir = z.orientation[rx] == z.orientation[ry]
@@ -364,12 +270,11 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
         if x not in vset or y not in vset:
             add(RuleId.WF, "unknown_vehicle", x if x not in vset else y)
             continue
-        zones = _common_zones(scene, n, x, y, road_of.get(x), road_of.get(y))
-        if not zones:
+        z = next((z for z, members in inside if x in members and y in members), None)
+        if z is None:
             add(RuleId.WF, "unsupported_lonro", x, y)
             continue
         mirror = scene.orel.get((y, x))
-        z = zones[0]
         same_dir = z.orientation[road_of[x]] == z.orientation[road_of[y]]
         expected = invert(v) if same_dir else v
         if mirror is not expected:
@@ -403,13 +308,13 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
             if u is not N and v is not N and v not in VREL_NEXT[u]:
                 add(RuleId.PR4, x, y)
 
+    road_p: dict[str, Optional[str]] = {}
+    road_n: dict[str, Optional[str]] = {}
     for c in vehicles:
         lp, ln = prev.occ_of(c), next_.occ_of(c)
-        if not lp or not ln:
-            continue
-        rp = {n.road_of_lane(l) for l in lp} - {None}
-        rn = {n.road_of_lane(l) for l in ln} - {None}
-        if len(rp) != 1 or len(rn) != 1:
+        rp = road_p[c] = n.road_of(lp)
+        rn = road_n[c] = n.road_of(ln)
+        if rp is None or rn is None:
             continue  # malformed occupancy is a scene-level finding
         if rp == rn:
             if len(lp ^ ln) > 1:
@@ -448,34 +353,21 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
     # window relations evolve monotonically for opposed traffic: once two
     # vehicles heading toward each other have met, they can only separate
     for z in n.zones:
-        for x_i in range(len(vehicles)):
-            for y_i in range(x_i + 1, len(vehicles)):
-                x, y = vehicles[x_i], vehicles[y_i]
-                rx_p = _single_road(prev, n, x)
-                ry_p = _single_road(prev, n, y)
-                rx_n = _single_road(next_, n, x)
-                ry_n = _single_road(next_, n, y)
-                if None in (rx_p, ry_p, rx_n, ry_n):
-                    continue
-                if not (
-                    _engaged(prev, n, x, rx_p, z)
-                    and _engaged(prev, n, y, ry_p, z)
-                    and _engaged(next_, n, x, rx_n, z)
-                    and _engaged(next_, n, y, ry_n, z)
-                ):
-                    continue
-                ox_p, ox_n = z.orientation.get(rx_p), z.orientation.get(rx_n)
-                oy_p = z.orientation.get(ry_p)
-                if ox_p is None or oy_p is None or ox_n is None:
-                    continue
-                if ox_p == oy_p:
-                    continue  # same direction: PR4 already governs via the copy rule
-                u, v = prev.orel.get((x, y)), next_.orel.get((x, y))
-                if u is None or v is None:
-                    continue
-                fu, fv = _ref_frame(u, ox_p), _ref_frame(v, ox_n)
-                if fv not in PREL_NEXT[fu]:
-                    add(RuleId.PR14_CONT, x, y)
+        inside = [
+            c
+            for c in vehicles
+            if z.holds_inside(road_p[c], c, prev.prel) and z.holds_inside(road_n[c], c, next_.prel)
+        ]
+        for x, y in combinations(inside, 2):
+            ox_p, oy_p = z.orientation[road_p[x]], z.orientation[road_p[y]]
+            if ox_p == oy_p:
+                continue  # same direction: PR4 already governs via the copy rule
+            u, v = prev.orel.get((x, y)), next_.orel.get((x, y))
+            if u is None or v is None:
+                continue
+            fu, fv = _ref_frame(u, ox_p), _ref_frame(v, z.orientation[road_n[x]])
+            if fv not in PREL_NEXT[fu]:
+                add(RuleId.PR14_CONT, x, y)
     return out
 
 

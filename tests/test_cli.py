@@ -124,6 +124,23 @@ class TestGenerate:
         assert main(["generate", str(bad)]) == INPUT
         assert "initial scene" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_input_error(self, workers, capsys):
+        assert main(["generate", data("ex3_branching.req"), "--workers", workers]) == INPUT
+        assert "error: workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where,line",
+        [("#init\non(c1, l1).\non(c2, l1).\nlonr(c1, c2, sideways).\n#horizon 2\n", 5),
+         ("#init\non(c1, l1).\n#horizon 2\n#goal lonr(c1, c2, sideways)\n", 5)],
+        ids=["init", "goal"],
+    )
+    def test_unknown_relation_value_is_input_error(self, where, line, tmp_path, capsys):
+        bad = tmp_path / "bad.req"
+        bad.write_text("lane(l1, ra).\n" + where)
+        assert main(["generate", str(bad)]) == INPUT
+        assert f"error: line {line}: bad relation value 'sideways'" in capsys.readouterr().err
+
     def test_outdir_config_places_result(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         outdir = tmp_path / "results"
@@ -164,6 +181,12 @@ class TestCheck:
         sc = tmp_path / "bad.scenario"
         sc.write_text("#step 1\nwobble(c1,l2).\n")
         assert main(["check", str(sc), data("ex1_overtake.net")]) == INPUT
+
+    def test_unknown_relation_value_is_input_error(self, tmp_path, capsys):
+        sc = tmp_path / "bad.scenario"
+        sc.write_text("#step 1\non(c1,l2).\non(c2,l2).\nlonr(c1,c2,sideways).\n")
+        assert main(["check", str(sc), data("ex1_overtake.net")]) == INPUT
+        assert "error: line 4: bad relation value 'sideways'" in capsys.readouterr().err
 
 
 class TestAbstract:
@@ -243,12 +266,24 @@ class TestExport:
         assert main(["export", str(sc), data("ex1_overtake.net")]) == SEMANTIC
         assert "PR7" in capsys.readouterr().err
 
+    def test_unknown_relation_value_is_input_error(self, tmp_path, capsys):
+        sc = tmp_path / "bad.scenario"
+        sc.write_text("#step 1\non(c1,l2).\nlonpr(c1,pz,sideways).\n")
+        assert main(["export", str(sc), data("ex1_overtake.net")]) == INPUT
+        assert "error: line 3: bad relation value 'sideways'" in capsys.readouterr().err
+
 
 class TestConfig:
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("workers\n")
         assert main(["--config", str(cfg), "check", "x", "y"]) == INPUT
+
+    def test_seed_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed=3\n")
+        assert main(["--config", str(cfg), "generate", data("ex3_branching.req")]) == INPUT
+        assert "unknown config key 'seed'" in capsys.readouterr().err
 
     def test_config_tolerances_reach_metadata(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import trafficlogic
 from trafficlogic.domain import (
-    LON_RANK,
     LonRel,
     OverlapZone,
     PointKind,
@@ -54,9 +53,6 @@ class TestLonRel:
     @given(st.sampled_from(list(LonRel)))
     def test_invert_is_an_involution(self, rel):
         assert invert(invert(rel)) is rel
-
-    def test_rank_orders_behind_cover_ahead(self):
-        assert LON_RANK[B] < LON_RANK[C] < LON_RANK[A]
 
 
 class TestSRange:
@@ -108,6 +104,19 @@ class TestOverlapZone:
         assert z.entry_exit_for("rb") == ("pe", "ps")
         assert z.entry_exit_for("rz") is None
 
+    def test_holds_inside_between_entry_and_exit(self):
+        z = OverlapZone("ps", "pe", {"ra": 1, "rb": -1})
+        assert z.holds_inside("ra", "c1", {("c1", "ps"): A, ("c1", "pe"): B})
+        assert z.holds_inside("rb", "c1", {("c1", "pe"): A, ("c1", "ps"): B})
+        assert not z.holds_inside("ra", "c1", {("c1", "ps"): C, ("c1", "pe"): B})
+        assert not z.holds_inside("ra", "c2", {("c1", "ps"): A, ("c1", "pe"): B})
+
+    def test_holds_inside_is_false_off_the_zone(self):
+        z = OverlapZone("ps", "pe", {"ra": 1, "rb": -1})
+        prel = {("c1", "ps"): A, ("c1", "pe"): B}
+        assert not z.holds_inside("rz", "c1", prel)
+        assert not z.holds_inside(None, "c1", prel)
+
 
 def _tee_network() -> RoadNetwork:
     return RoadNetwork(
@@ -127,6 +136,15 @@ class TestRoadNetwork:
         assert n.road_of_lane("nope") is None
         assert n.road("rb").lanes == ("l3",)
         assert n.lane_index("l1") == 0 and n.lane_index("l2") == 1
+
+    def test_road_of_lanes(self):
+        n = _tee_network()
+        assert n.road_of(["l1", "l2"]) == "ra"
+        assert n.road_of(frozenset({"l3"})) == "rb"
+        assert n.road_of(["l1", "nope"]) == "ra"  # unknown lanes are ignored
+        assert n.road_of(["nope"]) is None
+        assert n.road_of(["l1", "l3"]) is None  # two roads
+        assert n.road_of([]) is None
 
     def test_adjacency_is_same_road_neighbours(self):
         n = _tee_network()
@@ -168,7 +186,6 @@ class TestRoadNetwork:
         )
         (zone,) = n.zones
         assert zone.orientation == {"ra": 1, "rb": -1}
-        assert n.zones_of_road("ra") == (zone,)
 
 
 class TestValidateNetwork:

@@ -20,7 +20,6 @@ from trafficlogic.geometry import (
     frenet_project,
     polyline_intersections,
     project_points,
-    segment_intersection,
 )
 
 X_AXIS = Polyline([(0.0, 0.0), (10.0, 0.0)])
@@ -150,17 +149,6 @@ class TestFrenetProjection:
 
 
 class TestIntersections:
-    def test_crossing_segments(self):
-        hit = segment_intersection((0, -1), (0, 1), (-1, 0), (1, 0))
-        assert hit is not None
-        ta, tb, (x, y) = hit
-        assert (ta, tb) == pytest.approx((0.5, 0.5))
-        assert (x, y) == pytest.approx((0.0, 0.0))
-
-    def test_parallel_and_disjoint(self):
-        assert segment_intersection((0, 0), (1, 0), (0, 1), (1, 1)) is None
-        assert segment_intersection((0, 0), (1, 0), (2, -1), (2, 1)) is None
-
     def test_polyline_crossing_reports_arclengths(self):
         a = Polyline([(0, -5), (0, 5)])
         b = Polyline([(-5, 0), (5, 0)])

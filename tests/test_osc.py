@@ -42,7 +42,8 @@ class TestDocumentStructure:
     def test_blocks_follow_scene_order(self):
         sc, net = first_scenario("ex1_overtake.req")
         doc = osc.emit_osc(sc, net)
-        assert doc.blocks == tuple(f"step_{k}" for k in range(1, sc.horizon + 1))
+        labels = re.findall(r"^\s*(step_\d+): parallel:$", doc.text, re.M)
+        assert labels == [f"step_{k}" for k in range(1, sc.horizon + 1)]
         assert doc.text.startswith("scenario traffic_scenario:\n")
         assert doc.text.endswith("\n")
         assert "\t" not in doc.text
@@ -51,7 +52,6 @@ class TestDocumentStructure:
         sc, net = first_scenario("ex5_opposing_pass.req")
         doc = osc.emit_osc(sc, net)
         for pid in net.points:
-            assert doc.positions[pid] == pid
             decls = re.findall(rf"^\s*{pid}: position_3d", doc.text, re.M)
             assert len(decls) == 1
 

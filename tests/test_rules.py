@@ -8,8 +8,6 @@ under- nor over-fire.
 
 from __future__ import annotations
 
-import pytest
-
 from trafficlogic import facts
 from trafficlogic.domain import LonRel, Scenario, Scene, tail
 from trafficlogic.rules import (
@@ -21,7 +19,6 @@ from trafficlogic.rules import (
     check_scene,
     check_scenario,
     check_transition,
-    derive,
     render_report,
 )
 
@@ -411,17 +408,3 @@ class TestScenarioChecking:
         assert "PR4 @step 1->2 [c1, c2]" in report
         assert "PR7 @step 1->2 [c1]" in report
 
-
-class TestDerivedFacts:
-    def test_classification(self):
-        prel = engaged_ra("c1", engaged_rb("c3", {}))
-        s = scene({"c1": ["l2"], "c3": ["l3"]}, prel=prel)
-        d = derive(s, OVERLAP)
-        assert ("c1", "pos", "poe") in d.fwdover
-        assert ("c3", "pos", "poe") in d.rvsover
-        assert ("c1", "ra") in d.cbelong
-        assert ("l2", "l1") in d.cleft
-
-    def test_unknown_lane_raises(self):
-        with pytest.raises(ValueError):
-            derive(scene({"c1": ["zz"]}), OVERLAP)

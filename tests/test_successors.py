@@ -33,8 +33,8 @@ from reference_successors import reference_successors
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-#: rules the generator enforces on partial assignments
-PRUNED = {RuleId.TR2, RuleId.PR2, RuleId.PR3, RuleId.PR11, RuleId.PR14_TRANS}
+#: rules the generator enforces on partial assignments and window maps
+PRUNED = {RuleId.TR2, RuleId.PR2, RuleId.PR3, RuleId.PR11, RuleId.PR13, RuleId.PR14_TRANS}
 
 
 def dense_request(lanes: int, lane_of: tuple[int, ...]) -> str:
