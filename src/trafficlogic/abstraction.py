@@ -26,6 +26,7 @@ import numpy as np
 from trafficlogic import facts
 from trafficlogic.config import Config
 from trafficlogic.domain import (
+    ID_RE,
     LonRel,
     RoadNetwork,
     Scenario,
@@ -193,7 +194,7 @@ class NetworkAbstraction:
 
     def _build(self) -> None:
         model, params = self.model, self.params
-        fact_lines: list[str] = []
+        builder = facts.NetworkBuilder()
         by_source: dict[tuple[str, int], str] = {}
 
         road_seq = 0
@@ -215,25 +216,30 @@ class NetworkAbstraction:
                 by_source[(road.id, spec.id)] = lid
                 self.metadata[f"lane.{lid}"] = f"{road.id}:{spec.id}"
                 ids.append(lid)
-                fact_lines.append(f"lane({lid}, {rid}).")
+                builder.add("lane", (lid, rid))
             for a, b in zip(ids, ids[1:]):
-                fact_lines.append(f"left({a}, {b}).")
+                builder.add("left", (a, b))
 
-        self._add_connections(fact_lines, by_source)
-        crossings = self._detect_crossings()
+        edges = [
+            (by_source[src], by_source[dst])
+            for src, dst in _travel_edges(model)
+            if src in by_source and dst in by_source
+        ]
+        self._add_connections(builder, edges)
+        crossings = self._detect_crossings({frozenset(e) for e in edges})
         windows = self._detect_overlaps(crossings)
         for pid, (a, b, s_a, s_b, xy) in crossings.items():
-            fact_lines.append(f"class({pid}, x).")
-            fact_lines.append(f"pon({pid}, {a}).")
-            fact_lines.append(f"pon({pid}, {b}).")
+            builder.add("class", (pid, "x"))
+            builder.add("pon", (pid, a))
+            builder.add("pon", (pid, b))
             self.point_coords[pid] = xy
             self.point_s[pid] = {a: s_a, b: s_b}
         for pos, poe, a, b, wa, wb in windows:
             for pid, kind in ((pos, "os"), (poe, "oe")):
-                fact_lines.append(f"class({pid}, {kind}).")
-                fact_lines.append(f"pon({pid}, {a}).")
-                fact_lines.append(f"pon({pid}, {b}).")
-            fact_lines.append(f"overlap({pos}, {poe}).")
+                builder.add("class", (pid, kind))
+                builder.add("pon", (pid, a))
+                builder.add("pon", (pid, b))
+            builder.add("overlap", (pos, poe))
             self.point_coords[pos] = self.lanes[a].line.point_at(wa[0])
             self.point_coords[poe] = self.lanes[a].line.point_at(wa[1])
             self.point_s[pos] = {a: wa[0], b: wb[1]}
@@ -245,22 +251,17 @@ class NetworkAbstraction:
                 ((s_map[lid], pid) for pid, s_map in self.point_s.items() if lid in s_map),
             )
             for (_, p1), (_, p2) in zip(carried, carried[1:]):
-                fact_lines.append(f"succp({lid}, {p1}, {p2}).")
+                builder.add("succp", (lid, p1, p2))
 
-        net, _ = facts.parse_network("\n".join(fact_lines))
+        net = builder.build()
         defects = validate_network(net)
         if defects:
             raise AbstractionError("abstracted network is invalid: " + "; ".join(defects))
         self.network = net
 
-    def _add_connections(self, fact_lines: list[str], by_source: dict[tuple[str, int], str]) -> None:
-        edges = _travel_edges(self.model)
+    def _add_connections(self, builder: facts.NetworkBuilder, edges: list[tuple[str, str]]) -> None:
         grouped: dict[str, list[str]] = {}
-        for src, dst in edges:
-            a = by_source.get(src)
-            b = by_source.get(dst)
-            if a is None or b is None:
-                continue
+        for a, b in edges:
             grouped.setdefault(a, []).append(b)
         seq = 0
         for lid in self.lanes:  # creation order -> deterministic numbering
@@ -270,31 +271,17 @@ class NetworkAbstraction:
             seq += 1
             pid = f"pc{seq}"
             lane = self.lanes[lid]
-            fact_lines.append(f"class({pid}, c).")
-            fact_lines.append(f"pon({pid}, {lid}).")
+            builder.add("class", (pid, "c"))
+            builder.add("pon", (pid, lid))
             self.point_coords[pid] = tuple(map(float, lane.line.points[-1]))
             self.point_s[pid] = {lid: lane.length}
             for tgt in sorted(targets, key=lambda l: self._lane_seq(l)):
-                fact_lines.append(f"pon({pid}, {tgt}).")
-                fact_lines.append(f"succl({pid}, {tgt}).")
+                builder.add("pon", (pid, tgt))
+                builder.add("succl", (pid, tgt))
                 self.point_s[pid][tgt] = 0.0
 
     def _lane_seq(self, lid: str) -> int:
         return int(lid[1:])
-
-    def _connected(self) -> set[frozenset[str]]:
-        pairs: set[frozenset[str]] = set()
-        for src, dst in _travel_edges(self.model):
-            a = None
-            b = None
-            for lane in self.lanes.values():
-                if (lane.source_road, lane.source_lane) == src:
-                    a = lane.id
-                if (lane.source_road, lane.source_lane) == dst:
-                    b = lane.id
-            if a and b:
-                pairs.add(frozenset((a, b)))
-        return pairs
 
     def _lane_pairs(self):
         """Unordered lane pairs from different xodr roads, creation order."""
@@ -304,10 +291,11 @@ class NetworkAbstraction:
                 if self.lanes[a].source_road != self.lanes[b].source_road:
                     yield a, b
 
-    def _detect_crossings(self) -> dict[str, tuple[str, str, float, float, tuple[float, float]]]:
-        """Transversal centerline crossings of unconnected lane pairs."""
+    def _detect_crossings(
+        self, connected: set[frozenset[str]]
+    ) -> dict[str, tuple[str, str, float, float, tuple[float, float]]]:
+        """Transversal centerline crossings of lane pairs not in ``connected``."""
         margin = 2.0 * self.params.sampling_step
-        connected = self._connected()
         found: list[tuple[str, str, float, float, tuple[float, float]]] = []
         for a, b in self._lane_pairs():
             if frozenset((a, b)) in connected:
@@ -476,19 +464,17 @@ def read_trace_csv(text: str) -> list[TraceSample]:
     samples = []
     for i, rec in enumerate(reader, start=2):
         try:
-            samples.append(
-                TraceSample(
-                    row=i,
-                    t=float(rec["t"]),
-                    vehicle=rec["vehicle"].strip(),
-                    x=float(rec["x"]),
-                    y=float(rec["y"]),
-                    heading=float(rec["heading"]),
-                    length=float(rec["length"]),
-                )
+            t, x, y, heading, length = (
+                float(rec[k]) for k in ("t", "x", "y", "heading", "length")
             )
         except (TypeError, ValueError):
             raise TraceError(f"trace row {i}: malformed numeric field") from None
+        if not all(map(math.isfinite, (t, x, y, heading, length))):
+            raise TraceError(f"trace row {i}: non-finite numeric field")
+        vehicle = (rec["vehicle"] or "").strip()
+        if not ID_RE.match(vehicle):
+            raise TraceError(f"trace row {i}: bad vehicle id {vehicle!r}")
+        samples.append(TraceSample(i, t, vehicle, x, y, heading, length))
     if not samples:
         raise TraceError("trace file contains no samples")
     return samples
@@ -546,19 +532,22 @@ def _lane_fit(abst: NetworkAbstraction, track: _VehicleTrack, cfg: Config):
 
 def abstract_trace(
     samples: list[TraceSample],
-    n: RoadNetwork,
+    n: RoadNetwork | None,
     model: MapModel,
     params: Config | None = None,
 ) -> Scenario:
     """Abstract timed concrete samples into a stutter-free Scenario.
 
-    ``n`` must be the network compiled from ``model`` under the same
-    parameters; the correspondence is re-derived and checked, because the
-    projection geometry is needed to place every sample.
+    ``model`` is compiled here, because the projection geometry is needed
+    to place every sample.  With ``n=None`` the scenario is built on that
+    compiled network; otherwise ``n`` must equal it (same facts under the
+    same parameters) and the scenario is built on ``n``.
     """
     cfg = params or Config()
     abst = NetworkAbstraction(model, cfg)
-    if facts.render_network(abst.network) != facts.render_network(n):
+    if n is None:
+        n = abst.network
+    elif facts.render_network(abst.network) != facts.render_network(n):
         raise AbstractionError("network facts do not match the map under these tolerances")
     times, tracks = _tracks(samples)
     fits = {v: _lane_fit(abst, tr, cfg) for v, tr in tracks.items()}
@@ -585,7 +574,7 @@ def abstract_trace(
             s_f = float(fits[v][best][2][ti])
             s_r = float(fits[v][best][3][ti])
             placement[v] = (best, occ, SRange(min(s_r, s_f), max(s_r, s_f)))
-        scenes.append(_qualify(abst, n, placement, tracks, ti))
+        scenes.append(_qualify(abst, n, placement, fits, ti))
     collapsed = [scenes[0]]
     for sc in scenes[1:]:
         if sc != collapsed[-1]:
@@ -605,7 +594,7 @@ def _qualify(
     abst: NetworkAbstraction,
     n: RoadNetwork,
     placement: dict[str, tuple[str, frozenset[str], SRange]],
-    tracks: dict[str, _VehicleTrack],
+    fits: dict[str, dict[str, tuple]],
     ti: int,
 ) -> Scene:
     """Build one qualitative scene from metric placements."""
@@ -640,13 +629,9 @@ def _qualify(
                     orel[(a, b)] = val
                     orel[(b, a)] = invert(val)
             else:
-                ref = placement[a][0]
-                lane = abst.lanes[ref]
-                pts = np.array(
-                    [tracks[b].fronts[ti], tracks[b].rears[ti]], dtype=float
-                )
-                s_b, _, _ = project_points(lane.line, pts)
-                rng_b = SRange(float(np.min(s_b)), float(np.max(s_b)))
+                _, _, s_f, s_r, _ = fits[b][placement[a][0]]
+                ends = (float(s_f[ti]), float(s_r[ti]))
+                rng_b = SRange(min(ends), max(ends))
                 val = lon_rel_of_ranges(placement[a][2], rng_b)
                 if val is not LonRel.NONE:
                     orel[(a, b)] = val

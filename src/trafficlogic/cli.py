@@ -168,9 +168,8 @@ def cmd_abstract(
         return _fail(str(exc), INPUT_ERROR)
     try:
         model = parse_opendrive(map_text)
-        abst = NetworkAbstraction(model, cfg)
         samples = read_trace_csv(trace_text)
-        scenario = abstract_trace(samples, abst.network, model, cfg)
+        scenario = abstract_trace(samples, None, model, cfg)
     except UnsupportedFeatureError as exc:
         return _fail(str(exc), UNSUPPORTED)
     except (MapError, AbstractionError) as exc:

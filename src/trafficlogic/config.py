@@ -17,7 +17,8 @@ __all__ = ["Config", "load_config"]
 class Config:
     #: centerline sampling interval in meters
     sampling_step: float = 0.5
-    #: max distance between centerlines for a crossing to register, meters
+    #: max distance from a lane end at which a point whose projection is
+    #: clamped to that end still counts as inside an overlap corridor, meters
     intersection_tolerance: float = 0.05
     #: overlap corridor half-width as a fraction of the narrower lane width
     overlap_corridor_factor: float = 0.5

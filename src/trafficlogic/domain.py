@@ -63,22 +63,18 @@ class SRange:
             raise ValueError(f"SRange rear {self.s_rear} > front {self.s_front}")
 
 
-def lon_rel_of_ranges(a: SRange, b: SRange, axis_aligned_with_vehicles: bool = True) -> LonRel:
+def lon_rel_of_ranges(a: SRange, b: SRange) -> LonRel:
     """Classify the longitudinal relation of range ``a`` relative to ``b``.
 
-    With an aligned axis, ``a`` is AHEAD when its rear end lies strictly
-    beyond ``b``'s front end, BEHIND when its front end lies strictly
-    before ``b``'s rear end, and COVER otherwise (boundary contact counts
-    as COVER).  When the axis runs against the direction of travel the
-    ahead/behind answers swap.
+    ``a`` is AHEAD when its rear end lies strictly beyond ``b``'s front
+    end, BEHIND when its front end lies strictly before ``b``'s rear end,
+    and COVER otherwise (boundary contact counts as COVER).
     """
     if a.s_rear > b.s_front:
-        rel = LonRel.AHEAD
-    elif a.s_front < b.s_rear:
-        rel = LonRel.BEHIND
-    else:
-        rel = LonRel.COVER
-    return rel if axis_aligned_with_vehicles else invert(rel)
+        return LonRel.AHEAD
+    if a.s_front < b.s_rear:
+        return LonRel.BEHIND
+    return LonRel.COVER
 
 
 class PointKind(Enum):
@@ -506,10 +502,3 @@ class Scenario:
     @property
     def horizon(self) -> int:
         return len(self.scenes)
-
-
-def tail(sc: Scenario, i: int) -> Scenario:
-    """The sub-scenario starting at step index ``i`` (0-based), same universes."""
-    if not 0 <= i < len(sc.scenes):
-        raise IndexError(f"tail index {i} out of range for horizon {len(sc.scenes)}")
-    return Scenario(sc.vehicles, sc.network, sc.scenes[i:])

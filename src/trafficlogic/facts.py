@@ -89,7 +89,7 @@ def _numbered_atoms(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _check_arity(name: str, args: Sequence[str], arity: int, lineno: int) -> None:
+def _check_arity(name: str, args: Sequence[str], arity: int, lineno: Optional[int]) -> None:
     if len(args) != arity:
         raise ParseError(f"{name} expects {arity} arguments, got {len(args)}", lineno)
 
@@ -126,7 +126,7 @@ class NetworkBuilder:
         self.overlaps: set[tuple[str, str]] = set()
         self.vehicles: set[str] = set()
 
-    def add(self, name: str, args: tuple[str, ...], lineno: int) -> None:
+    def add(self, name: str, args: tuple[str, ...], lineno: Optional[int] = None) -> None:
         _check_arity(name, args, _NETWORK_ARITY[name], lineno)
         if name == "lane":
             l, r = args

@@ -117,11 +117,7 @@ class WidthRecord:
 
 @dataclass(frozen=True)
 class LaneSpec:
-    """One lane of a lane section.
-
-    ``travel`` is derived from the side under right-hand traffic: right
-    lanes run with the reference line, left lanes against it.
-    """
+    """One lane of a lane section."""
 
     id: int
     side: str  # "left" | "right"
@@ -129,10 +125,6 @@ class LaneSpec:
     widths: tuple[WidthRecord, ...]
     predecessor: int | None = None
     successor: int | None = None
-
-    @property
-    def travel(self) -> str:
-        return "forward" if self.side == "right" else "backward"
 
     def width_at(self, section_s: float) -> float:
         rec = None

@@ -137,7 +137,7 @@ class Stats:
 class ExpansionResult:
     scenarios: tuple[Scenario, ...]
     stats: Stats
-    #: ``canonicalize`` of each scenario, in the same order
+    #: ``facts.render_scenario`` of each scenario, in the same order
     texts: tuple[str, ...]
 
     @property
@@ -146,7 +146,7 @@ class ExpansionResult:
 
 
 def canonicalize(sc: Scenario) -> str:
-    """Canonical byte-stable rendering used for ordering and dedup."""
+    """Alias of `facts.render_scenario`, which the oracle and the acceptance tests import."""
     return render_scenario(sc)
 
 

@@ -192,6 +192,20 @@ class TestTraceReading:
         with pytest.raises(TraceError, match="row 2.*off-road"):
             abstract_trace(samples, net, model)
 
+    @pytest.mark.parametrize("vehicle", ["C1", " ", "", "1c", "c-1"])
+    def test_bad_vehicle_id_rejected(self, vehicle):
+        with pytest.raises(TraceError, match="row 3: bad vehicle id"):
+            read_trace_csv(
+                f"t,vehicle,x,y,heading,length\n0,c1,10,-6,0,4\n0,{vehicle},30,-6,0,4\n"
+            )
+
+    @pytest.mark.parametrize(
+        "row", ["nan,c1,10,-6,0,4", "0,c1,inf,-6,0,4", "0,c1,10,-6,-inf,4", "0,c1,10,-6,0,nan"]
+    )
+    def test_non_finite_number_rejected(self, row):
+        with pytest.raises(TraceError, match="row 2: non-finite"):
+            read_trace_csv(f"t,vehicle,x,y,heading,length\n{row}\n")
+
     def test_mismatched_network_rejected(self):
         model = parse_opendrive((DATA / "ex1_straight.xodr").read_bytes())
         other, _ = facts.parse_network("lane(l9, rz).")
@@ -252,6 +266,21 @@ class TestTraceAbstraction:
         assert prel[4] == (LonRel.COVER, LonRel.BEHIND)
         assert prel[10] == (LonRel.AHEAD, LonRel.COVER)
         assert prel[12] == (LonRel.AHEAD, LonRel.AHEAD)
+
+    @pytest.mark.parametrize(
+        "trace,xodr",
+        [
+            ("ex1_overtake_trace.csv", "ex1_straight.xodr"),
+            ("ex5_squeeze_trace.csv", "ex5_overlap.xodr"),
+        ],
+    )
+    def test_no_network_means_the_compiled_one(self, trace, xodr):
+        model = parse_opendrive((DATA / xodr).read_bytes())
+        samples = read_trace_csv((DATA / trace).read_text())
+        own = abstract_trace(samples, None, model)
+        given = abstract_trace(samples, abstract_network(model), model)
+        assert facts.render_scenario(own) == facts.render_scenario(given)
+        assert facts.render_network(own.network) == facts.render_network(given.network)
 
     def test_trace_abstraction_is_deterministic(self):
         model = parse_opendrive((DATA / "ex1_straight.xodr").read_bytes())

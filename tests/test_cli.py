@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+from trafficlogic import abstraction
 from trafficlogic.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -216,6 +217,56 @@ class TestAbstract:
         trace.write_text("t,vehicle,x,y,heading,length\n0,c1,10,-50,0,4\n")
         assert main(["abstract", str(trace), data("ex1_straight.xodr")]) == INPUT
         assert "off-road" in capsys.readouterr().err
+
+    def test_map_compiled_once(self, tmp_path, monkeypatch):
+        builds = []
+        init = abstraction.NetworkAbstraction.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(abstraction.NetworkAbstraction, "__init__", counting_init)
+        out = tmp_path / "t.scenario"
+        assert main(
+            ["abstract", data("ex5_squeeze_trace.csv"), data("ex5_overlap.xodr"),
+             "--out", str(out)]
+        ) == OK
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("0,C1,10,-6,0,4", "bad vehicle id"),
+            ("0, ,10,-6,0,4", "bad vehicle id"),
+            ("nan,c1,10,-6,0,4", "non-finite"),
+            ("0,c1,10,-6,inf,4", "non-finite"),
+        ],
+    )
+    def test_bad_trace_row_is_input_error(self, row, message, tmp_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(f"t,vehicle,x,y,heading,length\n{row}\n")
+        out = tmp_path / "t.scenario"
+        assert main(["abstract", str(trace), data("ex1_straight.xodr"), "--out", str(out)]) == INPUT
+        assert f"trace row 2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unsupported_map_with_valid_trace(self, tmp_path, capsys):
+        text = (DATA / "ex1_straight.xodr").read_text()
+        start = text.index("<laneSection")
+        end = text.index("</laneSection>") + len("</laneSection>")
+        second = text[start:end].replace('s="0.0"', 's="50.0"', 1)
+        two_sections = tmp_path / "two_sections.xodr"
+        two_sections.write_text(text[:end] + second + text[end:])
+        code = main(["abstract", data("ex1_overtake_trace.csv"), str(two_sections)])
+        assert code == UNSUPPORTED
+        assert "multiple lane sections" in capsys.readouterr().err
+
+    def test_bad_trace_header_with_valid_map(self, tmp_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text("time,vehicle,x,y\n0,c1,10,-6\n")
+        assert main(["abstract", str(trace), data("ex1_straight.xodr")]) == INPUT
+        assert "trace header" in capsys.readouterr().err
 
 
 class TestExport:

@@ -15,12 +15,11 @@ import pytest
 
 from trafficlogic import facts
 from trafficlogic.domain import LonRel
-from trafficlogic.facts import ParseError
+from trafficlogic.facts import ParseError, render_scenario
 from trafficlogic.reasoner import (
     ExpansionRequest,
     GoalAtom,
     RequestError,
-    canonicalize,
     expand,
     parse_request,
     successors,
@@ -234,7 +233,7 @@ class TestExpansionSemantics:
             "#init\non(c1, l1).\non(c2, l1).\nlonr(c1, c2, behind).\n" + extra
         )
         req = parse_request(text)
-        got = sorted(canonicalize(sc) for sc in expand(req).scenarios)
+        got = sorted(render_scenario(sc) for sc in expand(req).scenarios)
         assert got == oracle_expand(parse_request(text))
 
 
@@ -243,7 +242,7 @@ class TestChainNetworks:
     @pytest.mark.parametrize("mode", ["shortest", "exact"])
     def test_engine_matches_oracle_on_chains(self, n, mode):
         text = chain_request(n, f"#mode {mode}\n#horizon {n + 2}\n")
-        got = sorted(canonicalize(sc) for sc in expand(parse_request(text)).scenarios)
+        got = sorted(render_scenario(sc) for sc in expand(parse_request(text)).scenarios)
         assert got == oracle_expand(parse_request(text))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 80])
@@ -293,7 +292,7 @@ class TestFixtureRequests:
         assert {sc.horizon for sc in res.scenarios} == {length}
         for sc in res.scenarios:
             assert check_scenario(sc) == []
-        keys = [canonicalize(sc) for sc in res.scenarios]
+        keys = [render_scenario(sc) for sc in res.scenarios]
         assert keys == sorted(keys) and len(set(keys)) == count
 
     @pytest.mark.parametrize(
@@ -307,7 +306,7 @@ class TestFixtureRequests:
     )
     def test_fixtures_match_oracle(self, name):
         req = load_request(name)
-        got = sorted(canonicalize(sc) for sc in expand(req).scenarios)
+        got = sorted(render_scenario(sc) for sc in expand(req).scenarios)
         assert got == oracle_expand(load_request(name))
 
     def test_overtake_search_effort_is_stable(self):
@@ -322,8 +321,8 @@ class TestFixtureRequests:
     def test_worker_fanout_is_deterministic(self, name):
         serial = expand(load_request(name), workers=1)
         fanned = expand(load_request(name), workers=4)
-        assert [canonicalize(s) for s in serial.scenarios] == [
-            canonicalize(s) for s in fanned.scenarios
+        assert [render_scenario(s) for s in serial.scenarios] == [
+            render_scenario(s) for s in fanned.scenarios
         ]
         assert serial.stats.nodes == fanned.stats.nodes
         assert serial.stats.pruned == fanned.stats.pruned
@@ -332,6 +331,6 @@ class TestFixtureRequests:
         res = expand(load_request("ex3_branching.req"))
         text = facts.render_result(res.scenarios)
         again = facts.parse_scenarios(text, load_request("ex3_branching.req").network)
-        assert [canonicalize(s) for s in again] == [
-            canonicalize(s) for s in res.scenarios
+        assert [render_scenario(s) for s in again] == [
+            render_scenario(s) for s in res.scenarios
         ]
