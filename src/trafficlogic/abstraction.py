@@ -463,6 +463,8 @@ def read_trace_csv(text: str) -> list[TraceSample]:
         )
     samples = []
     for i, rec in enumerate(reader, start=2):
+        if None in rec:
+            raise TraceError(f"trace row {i}: more fields than the header")
         try:
             t, x, y, heading, length = (
                 float(rec[k]) for k in ("t", "x", "y", "heading", "length")
@@ -471,6 +473,8 @@ def read_trace_csv(text: str) -> list[TraceSample]:
             raise TraceError(f"trace row {i}: malformed numeric field") from None
         if not all(map(math.isfinite, (t, x, y, heading, length))):
             raise TraceError(f"trace row {i}: non-finite numeric field")
+        if length < 0:
+            raise TraceError(f"trace row {i}: negative vehicle length")
         vehicle = (rec["vehicle"] or "").strip()
         if not ID_RE.match(vehicle):
             raise TraceError(f"trace row {i}: bad vehicle id {vehicle!r}")

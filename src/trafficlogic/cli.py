@@ -144,8 +144,9 @@ def cmd_check(scenario_path: str, network_path: str) -> int:
     except facts.ParseError as exc:
         return _fail(str(exc), INPUT_ERROR)
     failed = False
+    verdicts: dict = {}
     for i, sc in enumerate(scenarios, start=1):
-        violations = check_scenario(sc)
+        violations = check_scenario(sc, verdicts)
         if violations:
             failed = True
             prefix = f"scenario {i}: " if len(scenarios) > 1 else ""

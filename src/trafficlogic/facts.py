@@ -52,6 +52,8 @@ _NETWORK_ARITY = {
 }
 _SCENE_ARITY = {"on": 2, "lonr": 3, "lonpr": 3, "lonro": 3}
 
+_Atom = tuple[str, tuple[str, ...]]
+
 
 class ParseError(ValueError):
     """Input text that does not conform to the fact format."""
@@ -323,10 +325,16 @@ def parse_scenarios(
     Accepts either bare ``#step`` blocks (one scenario) or ``#scenario``
     sections.  The vehicle universe of each scenario is the union of the
     declared vehicles and every vehicle occurring in its ``on`` atoms.
+
+    Parsing is hash-consed: each distinct atom line is parsed once (its
+    first occurrence, so errors name the first line that has it), and
+    each distinct step block builds one `Scene` per vehicle universe,
+    shared by every scenario that holds it.
     """
-    groups: list[list[list[tuple[str, tuple[str, ...]]]]] = []  # scenario -> step -> atoms
-    current_steps: Optional[list[list[tuple[str, tuple[str, ...]]]]] = None
-    current_atoms: Optional[list[tuple[str, tuple[str, ...]]]] = None
+    parsed: dict[str, _Atom] = {}
+    groups: list[list[list[_Atom]]] = []  # scenario -> step -> atoms
+    current_steps: Optional[list[list[_Atom]]] = None
+    current_atoms: Optional[list[_Atom]] = None
     for lineno, line in _numbered_atoms(text):
         if line.startswith("#scenario"):
             current_steps = []
@@ -341,10 +349,13 @@ def parse_scenarios(
         elif line.startswith("#"):
             raise ParseError(f"unexpected directive {line.split()[0]!r}", lineno)
         else:
-            name, args = parse_scene_atom(line, lineno)
+            atom = parsed.get(line)
+            if atom is None:
+                atom = parsed[line] = parse_scene_atom(line, lineno)
             if current_atoms is None:
                 raise ParseError("scene atom before any #step header", lineno)
-            current_atoms.append((name, args))
+            current_atoms.append(atom)
+    scenes: dict[tuple[frozenset[str], tuple[_Atom, ...]], Scene] = {}
     scenarios = []
     for steps in groups:
         if not steps:
@@ -352,8 +363,15 @@ def parse_scenarios(
         universe = set(declared)
         for atoms in steps:
             universe.update(args[0] for name, args in atoms if name == "on")
-        scenes = tuple(scene_from_atoms(atoms, universe, net) for atoms in steps)
-        scenarios.append(Scenario(frozenset(universe), net, scenes))
+        vehicles = frozenset(universe)
+        interned = []
+        for atoms in steps:
+            key = (vehicles, tuple(atoms))
+            scene = scenes.get(key)
+            if scene is None:
+                scene = scenes[key] = scene_from_atoms(atoms, vehicles, net)
+            interned.append(scene)
+        scenarios.append(Scenario(vehicles, net, tuple(interned)))
     return scenarios
 
 

@@ -14,7 +14,7 @@ mistake yields one violation, not a cascade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations, permutations
 from typing import Iterable, Optional
@@ -371,8 +371,17 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
     return out
 
 
-def check_scenario(sc: Scenario) -> list[Violation]:
-    """Scene checks at every step plus transition checks between steps."""
+def check_scenario(sc: Scenario, verdicts: Optional[dict] = None) -> list[Violation]:
+    """Scene checks at every step plus transition checks between steps.
+
+    ``verdicts`` caches each `check_scene` result under its scene and each
+    `check_transition` result under its ``(prev, next_)`` pair, both made
+    at step 1 and re-stamped with the step they occur at.  Pass one dict
+    to check many scenarios that share scenes, and each distinct scene and
+    transition is checked once.  A dict is valid for one network only.
+    """
+    if verdicts is None:
+        verdicts = {}
     out: list[Violation] = []
     n = sc.network
     for k, scene in enumerate(sc.scenes, start=1):
@@ -380,7 +389,18 @@ def check_scenario(sc: Scenario) -> list[Violation]:
         extra = set(scene.occ) - sc.vehicles
         for c in sorted(missing | extra):
             out.append(Violation(RuleId.WF, k, ("universe", c)))
-        out.extend(check_scene(scene, n, step=k))
-    for k in range(len(sc.scenes) - 1):
-        out.extend(check_transition(sc.scenes[k], sc.scenes[k + 1], n, step=k + 1))
+        found = verdicts.get(scene)
+        if found is None:
+            found = verdicts[scene] = check_scene(scene, n)
+        out.extend(_at_step(found, k))
+    for k, pair in enumerate(zip(sc.scenes, sc.scenes[1:]), start=1):
+        found = verdicts.get(pair)
+        if found is None:
+            found = verdicts[pair] = check_transition(*pair, n)
+        out.extend(_at_step(found, k))
     return out
+
+
+def _at_step(found: list[Violation], step: int) -> list[Violation]:
+    """Violations found at step 1, moved to ``step``."""
+    return [replace(v, step=step, step2=None if v.step2 is None else step + 1) for v in found]

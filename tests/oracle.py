@@ -18,9 +18,26 @@ from typing import Iterable, Optional
 
 from trafficlogic.domain import LonRel, RoadNetwork, Scenario, Scene
 from trafficlogic.reasoner import ExpansionRequest, canonicalize
-from trafficlogic.rules import check_scene, check_transition
+from trafficlogic.rules import RuleId, Violation, check_scene, check_transition
 
 VALUES = (LonRel.AHEAD, LonRel.COVER, LonRel.BEHIND, LonRel.NONE)
+
+
+def stepwise_violations(sc: Scenario) -> list[Violation]:
+    """``rules.check_scenario``'s report made the plain way.
+
+    One direct ``check_scene`` call per step and one ``check_transition``
+    call per step pair, each at its own step number; nothing is shared
+    between steps or scenarios.
+    """
+    out: list[Violation] = []
+    for k, scene in enumerate(sc.scenes, start=1):
+        for c in sorted(sc.vehicles ^ set(scene.occ)):
+            out.append(Violation(RuleId.WF, k, ("universe", c)))
+        out.extend(check_scene(scene, sc.network, step=k))
+    for k in range(1, len(sc.scenes)):
+        out.extend(check_transition(sc.scenes[k - 1], sc.scenes[k], sc.network, step=k))
+    return out
 
 
 def all_valid_scenes(net: RoadNetwork, vehicles: Iterable[str]) -> list[Scene]:

@@ -206,6 +206,19 @@ class TestTraceReading:
         with pytest.raises(TraceError, match="row 2: non-finite"):
             read_trace_csv(f"t,vehicle,x,y,heading,length\n{row}\n")
 
+    @pytest.mark.parametrize("row", ["0,c1,10,-6,0,4,99,junk", "0,c1,10,-6,0,4,"])
+    def test_fields_beyond_the_header_rejected(self, row):
+        with pytest.raises(TraceError, match="row 2: more fields than the header"):
+            read_trace_csv(f"t,vehicle,x,y,heading,length\n{row}\n")
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(TraceError, match="row 3: negative vehicle length"):
+            read_trace_csv("t,vehicle,x,y,heading,length\n0,c1,10,-6,0,4\n0,c2,30,-6,0,-4\n")
+
+    def test_zero_length_accepted(self):
+        (sample,) = read_trace_csv("t,vehicle,x,y,heading,length\n0,c1,10,-6,0,0\n")
+        assert sample.length == 0.0
+
     def test_mismatched_network_rejected(self):
         model = parse_opendrive((DATA / "ex1_straight.xodr").read_bytes())
         other, _ = facts.parse_network("lane(l9, rz).")

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import collections
 import pathlib
 import shutil
 
 import pytest
+from oracle import stepwise_violations
 
-from trafficlogic import abstraction
+from trafficlogic import abstraction, domain, rules
 from trafficlogic.cli import main
+from trafficlogic.rules import render_report
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -189,6 +192,52 @@ class TestCheck:
         assert main(["check", str(sc), data("ex1_overtake.net")]) == INPUT
         assert "error: line 4: bad relation value 'sideways'" in capsys.readouterr().err
 
+    def test_bad_atom_reports_its_first_line(self, tmp_path, capsys):
+        sc = tmp_path / "bad.scenario"
+        block = "#step 1\non(c1,l2).\non(c2,l2).\nlonr(c1,c2,sideways).\n"
+        sc.write_text(f"#scenario 1\n{block}#scenario 2\n{block}")
+        assert main(["check", str(sc), data("ex1_overtake.net")]) == INPUT
+        assert "error: line 5: bad relation value 'sideways'" in capsys.readouterr().err
+
+    def test_distinct_scenes_and_transitions_checked_once(
+        self, dense_result, monkeypatch, capsys
+    ):
+        scenarios = dense_result.parse()
+        report = [
+            f"scenario {i}: {line}"
+            for i, sc in enumerate(scenarios, start=1)
+            for line in render_report(stepwise_violations(sc)).splitlines()
+        ]
+        scenes = {s for sc in scenarios for s in sc.scenes}
+        transitions = {p for sc in scenarios for p in zip(sc.scenes, sc.scenes[1:])}
+        # every scenario's universe is the declared {c1, c2}
+        blocks = {
+            step.split("\n", 1)[1]
+            for section in dense_result.path.read_text().split("#scenario ")[1:]
+            for step in section.split("#step ")[1:]
+        }
+        calls: collections.Counter = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(rules, "check_scene", counted("scene", rules.check_scene))
+        monkeypatch.setattr(
+            rules, "check_transition", counted("transition", rules.check_transition)
+        )
+        monkeypatch.setattr(domain.Scene, "__init__", counted("init", domain.Scene.__init__))
+        assert main(["check", str(dense_result.path), str(dense_result.network)]) == SEMANTIC
+        assert capsys.readouterr().out.splitlines() == report
+        assert calls == {
+            "scene": len(scenes),
+            "transition": len(transitions),
+            "init": len(blocks),
+        }
+
 
 class TestAbstract:
     def test_trace_pipeline_round_trip(self, tmp_path, capsys):
@@ -241,6 +290,8 @@ class TestAbstract:
             ("0, ,10,-6,0,4", "bad vehicle id"),
             ("nan,c1,10,-6,0,4", "non-finite"),
             ("0,c1,10,-6,inf,4", "non-finite"),
+            ("0,c1,10,-6,0,4,99,junk", "more fields than the header"),
+            ("0,c1,10,-6,0,-4", "negative vehicle length"),
         ],
     )
     def test_bad_trace_row_is_input_error(self, row, message, tmp_path, capsys):

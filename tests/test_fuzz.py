@@ -1,21 +1,27 @@
 """Generated inputs fed to the command line: every run ends in a documented exit code.
 
 A traceback fails the test; so does an exit-0 output that the fact parser
-cannot read back.
+cannot read back, and a ``check`` report that differs from one made by
+checking every step on its own.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import pathlib
 import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import stepwise_violations
 
 from trafficlogic import facts
 from trafficlogic.abstraction import abstract_network
 from trafficlogic.cli import main
 from trafficlogic.opendrive import parse_opendrive
+from trafficlogic.reasoner import expand, parse_request
+from trafficlogic.rules import render_report
 
 DATA = pathlib.Path(__file__).parent / "data"
 STRAIGHT = DATA / "ex1_straight.xodr"
@@ -63,3 +69,71 @@ def test_abstract_fuzzed_traces_exit_0_or_2(rows):
         assert code in (0, 2)
         if code == 0:
             assert facts.parse_scenarios(out.read_text(), STRAIGHT_NET)
+
+
+OPPOSING_NET = DATA / "ex5_opposing_pass.net"
+_opposing = expand(parse_request((DATA / "ex5_opposing_pass.req").read_text()))
+OPPOSING_LINES = facts.render_result(_opposing.scenarios, _opposing.texts).splitlines()
+RELATION = st.sampled_from(["ahead", "cover", "behind", "none"])
+UNKNOWN_ID = st.sampled_from(["c9", "l9", "p9", "zz"])
+COMMENT = st.sampled_from(["% note", "%", "  % indented note"])
+
+
+@st.composite
+def mutated_results(draw) -> list[str]:
+    """The ex5_opposing_pass result, or its first scenario, with a few lines edited."""
+    lines = list(OPPOSING_LINES)
+    if draw(st.booleans()):
+        lines = lines[: lines.index("#scenario 2")]
+    for _ in range(draw(st.integers(1, 5))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["duplicate", "drop", "swap", "relation", "unknown", "comment"]))
+        if op == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "relation" and lines[i].startswith("lon"):
+            head = lines[i][: lines[i].rindex(",") + 1]
+            lines[i] = f"{head}{draw(RELATION)})."
+        elif op == "unknown" and "(" in lines[i]:
+            args = lines[i][lines[i].index("(") + 1 : -2].split(",")
+            args[draw(st.integers(0, len(args) - 1))] = draw(UNKNOWN_ID)
+            lines[i] = f"{lines[i][: lines[i].index('(')]}({','.join(args)})."
+        elif op == "comment":
+            lines.insert(i, draw(COMMENT))
+    return lines
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mutated_results())
+def test_check_and_export_fuzzed_results(lines):
+    text = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        result = pathlib.Path(tmp) / "opposing.result"
+        result.write_text(text)
+        code, out = _run(["check", str(result), str(OPPOSING_NET)])
+        assert code in (0, 1, 2, 3)
+        if code in (0, 1):
+            net, declared = facts.parse_network(OPPOSING_NET.read_text())
+            scenarios = facts.parse_scenarios(text, net, declared)
+            prefix = "scenario {}: " if len(scenarios) > 1 else ""
+            expected = [
+                prefix.format(i) + line
+                for i, sc in enumerate(scenarios, start=1)
+                for line in render_report(stepwise_violations(sc)).splitlines()
+            ]
+            assert out.splitlines() == expected
+            assert code == (1 if expected else 0)
+        osc = pathlib.Path(tmp) / "opposing.osc"
+        code, _ = _run(["export", str(result), str(OPPOSING_NET), "--out", str(osc)])
+        assert code in (0, 1, 2, 3)

@@ -8,6 +8,8 @@ under- nor over-fire.
 
 from __future__ import annotations
 
+from oracle import stepwise_violations
+
 from trafficlogic import facts
 from trafficlogic.domain import LonRel, Scenario, Scene
 from trafficlogic.rules import (
@@ -408,3 +410,36 @@ class TestScenarioChecking:
         assert "PR4 @step 1->2 [c1, c2]" in report
         assert "PR7 @step 1->2 [c1]" in report
 
+
+
+class TestSharedVerdicts:
+    def test_shared_verdicts_give_the_stepwise_report(self, dense_result):
+        shared: dict = {}
+        broken = set()
+        for i, sc in enumerate(dense_result.parse(), start=1):
+            expected = stepwise_violations(sc)
+            assert check_scenario(sc, shared) == expected
+            assert check_scenario(sc) == expected
+            if expected:
+                broken.add(i)
+        assert broken == dense_result.broken
+
+    def test_repeated_bad_scene_reported_at_each_step(self, dense_result):
+        sc = dense_result.parse()[dense_result.repeated - 1]
+        assert sc.scenes[0] is sc.scenes[2]
+        vs = check_scenario(sc, {})
+        assert {v.step for v in vs if v.rule is RuleId.PR1} == {1, 3}
+        assert vs == stepwise_violations(sc)
+
+    def test_whole_file_parses_like_its_sections(self, dense_result):
+        net, declared = facts.parse_network(dense_result.network.read_text())
+        text = dense_result.path.read_text()
+        apart = [
+            sc
+            for section in text.split("#scenario ")[1:]
+            for sc in facts.parse_scenarios("#scenario " + section, net, declared)
+        ]
+        whole = facts.parse_scenarios(text, net, declared)
+        assert [(sc.vehicles, sc.scenes) for sc in whole] == [
+            (sc.vehicles, sc.scenes) for sc in apart
+        ]
