@@ -182,6 +182,7 @@ def cmd_abstract(
 def cmd_export(
     scenario_path: str,
     network_path: str,
+    cfg: Config,
     coords_path: str | None = None,
     out: str | None = None,
 ) -> int:
@@ -207,7 +208,7 @@ def cmd_export(
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return SEMANTIC_FAILURE
-    _emit(doc.text, _default_out(Config(), scenario_path, ".osc", out))
+    _emit(doc.text, _default_out(cfg, scenario_path, ".osc", out))
     return OK
 
 
@@ -246,7 +247,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="enumerate scenarios for a request file")
     p.add_argument("request", help="expansion request file")
     p.add_argument("--out", help="output result file (default: stdout)")
-    p.add_argument("--workers", type=int, help="worker processes (overrides config)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        help="worker count, >= 1 (overrides config); generation is sequential, "
+        "so the value changes nothing",
+    )
     p.add_argument("--mode", choices=("exact", "shortest"), help="override request mode")
     p.add_argument("--horizon", type=int, help="override request horizon")
     p.add_argument("--dot", help="write a graphviz timeline of the results")
@@ -286,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "abstract":
         return cmd_abstract(args.trace, args.map, cfg, args.out)
     if args.command == "export":
-        return cmd_export(args.scenario, args.network, args.coords, args.out)
+        return cmd_export(args.scenario, args.network, cfg, args.coords, args.out)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

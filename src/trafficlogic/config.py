@@ -1,4 +1,4 @@
-"""Runtime configuration: tolerances, parallelism, output placement.
+"""Runtime configuration: tolerances, worker count, output placement.
 
 Every geometric tolerance that influences network abstraction is carried
 here and echoed into output metadata, so that a fact file can always be
@@ -7,10 +7,21 @@ traced back to the parameters that produced it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 __all__ = ["Config", "load_config"]
+
+#: the geometric tolerances: each must be a finite, positive number
+_TOLERANCES = (
+    "sampling_step",
+    "intersection_tolerance",
+    "overlap_corridor_factor",
+    "min_overlap_length",
+    "overlap_heading_tolerance_deg",
+    "occupancy_halfwidth",
+)
 
 
 @dataclass
@@ -28,36 +39,24 @@ class Config:
     overlap_heading_tolerance_deg: float = 30.0
     #: extra lateral reach of a vehicle beyond the lane edge, meters
     occupancy_halfwidth: float = 0.9
-    #: worker processes for generation (1 = in-process)
+    #: worker count for generation, validated (>= 1) but unused:
+    #: generation is sequential and any value gives the same output
     workers: int = 1
-    #: output directory for artifact files (None = alongside input / stdout)
+    #: output directory for artifact files without an explicit output path
+    #: (None = stdout)
     outdir: str | None = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "sampling_step",
-            "intersection_tolerance",
-            "overlap_corridor_factor",
-            "min_overlap_length",
-            "overlap_heading_tolerance_deg",
-            "occupancy_halfwidth",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in _TOLERANCES:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
     def metadata(self) -> dict[str, str]:
         """Tolerances as strings, for echoing into output files."""
-        keys = (
-            "sampling_step",
-            "intersection_tolerance",
-            "overlap_corridor_factor",
-            "min_overlap_length",
-            "overlap_heading_tolerance_deg",
-            "occupancy_halfwidth",
-        )
-        return {k: repr(getattr(self, k)) for k in keys}
+        return {k: repr(getattr(self, k)) for k in _TOLERANCES}
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}

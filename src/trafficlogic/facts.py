@@ -317,13 +317,27 @@ def render_result(scenarios: Sequence[Scenario], texts: Optional[Sequence[str]] 
     return "".join(parts)
 
 
+def _header(line: str, lineno: int) -> tuple[str, int]:
+    """The directive and number of a ``#scenario <n>`` or ``#step <n>`` line."""
+    parts = line.split()
+    if parts[0] not in ("#scenario", "#step"):
+        raise ParseError(f"unexpected directive {parts[0]!r}", lineno)
+    if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
+        raise ParseError(f"malformed header {line!r}, expected {parts[0]} <number>", lineno)
+    return parts[0], int(parts[1])
+
+
 def parse_scenarios(
     text: str, net: RoadNetwork, declared: frozenset[str] = frozenset()
 ) -> list[Scenario]:
     """Parse a scenario (or multi-scenario result) file.
 
     Accepts either bare ``#step`` blocks (one scenario) or ``#scenario``
-    sections.  The vehicle universe of each scenario is the union of the
+    sections.  Headers are numbered: steps count 1, 2, ... within their
+    scenario, and each ``#scenario`` header after the first carries the next
+    number (the first may carry any number from 1, so one section cut from
+    a result file parses on its own).  Any other ``#`` line is a
+    `ParseError`.  The vehicle universe of each scenario is the union of the
     declared vehicles and every vehicle occurring in its ``on`` atoms.
 
     Parsing is hash-consed: each distinct atom line is parsed once (its
@@ -335,19 +349,27 @@ def parse_scenarios(
     groups: list[list[list[_Atom]]] = []  # scenario -> step -> atoms
     current_steps: Optional[list[list[_Atom]]] = None
     current_atoms: Optional[list[_Atom]] = None
+    scenario_no = 0  # number of the last #scenario header, 0 before the first
     for lineno, line in _numbered_atoms(text):
-        if line.startswith("#scenario"):
-            current_steps = []
-            groups.append(current_steps)
-            current_atoms = None
-        elif line.startswith("#step"):
-            if current_steps is None:
+        if line.startswith("#"):
+            directive, number = _header(line, lineno)
+            if directive == "#scenario":
+                expected = scenario_no + 1 if scenario_no else max(number, 1)
+                scenario_no = number
                 current_steps = []
                 groups.append(current_steps)
-            current_atoms = []
-            current_steps.append(current_atoms)
-        elif line.startswith("#"):
-            raise ParseError(f"unexpected directive {line.split()[0]!r}", lineno)
+                current_atoms = None
+            else:
+                if current_steps is None:
+                    current_steps = []
+                    groups.append(current_steps)
+                expected = len(current_steps) + 1
+                current_atoms = []
+                current_steps.append(current_atoms)
+            if number != expected:
+                raise ParseError(
+                    f"{directive} {number} out of order, expected {directive} {expected}", lineno
+                )
         else:
             atom = parsed.get(line)
             if atom is None:

@@ -39,7 +39,6 @@ any`` — mid-lane-change endings would otherwise multiply every result.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, permutations, product
@@ -490,7 +489,11 @@ def _live_paths(root: Scene, memo, live) -> list[tuple[Scene, ...]]:
 
 
 def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
-    """Enumerate all scenarios per the request; deterministic output order."""
+    """Enumerate all scenarios per the request; deterministic output order.
+
+    Generation is sequential, in this process.  ``workers`` is accepted for
+    callers that pass a worker count and changes nothing.
+    """
     t0 = time.monotonic()
     net = req.network
     if req.horizon < 1:
@@ -518,21 +521,13 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
     # forward: layer d holds the distinct scenes reachable in exactly d steps
     memo: dict[Scene, tuple[Scene, ...]] = {}
     layers = [[req.initial]]
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
-    try:
-        while layers[-1] and len(layers) < req.horizon:
-            layer = layers[-1]
-            if req.mode == "shortest" and any(accept(s) for s in layer):
-                break
-            todo = [s for s in layer if s not in memo]
-            if pool is None:
-                memo.update(zip(todo, map(gen, todo)))
-            else:
-                memo.update(zip(todo, pool.map(gen, todo)))
-            layers.append(list(dict.fromkeys(nxt for s in layer for nxt in memo[s])))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while layers[-1] and len(layers) < req.horizon:
+        layer = layers[-1]
+        if req.mode == "shortest" and any(accept(s) for s in layer):
+            break
+        todo = [s for s in layer if s not in memo]
+        memo.update(zip(todo, map(gen, todo)))
+        layers.append(list(dict.fromkeys(nxt for s in layer for nxt in memo[s])))
 
     # backward: keep the pairs that still reach an acceptable final scene
     live = [{s for s in layers[-1] if accept(s)}]

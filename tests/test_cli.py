@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import multiprocessing.process
 import pathlib
 import shutil
 
@@ -103,6 +104,17 @@ class TestGenerate:
         ) == OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_workers_start_no_process(self, tmp_path, monkeypatch, capsys):
+        def no_process(self):
+            raise AssertionError("generation started a child process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        out = tmp_path / "r.result"
+        assert main(
+            ["generate", data("ex5_opposing_pass.req"), "--out", str(out), "--workers", "4"]
+        ) == OK
+        assert "scenarios: 2 (" in capsys.readouterr().err
+
     def test_dot_timeline(self, tmp_path, capsys):
         dot = tmp_path / "t.dot"
         out = tmp_path / "r.result"
@@ -191,6 +203,34 @@ class TestCheck:
         sc.write_text("#step 1\non(c1,l2).\non(c2,l2).\nlonr(c1,c2,sideways).\n")
         assert main(["check", str(sc), data("ex1_overtake.net")]) == INPUT
         assert "error: line 4: bad relation value 'sideways'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("#stepwise 9\non(c1,l1).\n#scenarios\n#step 1\non(c1,l1).\n",
+             "line 1: unexpected directive '#stepwise'"),
+            ("#step 1\non(c1,l1).\n#scenarios\n#step 1\non(c1,l1).\n",
+             "line 3: unexpected directive '#scenarios'"),
+            ("#step 1\non(c1,l1).\n#step 3\non(c1,l1).\n",
+             "line 3: #step 3 out of order, expected #step 2"),
+            ("#scenario 1\n#step 1\non(c1,l1).\n#scenario 3\n#step 1\non(c1,l1).\n",
+             "line 4: #scenario 3 out of order, expected #scenario 2"),
+            ("#scenario 1\n#step 1\non(c1,l1).\n#scenario 2\n#step 2\non(c1,l1).\n",
+             "line 5: #step 2 out of order, expected #step 1"),
+            ("#scenario 0\n#step 1\non(c1,l1).\n",
+             "line 1: #scenario 0 out of order, expected #scenario 1"),
+            ("#step\non(c1,l1).\n", "line 1: malformed header '#step', expected #step <number>"),
+            ("#step one\non(c1,l1).\n", "line 1: malformed header '#step one'"),
+            ("#scenario 1 2\n#step 1\non(c1,l1).\n", "line 1: malformed header '#scenario 1 2'"),
+        ],
+    )
+    def test_malformed_header_is_input_error(self, text, message, tmp_path, capsys):
+        sc = tmp_path / "bad.scenario"
+        sc.write_text(text)
+        assert main(["check", str(sc), data("ex1_overtake.net")]) == INPUT
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
 
     def test_bad_atom_reports_its_first_line(self, tmp_path, capsys):
         sc = tmp_path / "bad.scenario"
@@ -368,6 +408,16 @@ class TestExport:
         assert main(["export", str(sc), data("ex1_overtake.net")]) == SEMANTIC
         assert "PR7" in capsys.readouterr().err
 
+    def test_outdir_config_places_osc(self, tmp_path, capsys):
+        single = self._single(tmp_path, "ex2_crossing.req", "ex2_crossing.net")
+        cfg = tmp_path / "t.cfg"
+        outdir = tmp_path / "od"
+        cfg.write_text(f"outdir={outdir}\n")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "export", str(single), data("ex2_crossing.net")]) == OK
+        assert capsys.readouterr().out == ""
+        assert (outdir / "one.osc").read_text() == (DATA / "golden_ex2_first.osc").read_text()
+
     def test_unknown_relation_value_is_input_error(self, tmp_path, capsys):
         sc = tmp_path / "bad.scenario"
         sc.write_text("#step 1\non(c1,l2).\nlonpr(c1,pz,sideways).\n")
@@ -395,3 +445,26 @@ class TestConfig:
             ["--config", str(cfg), "ingest", data("ex1_straight.xodr"), "--out", str(out)]
         ) == OK
         assert "% meta sampling_step=0.25" in out.read_text()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("sampling_step", "nan"),
+            ("sampling_step", "inf"),
+            ("sampling_step", "1e999"),
+            ("sampling_step", "-inf"),
+            ("sampling_step", "0"),
+            ("min_overlap_length", "nan"),
+            ("occupancy_halfwidth", "nan"),
+            ("intersection_tolerance", "1e999"),
+        ],
+    )
+    def test_tolerance_must_be_finite_and_positive(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        out = tmp_path / "net.facts"
+        assert main(
+            ["--config", str(cfg), "ingest", data("ex1_straight.xodr"), "--out", str(out)]
+        ) == INPUT
+        assert f"error: {key} must be a finite positive number" in capsys.readouterr().err
+        assert not out.exists()

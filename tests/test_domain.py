@@ -258,7 +258,7 @@ class TestScene:
         assert s.vrel[("c2", "c1")] is A
 
     def test_unpickled_scene_hashes_like_a_local_one(self):
-        # worker processes may run under another string-hash seed
+        # a scene pickled by another process, under another string-hash seed
         code = (
             "import pickle, sys\n"
             "from trafficlogic.domain import LonRel, Scene\n"

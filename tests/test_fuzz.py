@@ -2,13 +2,17 @@
 
 A traceback fails the test; so does an exit-0 output that the fact parser
 cannot read back, and a ``check`` report that differs from one made by
-checking every step on its own.
+checking every step on its own.  Traces go through ``abstract``, edited
+result files through ``check`` and ``export``, and ``--config`` files through
+``ingest``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
+import os
 import pathlib
 import tempfile
 
@@ -19,6 +23,7 @@ from oracle import stepwise_violations
 from trafficlogic import facts
 from trafficlogic.abstraction import abstract_network
 from trafficlogic.cli import main
+from trafficlogic.config import Config
 from trafficlogic.opendrive import parse_opendrive
 from trafficlogic.reasoner import expand, parse_request
 from trafficlogic.rules import render_report
@@ -137,3 +142,41 @@ def test_check_and_export_fuzzed_results(lines):
         osc = pathlib.Path(tmp) / "opposing.osc"
         code, _ = _run(["export", str(result), str(OPPOSING_NET), "--out", str(osc)])
         assert code in (0, 1, 2, 3)
+
+
+CONFIG_KEY = st.sampled_from([f.name for f in dataclasses.fields(Config)] + ["colour"])
+ODD_VALUE = st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "-1", "abc", "", "1,5"])
+# floats bounded so that sampling_step cannot make the sampled map huge
+SANE_VALUE = st.floats(0.25, 50.0).map(repr) | st.integers(1, 4).map(str)
+KEY_VALUE = st.builds("{}={}".format, CONFIG_KEY, SANE_VALUE | ODD_VALUE)
+NOISE = st.sampled_from(
+    ["sampling_step", "workers 2", "# a comment", "", "sampling_step=0.5  # trailing note"]
+)
+
+
+@st.composite
+def config_lines(draw) -> list[str]:
+    """Up to four key=value lines and at most one other line, so that many files load."""
+    lines = draw(st.lists(KEY_VALUE, max_size=4))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(NOISE))
+    return lines
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(config_lines())
+def test_ingest_fuzzed_configs(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "fuzz.cfg"
+        out = pathlib.Path(tmp) / "net.facts"
+        cfg.write_text("\n".join(lines) + "\n")
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a fuzzed relative outdir lands in the temporary directory
+        try:
+            code, _ = _run(["--config", str(cfg), "ingest", str(STRAIGHT), "--out", str(out)])
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            net, _ = facts.parse_network(out.read_text())
+            assert net.lanes
