@@ -57,6 +57,7 @@ __all__ = [
     "NetworkAbstraction",
     "abstract_network",
     "connection_structures",
+    "overlap_corridor",
     "TraceSample",
     "read_trace_csv",
     "abstract_trace",
@@ -321,18 +322,9 @@ class NetworkAbstraction:
         seq = 0
         for a, b in self._lane_pairs():
             la, lb = self.lanes[a], self.lanes[b]
-            s_b, d_b, e_b = project_points(lb.line, la.line.points)
-            dist = np.abs(d_b)
-            ha = np.array([la.line.heading_at(float(s)) for s in la.line.arclength])
-            hb = np.array([lb.line.heading_at(float(s)) for s in s_b])
-            diff = np.array([angle_difference(float(x), float(y)) for x, y in zip(ha, hb)])
-            wmin = np.minimum(la.widths, np.interp(s_b, lb.line.arclength, lb.widths))
-            corridor = dist <= p.overlap_corridor_factor * wmin
-            # a projection clamped to an end of b says nothing about lateral
-            # closeness: without this, corridors bleed past the shared
-            # stretch and continuations read as fake same-direction overlaps
-            clamped = (s_b <= 1e-9) | (s_b >= lb.length - 1e-9)
-            corridor &= ~clamped | (e_b <= p.intersection_tolerance)
+            s_b, diff, corridor = overlap_corridor(la, lb, p)
+            if not corridor.any():
+                continue
             anti = corridor & (diff >= math.pi - tol)
             same = corridor & (diff <= tol)
             s_a = la.line.arclength
@@ -380,17 +372,11 @@ class NetworkAbstraction:
 
     @staticmethod
     def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-        runs = []
-        start = None
-        for i, v in enumerate(mask):
-            if v and start is None:
-                start = i
-            elif not v and start is not None:
-                runs.append((start, i - 1))
-                start = None
-        if start is not None:
-            runs.append((start, len(mask) - 1))
-        return runs
+        """Inclusive ``(first, last)`` index pairs of the runs of True in ``mask``."""
+        edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+        starts = np.flatnonzero(edges == 1)
+        ends = np.flatnonzero(edges == -1) - 1
+        return list(zip(starts.tolist(), ends.tolist()))
 
     # -- output --------------------------------------------------------------
 
@@ -403,6 +389,58 @@ class NetworkAbstraction:
             for pid, (x, y) in sorted(self.point_coords.items())
         ]
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def overlap_corridor(
+    la: AbstractLane, lb: AbstractLane, params: Config
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per vertex of ``la``: its arclength on ``lb``, heading difference, corridor mask.
+
+    A vertex is in the corridor when its lateral offset from ``lb`` is at most
+    ``overlap_corridor_factor`` times the narrower lane width, and, if its
+    projection is clamped to an end of ``lb``, it lies within
+    ``intersection_tolerance`` of that end.  Only the vertices within
+    :func:`_corridor_reach` of ``lb``'s bounding box are projected; the others
+    cannot be in the corridor, and their arclength and heading difference
+    carry no meaning.
+    """
+    pts = la.line.points
+    s_b = np.zeros(len(pts))
+    dist = np.full(len(pts), np.inf)
+    e_b = np.full(len(pts), np.inf)
+    near = np.flatnonzero(lb.line.near_box(pts, _corridor_reach(la, lb, params)))
+    if near.size:
+        s_near, d_near, e_near = project_points(lb.line, pts[near])
+        s_b[near] = s_near
+        dist[near] = np.abs(d_near)
+        e_b[near] = e_near
+    diff = angle_difference(la.line.heading_at(la.line.arclength), lb.line.heading_at(s_b))
+    wmin = np.minimum(la.widths, np.interp(s_b, lb.line.arclength, lb.widths))
+    corridor = dist <= params.overlap_corridor_factor * wmin
+    # a projection clamped to an end of b says nothing about lateral
+    # closeness: without this, corridors bleed past the shared stretch and
+    # continuations read as fake same-direction overlaps
+    clamped = (s_b <= 1e-9) | (s_b >= lb.length - 1e-9)
+    corridor &= ~clamped | (e_b <= params.intersection_tolerance)
+    return s_b, diff, corridor
+
+
+def _corridor_reach(la: AbstractLane, lb: AbstractLane, params: Config) -> float:
+    """Largest distance from ``lb`` at which a vertex of ``la`` can be in the corridor.
+
+    Its distance e to ``lb`` is bounded by its lateral offset |d| <=
+    factor * max(w_a): e = |d| when it projects inside a segment, and
+    e <= |d| / cos(theta) when it is clamped at an interior corner where
+    ``lb`` turns by theta.  A vertex clamped at an end of ``lb`` needs
+    e <= intersection_tolerance.  From a turn of 90 degrees on, the reach is
+    unbounded.
+    """
+    h = lb.line.headings
+    turn = float(np.max(angle_difference(h[1:], h[:-1]), initial=0.0))
+    if turn >= math.pi / 2:
+        return math.inf
+    lateral = params.overlap_corridor_factor * float(la.widths.max()) / math.cos(turn)
+    return max(lateral, params.intersection_tolerance)
 
 
 def abstract_network(model: MapModel, params: Config | None = None) -> RoadNetwork:
@@ -487,6 +525,7 @@ def read_trace_csv(text: str) -> list[TraceSample]:
 @dataclass
 class _VehicleTrack:
     samples: list[TraceSample]
+    headings: np.ndarray
     centers: np.ndarray
     fronts: np.ndarray
     rears: np.ndarray
@@ -513,7 +552,7 @@ def _tracks(samples: list[TraceSample]) -> tuple[list[float], dict[str, _Vehicle
         h = np.array([s.heading for s in ordered])
         half = np.array([s.length for s in ordered]) / 2.0
         nose = np.stack([np.cos(h), np.sin(h)], axis=1) * half[:, None]
-        tracks[v] = _VehicleTrack(ordered, c, c + nose, c - nose)
+        tracks[v] = _VehicleTrack(ordered, h, c, c + nose, c - nose)
     return times, tracks
 
 
@@ -527,9 +566,7 @@ def _lane_fit(abst: NetworkAbstraction, track: _VehicleTrack, cfg: Config):
         widths = np.interp(s_c, lane.line.arclength, lane.widths)
         overrun = np.sqrt(np.maximum(e_c * e_c - d_c * d_c, 0.0))
         ok = (np.abs(d_c) <= widths / 2.0 + cfg.occupancy_halfwidth) & (overrun <= 0.5)
-        for i, s in enumerate(track.samples):
-            if ok[i] and angle_difference(s.heading, lane.line.heading_at(float(s_c[i]))) >= math.pi / 2:
-                ok[i] = False
+        ok &= angle_difference(track.headings, lane.line.heading_at(s_c)) < math.pi / 2
         fits[lid] = (s_c, d_c, s_f, s_r, ok)
     return fits
 

@@ -283,16 +283,21 @@ def main(argv: list[str] | None = None) -> int:
             cfg = dataclasses.replace(cfg, workers=args.workers)
     except (OSError, ValueError) as exc:
         return _fail(str(exc), INPUT_ERROR)
-    if args.command == "ingest":
-        return cmd_ingest(args.map, cfg, args.out, args.coords_out)
-    if args.command == "generate":
-        return cmd_generate(args.request, cfg, args.out, args.mode, args.horizon, args.dot)
-    if args.command == "check":
-        return cmd_check(args.scenario, args.network)
-    if args.command == "abstract":
-        return cmd_abstract(args.trace, args.map, cfg, args.out)
-    if args.command == "export":
-        return cmd_export(args.scenario, args.network, cfg, args.coords, args.out)
+    try:
+        if args.command == "ingest":
+            return cmd_ingest(args.map, cfg, args.out, args.coords_out)
+        if args.command == "generate":
+            return cmd_generate(args.request, cfg, args.out, args.mode, args.horizon, args.dot)
+        if args.command == "check":
+            return cmd_check(args.scenario, args.network)
+        if args.command == "abstract":
+            return cmd_abstract(args.trace, args.map, cfg, args.out)
+        if args.command == "export":
+            return cmd_export(args.scenario, args.network, cfg, args.coords, args.out)
+    except OSError as exc:
+        # each command reports its unreadable inputs itself; what arrives
+        # here is an output path that cannot be written (say, under a file)
+        return _fail(str(exc), INPUT_ERROR)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -53,6 +53,8 @@ class Config:
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.outdir == "":
+            raise ValueError("outdir must not be empty")
 
     def metadata(self) -> dict[str, str]:
         """Tolerances as strings, for echoing into output files."""

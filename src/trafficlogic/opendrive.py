@@ -260,9 +260,24 @@ def _fattr(elem: ET.Element, attr: str, default: float | None = None) -> float:
             raise MapParseError(f"<{elem.tag}> missing attribute {attr!r}", _line_of(elem))
         return default
     try:
-        return float(v)
+        value = float(v)
     except ValueError:
-        raise MapParseError(f"<{elem.tag}> attribute {attr}={v!r} is not a number", _line_of(elem)) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise MapParseError(
+            f"<{elem.tag}> attribute {attr}={v!r} is not a finite number", _line_of(elem)
+        )
+    return value
+
+
+def _iattr(elem: ET.Element, attr: str) -> int:
+    v = _req(elem, attr)
+    try:
+        return int(v)
+    except ValueError:
+        raise MapParseError(
+            f"<{elem.tag}> attribute {attr}={v!r} is not an integer", _line_of(elem)
+        ) from None
 
 
 def _parse_geometry(geo: ET.Element) -> RefLineSegment:
@@ -276,20 +291,20 @@ def _parse_geometry(geo: ET.Element) -> RefLineSegment:
     if shape is None:
         raise MapParseError("<geometry> without a recognized shape child", _line_of(geo))
     kind = shape.tag
-    return RefLineSegment(
-        kind=kind,
-        origin=(_fattr(geo, "x"), _fattr(geo, "y")),
-        heading=_fattr(geo, "hdg"),
-        length=_fattr(geo, "length"),
-        curvature=_fattr(shape, "curvature") if kind == "arc" else 0.0,
-    )
+    try:
+        return RefLineSegment(
+            kind=kind,
+            origin=(_fattr(geo, "x"), _fattr(geo, "y")),
+            heading=_fattr(geo, "hdg"),
+            length=_fattr(geo, "length"),
+            curvature=_fattr(shape, "curvature") if kind == "arc" else 0.0,
+        )
+    except ValueError as exc:
+        raise MapParseError(str(exc), _line_of(geo)) from None
 
 
 def _parse_lane(lane: ET.Element, side: str) -> LaneSpec:
-    try:
-        lane_id = int(_req(lane, "id"))
-    except ValueError:
-        raise MapParseError(f"lane id {lane.get('id')!r} is not an integer", _line_of(lane)) from None
+    lane_id = _iattr(lane, "id")
     widths = []
     for w in lane.findall("width"):
         widths.append(
@@ -307,8 +322,8 @@ def _parse_lane(lane: ET.Element, side: str) -> LaneSpec:
     if link is not None:
         p = link.find("predecessor")
         s = link.find("successor")
-        pred = int(_req(p, "id")) if p is not None else None
-        succ = int(_req(s, "id")) if s is not None else None
+        pred = _iattr(p, "id") if p is not None else None
+        succ = _iattr(s, "id") if s is not None else None
     return LaneSpec(
         id=lane_id,
         side=side,
@@ -356,6 +371,13 @@ def _parse_road(road: ET.Element) -> RoadSpec:
     segs = tuple(_parse_geometry(g) for g in plan.findall("geometry"))
     if not segs:
         raise MapParseError("planView without <geometry>", _line_of(plan))
+    length = _fattr(road, "length")
+    total = sum(seg.length for seg in segs)
+    if not math.isclose(length, total, rel_tol=1e-9):
+        raise MapParseError(
+            f"road length {length!r} differs from the sum of its geometry lengths {total!r}",
+            _line_of(road),
+        )
     for tag in ("elevationProfile", "lateralProfile"):
         if road.find(tag) is not None:
             log.warning("ignoring <%s> of road %s: abstraction is planar", tag, road.get("id"))
@@ -373,7 +395,7 @@ def _parse_road(road: ET.Element) -> RoadSpec:
     return RoadSpec(
         id=_req(road, "id"),
         name=road.get("name", ""),
-        length=_fattr(road, "length"),
+        length=length,
         junction=road.get("junction", "-1"),
         ref_line=segs,
         sections=sections,
@@ -387,7 +409,7 @@ def _parse_junction(junc: ET.Element) -> JunctionSpec:
     conns = []
     for conn in junc.findall("connection"):
         links = tuple(
-            (int(_req(ll, "from")), int(_req(ll, "to"))) for ll in conn.findall("laneLink")
+            (_iattr(ll, "from"), _iattr(ll, "to")) for ll in conn.findall("laneLink")
         )
         if not links:
             raise MapParseError("junction connection without <laneLink>", _line_of(conn))
@@ -504,4 +526,9 @@ def sample_centerline(model: MapModel, lane: tuple[str, int], step: float) -> Po
         off = _lane_offset(section, lane_id, float(s) - section.s)
         # left normal of the reference line is (-sin h, cos h)
         pts.append((x - off * math.sin(h), y + off * math.cos(h)))
-    return Polyline(pts)
+    try:
+        return Polyline(pts)
+    except ValueError as exc:
+        raise MapParseError(
+            f"road {road.id} lane {lane_id}: sampled centerline: {exc}", road.source_line
+        ) from None

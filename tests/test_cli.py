@@ -164,6 +164,21 @@ class TestGenerate:
         assert main(["--config", str(cfg), "generate", data("ex3_branching.req")]) == OK
         assert (outdir / "ex3_branching.result").exists()
 
+    def test_outdir_under_a_file_is_input_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"outdir={afile}\n")
+        assert main(["--config", str(cfg), "generate", data("ex3_branching.req")]) == INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_path_under_a_file_is_input_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        out = afile / "x.result"
+        assert main(["generate", data("ex3_branching.req"), "--out", str(out)]) == INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCheck:
     def test_generated_results_pass(self, tmp_path, capsys):
@@ -468,3 +483,11 @@ class TestConfig:
         ) == INPUT
         assert f"error: {key} must be a finite positive number" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_outdir_rejected(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("outdir=\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(cfg), "ingest", data("ex1_straight.xodr")]) == INPUT
+        assert "error: outdir must not be empty" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.cfg"]

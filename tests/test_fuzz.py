@@ -3,18 +3,20 @@
 A traceback fails the test; so does an exit-0 output that the fact parser
 cannot read back, and a ``check`` report that differs from one made by
 checking every step on its own.  Traces go through ``abstract``, edited
-result files through ``check`` and ``export``, and ``--config`` files through
-``ingest``.
+result files through ``check`` and ``export``, and ``--config`` files and
+edited OpenDRIVE maps through ``ingest``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import io
 import os
 import pathlib
 import tempfile
+import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,3 +182,44 @@ def test_ingest_fuzzed_configs(lines):
         if code == 0:
             net, _ = facts.parse_network(out.read_text())
             assert net.lanes
+
+
+XODR = {
+    name: (DATA / f"{name}.xodr").read_bytes()
+    for name in ("ex1_straight", "ex5_overlap", "tee_junction")
+}
+ATTRIBUTE_VALUE = st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "-1", "abc", ""]) | (
+    st.floats(0.25, 50.0).map(repr)
+)
+
+
+@st.composite
+def mutated_maps(draw) -> bytes:
+    """A fixture map with up to four elements dropped, duplicated or given an odd attribute."""
+    root = ET.fromstring(XODR[draw(st.sampled_from(sorted(XODR)))])
+    for _ in range(draw(st.integers(1, 4))):
+        pairs = [(parent, child) for parent in root.iter() for child in parent]
+        if not pairs:
+            break
+        parent, child = pairs[draw(st.integers(0, len(pairs) - 1))]
+        op = draw(st.sampled_from(["attribute", "drop", "duplicate"]))
+        if op == "drop":
+            parent.remove(child)
+        elif op == "duplicate":
+            parent.insert(list(parent).index(child), copy.deepcopy(child))
+        elif child.attrib:
+            child.set(draw(st.sampled_from(sorted(child.attrib))), draw(ATTRIBUTE_VALUE))
+    return ET.tostring(root)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mutated_maps())
+def test_ingest_fuzzed_maps(xodr):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.xodr"
+        out = pathlib.Path(tmp) / "fuzz.facts"
+        path.write_bytes(xodr)
+        code, _ = _run(["ingest", str(path), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            facts.parse_network(out.read_text())

@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from trafficlogic.cli import main
 from trafficlogic.opendrive import (
     MapParseError,
     RefLineSegment,
@@ -137,6 +138,58 @@ class TestParsing:
             model = parse_opendrive(doc(body))
         assert "planar" in caplog.text
         assert list(model.roads) == ["1"]
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ('length="100.0">', 'length="nan">', "length='nan' is not a finite number"),
+            ('length="100.0">', 'length="0">', "segment length must be positive"),
+            ('<line/>', '<arc curvature="0"/>', "arc segment needs nonzero curvature"),
+            ('<road id="1" length="100.0"', '<road id="1" length="inf"', "not a finite number"),
+            ('<road id="1" length="100.0"', '<road id="1" length="nan"', "not a finite number"),
+            ('<road id="1" length="100.0"', '<road id="1" length="0"', "sum of its geometry"),
+            ('<road id="1" length="100.0"', '<road id="1" length="-5"', "sum of its geometry"),
+            ('<road id="1" length="100.0"', '<road id="1" length="1e9"', "sum of its geometry"),
+            ('hdg="0"', 'hdg="inf"', "hdg='inf' is not a finite number"),
+            ('x="0"', 'x="nan"', "x='nan' is not a finite number"),
+            ('a="4.0"', 'a="nan"', "a='nan' is not a finite number"),
+            ('a="4.0"', 'a="inf"', "a='inf' is not a finite number"),
+            ('sOffset="0"', 'sOffset="nan"', "sOffset='nan' is not a finite number"),
+            ('<laneSection s="0">', '<laneSection s="nan">', "s='nan' is not a finite number"),
+            ('<line/>', '<arc curvature="nan"/>', "curvature='nan' is not a finite number"),
+            (
+                '<lane id="1" type="driving" level="false">',
+                '<lane id="1" type="driving" level="false"><link><successor id="x"/></link>',
+                "id='x' is not an integer",
+            ),
+            ('a="4.0" b="0"', 'a="1e308" b="1e308"', "vertices must be finite"),
+            # at x = 1e16 the 0.5 m sampling step rounds away: vertices coincide
+            ('x="0"', 'x="1e16"', "vertices must be distinct"),
+        ],
+    )
+    def test_bad_number_is_input_error(self, old, new, message, tmp_path, capsys):
+        text = doc(straight_road())
+        assert old in text
+        text = text.replace(old, new, 1)
+        path = tmp_path / "bad.xodr"
+        path.write_text(text)
+        assert main(["ingest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "(line " in err
+
+    def test_junction_lane_link_must_be_an_integer(self, tmp_path, capsys):
+        body = (
+            straight_road("1")
+            + straight_road("2")
+            + """
+<junction id="10" name="j">
+  <connection id="0" incomingRoad="1" connectingRoad="2" contactPoint="start">
+    <laneLink from="1" to="two"/>
+  </connection>
+</junction>"""
+        )
+        with pytest.raises(MapParseError, match="to='two' is not an integer"):
+            parse_opendrive(doc(body))
 
     def test_tee_junction_has_six_connecting_roads(self):
         model = parse_opendrive((DATA / "tee_junction.xodr").read_bytes())
