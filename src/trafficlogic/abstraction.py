@@ -32,7 +32,6 @@ from trafficlogic.domain import (
     Scenario,
     Scene,
     SRange,
-    invert,
     lon_rel_of_ranges,
     validate_network,
 )
@@ -657,24 +656,18 @@ def _qualify(
             s_p = _point_s_on(abst, pid, ref)
             prel[(v, pid)] = lon_rel_of_ranges(rng, SRange(s_p, s_p))
 
+    inside = [(z, {v for v in vehicles if z.holds_inside(road_of[v], v, prel)}) for z in n.zones]
     for i, a in enumerate(vehicles):
         for b in vehicles[i + 1 :]:
-            if not any(
-                z.holds_inside(road_of[a], a, prel) and z.holds_inside(road_of[b], b, prel)
-                for z in n.zones
-            ):
+            z = next((z for z, members in inside if a in members and b in members), None)
+            if z is None:
                 continue
             if road_of[a] == road_of[b]:
-                val = vrel.get((a, b), LonRel.NONE)
-                if val is not LonRel.NONE:
-                    orel[(a, b)] = val
-                    orel[(b, a)] = invert(val)
+                val = vrel[(a, b)]
             else:
                 _, _, s_f, s_r, _ = fits[b][placement[a][0]]
                 ends = (float(s_f[ti]), float(s_r[ti]))
-                rng_b = SRange(min(ends), max(ends))
-                val = lon_rel_of_ranges(placement[a][2], rng_b)
-                if val is not LonRel.NONE:
-                    orel[(a, b)] = val
-                    orel[(b, a)] = val  # opposite directions: symmetric as stored
+                val = lon_rel_of_ranges(placement[a][2], SRange(min(ends), max(ends)))
+            orel[(a, b)] = val
+            orel[(b, a)] = z.mirror(road_of[a], road_of[b], val)
     return Scene.build(occ, vrel, prel, orel)

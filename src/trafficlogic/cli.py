@@ -8,6 +8,9 @@ Exit-code contract (scriptable CI use):
 * 3 - unsupported map feature (geometry outside the documented subset)
 
 All commands are deterministic given identical inputs and configuration.
+Each ``cmd_*`` reads every input before it parses any, so that inputs with
+several faults always report the same one, and raises its input errors;
+`main` alone maps them to codes 2 and 3.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from trafficlogic import facts
 from trafficlogic.abstraction import (
     AbstractionError,
     NetworkAbstraction,
-    TraceError,
     abstract_trace,
     read_trace_csv,
 )
@@ -71,24 +73,23 @@ def _default_out(cfg: Config, source: str, suffix: str, out: str | None) -> str 
     return None
 
 
+def _parse_scenarios(net_text: str, sc_text: str):
+    """The network and the scenarios of a scenario file checked against it."""
+    net, declared = facts.parse_network(net_text)
+    return net, facts.parse_scenarios(sc_text, net, declared)
+
+
 def cmd_ingest(
     map_path: str,
     cfg: Config,
     out: str | None = None,
     coords_out: str | None = None,
 ) -> int:
-    """Compile an OpenDRIVE file into network facts (+ optional coordinates)."""
-    try:
-        text = _read(map_path)
-    except OSError as exc:
-        return _fail(str(exc), INPUT_ERROR)
-    try:
-        model = parse_opendrive(text)
-        abst = NetworkAbstraction(model, cfg)
-    except UnsupportedFeatureError as exc:
-        return _fail(str(exc), UNSUPPORTED)
-    except (MapError, AbstractionError) as exc:
-        return _fail(str(exc), INPUT_ERROR)
+    """Compile an OpenDRIVE file into network facts (+ optional coordinates).
+
+    Raises the input errors `main` maps to exit codes 2 and 3.
+    """
+    abst = NetworkAbstraction(parse_opendrive(_read(map_path)), cfg)
     _emit(abst.facts_text(), _default_out(cfg, map_path, ".facts", out))
     coords_out = _default_out(cfg, map_path, ".coords", coords_out)
     if coords_out is not None:
@@ -104,20 +105,16 @@ def cmd_generate(
     horizon: int | None = None,
     dot: str | None = None,
 ) -> int:
-    """Enumerate all rule-satisfying scenarios for an expansion request."""
-    try:
-        text = _read(request_path)
-    except OSError as exc:
-        return _fail(str(exc), INPUT_ERROR)
-    try:
-        req = parse_request(text)
-        if mode is not None:
-            req = dataclasses.replace(req, mode=mode)
-        if horizon is not None:
-            req = dataclasses.replace(req, horizon=horizon)
-        result = expand(req, workers=cfg.workers)
-    except (facts.ParseError, RequestError) as exc:
-        return _fail(str(exc), INPUT_ERROR)
+    """Enumerate all rule-satisfying scenarios for an expansion request.
+
+    Raises the input errors `main` maps to exit code 2.
+    """
+    req = parse_request(_read(request_path))
+    if mode is not None:
+        req = dataclasses.replace(req, mode=mode)
+    if horizon is not None:
+        req = dataclasses.replace(req, horizon=horizon)
+    result = expand(req, workers=cfg.workers)
     _emit(facts.render_result(result.scenarios, result.texts), _default_out(cfg, request_path, ".result", out))
     stats = result.stats
     tstar = "-" if result.shortest_length is None else str(result.shortest_length)
@@ -132,17 +129,12 @@ def cmd_generate(
 
 
 def cmd_check(scenario_path: str, network_path: str) -> int:
-    """Check every scenario in a file against the rule catalog."""
-    try:
-        net_text = _read(network_path)
-        sc_text = _read(scenario_path)
-    except OSError as exc:
-        return _fail(str(exc), INPUT_ERROR)
-    try:
-        net, declared = facts.parse_network(net_text)
-        scenarios = facts.parse_scenarios(sc_text, net, declared)
-    except facts.ParseError as exc:
-        return _fail(str(exc), INPUT_ERROR)
+    """Check every scenario in a file against the rule catalog; 1 when any breaks a rule.
+
+    Raises the input errors `main` maps to exit code 2.
+    """
+    net_text, sc_text = _read(network_path), _read(scenario_path)
+    _, scenarios = _parse_scenarios(net_text, sc_text)
     failed = False
     verdicts: dict = {}
     for i, sc in enumerate(scenarios, start=1):
@@ -161,20 +153,13 @@ def cmd_abstract(
     cfg: Config,
     out: str | None = None,
 ) -> int:
-    """Abstract a concrete trace CSV on a map into a scenario fact file."""
-    try:
-        trace_text = _read(trace_path)
-        map_text = _read(map_path)
-    except OSError as exc:
-        return _fail(str(exc), INPUT_ERROR)
-    try:
-        model = parse_opendrive(map_text)
-        samples = read_trace_csv(trace_text)
-        scenario = abstract_trace(samples, None, model, cfg)
-    except UnsupportedFeatureError as exc:
-        return _fail(str(exc), UNSUPPORTED)
-    except (MapError, AbstractionError) as exc:
-        return _fail(str(exc), INPUT_ERROR)
+    """Abstract a concrete trace CSV on a map into a scenario fact file.
+
+    Raises the input errors `main` maps to exit codes 2 and 3.
+    """
+    trace_text, map_text = _read(trace_path), _read(map_path)
+    model = parse_opendrive(map_text)
+    scenario = abstract_trace(read_trace_csv(trace_text), None, model, cfg)
     _emit(facts.render_scenario(scenario), _default_out(cfg, trace_path, ".scenario", out))
     return OK
 
@@ -186,23 +171,16 @@ def cmd_export(
     coords_path: str | None = None,
     out: str | None = None,
 ) -> int:
-    """Render one scenario as OpenSCENARIO DSL text."""
-    try:
-        net_text = _read(network_path)
-        sc_text = _read(scenario_path)
-        coords_text = _read(coords_path) if coords_path is not None else None
-    except OSError as exc:
-        return _fail(str(exc), INPUT_ERROR)
-    try:
-        net, declared = facts.parse_network(net_text)
-        scenarios = facts.parse_scenarios(sc_text, net, declared)
-        coords = parse_coords(coords_text) if coords_text is not None else None
-    except (facts.ParseError, ValueError) as exc:
-        return _fail(str(exc), INPUT_ERROR)
+    """Render one scenario as OpenSCENARIO DSL text; 1 when it cannot be rendered.
+
+    Raises the input errors `main` maps to exit code 2.
+    """
+    net_text, sc_text = _read(network_path), _read(scenario_path)
+    coords_text = _read(coords_path) if coords_path is not None else None
+    net, scenarios = _parse_scenarios(net_text, sc_text)
+    coords = parse_coords(coords_text) if coords_text is not None else None
     if len(scenarios) != 1:
-        return _fail(
-            f"export expects exactly one scenario, found {len(scenarios)}", INPUT_ERROR
-        )
+        raise facts.ParseError(f"export expects exactly one scenario, found {len(scenarios)}")
     try:
         doc = emit_osc(scenarios[0], net, coords)
     except ValueError as exc:
@@ -294,9 +272,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_abstract(args.trace, args.map, cfg, args.out)
         if args.command == "export":
             return cmd_export(args.scenario, args.network, cfg, args.coords, args.out)
-    except OSError as exc:
-        # each command reports its unreadable inputs itself; what arrives
-        # here is an output path that cannot be written (say, under a file)
+    except UnsupportedFeatureError as exc:
+        return _fail(str(exc), UNSUPPORTED)
+    except (OSError, facts.ParseError, RequestError, MapError, AbstractionError) as exc:
+        # unreadable inputs, unwritable outputs and malformed or unusable input text
         return _fail(str(exc), INPUT_ERROR)
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -106,11 +106,14 @@ class OverlapZone:
 
     ``orientation`` maps each carrying road id to +1 when that road
     traverses the window start→end, −1 when it runs end→start.
+    ``carrying`` holds the lanes both window points lie on.  A window
+    relation ``orel(x, y)`` is stored in the frame of ``x``'s road.
     """
 
     start: str
     end: str
     orientation: Mapping[str, int]
+    carrying: frozenset[str] = frozenset()
 
     def entry_exit_for(self, road_id: Optional[str]) -> Optional[tuple[str, str]]:
         """The (first, second) window points in ``road_id``'s travel order."""
@@ -134,6 +137,18 @@ class OverlapZone:
         if ee is None:
             return False
         return prel.get((c, ee[0])) is LonRel.AHEAD and prel.get((c, ee[1])) is LonRel.BEHIND
+
+    def frame(self, road_id: str, v: LonRel) -> LonRel:
+        """``v``, stored in ``road_id``'s frame, read along start→end; its own inverse."""
+        return v if self.orientation[road_id] > 0 else _INVERT[v]
+
+    def mirror(self, road_x: str, road_y: str, v: LonRel) -> LonRel:
+        """The stored ``orel(y, x)`` implied by ``orel(x, y) = v``.
+
+        Inverted when the two roads traverse the window the same way, equal
+        when they are opposed (their frames differ by one inversion).
+        """
+        return _INVERT[v] if self.orientation[road_x] == self.orientation[road_y] else v
 
 
 class RoadNetwork:
@@ -249,7 +264,7 @@ class RoadNetwork:
                 orientation[rid] = 1
             elif (end, start) in order:
                 orientation[rid] = -1
-        return OverlapZone(start, end, orientation)
+        return OverlapZone(start, end, orientation, carrying)
 
     # -- lookups ----------------------------------------------------------
 

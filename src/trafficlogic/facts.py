@@ -32,7 +32,6 @@ from trafficlogic.domain import (
     RoadNetwork,
     Scenario,
     Scene,
-    invert,
 )
 
 _ATOM_RE = re.compile(r"([a-z][a-z0-9_]*)\s*\(\s*([^()]*?)\s*\)\s*\.\s*\Z")
@@ -129,6 +128,9 @@ class NetworkBuilder:
         self.vehicles: set[str] = set()
 
     def add(self, name: str, args: tuple[str, ...], lineno: Optional[int] = None) -> None:
+        """Record one network fact; an unknown name or a wrong arity is a `ParseError`."""
+        if name not in _NETWORK_ARITY:
+            raise ParseError(f"unknown network fact {name!r}", lineno)
         _check_arity(name, args, _NETWORK_ARITY[name], lineno)
         if name == "lane":
             l, r = args
@@ -202,10 +204,7 @@ def parse_network(text: str) -> tuple[RoadNetwork, frozenset[str]]:
     for lineno, line in _numbered_atoms(text):
         if line.startswith("#"):
             raise ParseError(f"unexpected directive in network file: {line}", lineno)
-        name, args = parse_atom(line, lineno)
-        if name not in _NETWORK_ARITY:
-            raise ParseError(f"unknown network fact {name!r}", lineno)
-        b.add(name, args, lineno)
+        b.add(*parse_atom(line, lineno), lineno)
     return b.build(), frozenset(b.vehicles)
 
 
@@ -221,9 +220,8 @@ def scene_from_atoms(
 
     Vehicles listed in ``vehicles`` receive (possibly empty) occupancy
     entries even without ``on`` atoms.  Missing ``lonr`` mirrors are
-    filled by inversion; ``lonro`` mirrors are filled from the overlap
-    layout when a network is supplied (same-direction windows mirror by
-    inversion, opposite-direction ones are symmetric).
+    filled by inversion; with a network, missing ``lonro`` mirrors are
+    filled by `OverlapZone.mirror` of the first window carrying both roads.
     """
     occ: dict[str, set[str]] = {c: set() for c in vehicles}
     vrel: dict[tuple[str, str], LonRel] = {}
@@ -249,23 +247,11 @@ def scene_from_atoms(
         for (x, y), v in list(orel.items()):
             if (y, x) in orel:
                 continue
-            mirror = _orel_mirror(net, occ.get(x, ()), occ.get(y, ()), v)
-            if mirror is not None:
-                orel[(y, x)] = mirror
+            road_x, road_y = net.road_of(occ.get(x, ())), net.road_of(occ.get(y, ()))
+            zones = [z for z in net.zones if road_x in z.orientation and road_y in z.orientation]
+            if zones:
+                orel[(y, x)] = zones[0].mirror(road_x, road_y, v)
     return Scene.build(occ, vrel, prel, orel)
-
-
-def _orel_mirror(
-    net: RoadNetwork, occ_x: Iterable[str], occ_y: Iterable[str], v: LonRel
-) -> Optional[LonRel]:
-    road_x, road_y = net.road_of(occ_x), net.road_of(occ_y)
-    if road_x is None or road_y is None:
-        return None
-    for z in net.zones:
-        ox, oy = z.orientation.get(road_x), z.orientation.get(road_y)
-        if ox is not None and oy is not None:
-            return invert(v) if ox == oy else v
-    return None
 
 
 def scene_atom_lines(scene: Scene) -> list[str]:

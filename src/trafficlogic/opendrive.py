@@ -238,6 +238,9 @@ def _parse_with_lines(data: bytes) -> ET.Element:
         parser.Parse(data, True)
     except expat.ExpatError as exc:
         raise MapParseError(f"malformed XML: {exc}", exc.lineno) from None
+    except (LookupError, ValueError) as exc:
+        # the XML declaration names an unknown, multi-byte or non-text encoding
+        raise MapParseError(f"undecodable XML encoding: {exc}", 1) from None
     return builder.close()
 
 

@@ -18,9 +18,11 @@ they remain recoverable from the scenario fact file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from trafficlogic.domain import LonRel, RoadNetwork, Scenario
+from trafficlogic.facts import ParseError
 from trafficlogic.rules import check_scenario, render_report
 
 __all__ = ["OscDocument", "emit_osc", "parse_coords"]
@@ -45,7 +47,10 @@ class OscDocument:
 
 
 def parse_coords(text: str) -> dict[str, tuple[float, float, float]]:
-    """Read a coordinate sidecar: one ``point x y z`` line per point."""
+    """Read a coordinate sidecar: one ``point x y z`` line per point.
+
+    A malformed line or a non-finite coordinate is a `facts.ParseError`.
+    """
     out: dict[str, tuple[float, float, float]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -53,11 +58,14 @@ def parse_coords(text: str) -> dict[str, tuple[float, float, float]]:
             continue
         parts = line.split()
         if len(parts) != 4:
-            raise ValueError(f"coords line {lineno}: expected 'point x y z'")
+            raise ParseError(f"coords line {lineno}: expected 'point x y z'")
         try:
-            out[parts[0]] = (float(parts[1]), float(parts[2]), float(parts[3]))
+            xyz = (float(parts[1]), float(parts[2]), float(parts[3]))
         except ValueError:
-            raise ValueError(f"coords line {lineno}: non-numeric coordinate") from None
+            raise ParseError(f"coords line {lineno}: non-numeric coordinate") from None
+        if not all(map(math.isfinite, xyz)):
+            raise ParseError(f"coords line {lineno}: non-finite coordinate")
+        out[parts[0]] = xyz
     return out
 
 

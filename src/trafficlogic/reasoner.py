@@ -47,6 +47,7 @@ from typing import Mapping, Optional
 
 from trafficlogic.domain import (
     LonRel,
+    OverlapZone,
     RoadNetwork,
     Scenario,
     Scene,
@@ -55,8 +56,6 @@ from trafficlogic.domain import (
 from trafficlogic.facts import (
     ParseError,
     NetworkBuilder,
-    _NETWORK_ARITY,
-    _REL,
     parse_atom,
     parse_scene_atom,
     render_scenario,
@@ -353,14 +352,12 @@ def _orel_assignments(scene, n, occ, road, vrel, prel, prev_road, oref_pins):
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
                 pair_zones.setdefault((x, y), []).append(z)
-    slots: list[tuple[str, str]] = []
+    slots: list[tuple[str, str, OverlapZone]] = []  # (x, y, first window holding both)
     cand_lists: list[tuple[LonRel, ...]] = []
-    mirrors: list[bool] = []  # True = mirror by inversion (same direction)
     forced: dict[tuple[str, str], LonRel] = {}
     for (x, y), zs in sorted(pair_zones.items()):
         z0 = zs[0]
-        ox, oy = z0.orientation[road[x]], z0.orientation[road[y]]
-        if ox == oy:
+        if z0.orientation[road[x]] == z0.orientation[road[y]]:
             if road[x] == road[y]:
                 v = vrel.get((x, y))
                 if v is None:
@@ -369,7 +366,6 @@ def _orel_assignments(scene, n, occ, road, vrel, prel, prev_road, oref_pins):
                 forced[(y, x)] = invert(v)
                 continue
             cands: tuple[LonRel, ...] = _ALL3
-            mirror_invert = True
         else:
             # opposed traffic: candidates restricted by monotone continuity
             # in the window frame for every window engaged on both steps,
@@ -382,26 +378,23 @@ def _orel_assignments(scene, n, occ, road, vrel, prel, prev_road, oref_pins):
                     and z.holds_inside(prev_road[x], x, scene.prel)
                     and z.holds_inside(prev_road[y], y, scene.prel)
                 ):
-                    ref_cands &= PREL_NEXT[u if z.orientation[prev_road[x]] > 0 else invert(u)]
+                    ref_cands &= PREL_NEXT[z.frame(prev_road[x], u)]
                 if z.orientation[road[x]] != z.orientation[road[y]]:
-                    carrying = n.lanes_of_point(z.start) & n.lanes_of_point(z.end)
-                    if occ[x] & carrying and occ[y] & carrying:
+                    if occ[x] & z.carrying and occ[y] & z.carrying:
                         ref_cands.discard(C)
             pin = oref_pins.get((x, y))
             if pin is not None:
                 ref_cands &= pin
-            cands = tuple(v if ox > 0 else invert(v) for v in _ALL3 if v in ref_cands)
-            mirror_invert = False
+            cands = tuple(z0.frame(road[x], v) for v in _ALL3 if v in ref_cands)
         if not cands:
             return
-        slots.append((x, y))
+        slots.append((x, y, z0))
         cand_lists.append(cands)
-        mirrors.append(mirror_invert)
     for combo in product(*cand_lists):
         orel = dict(forced)
-        for (x, y), v, inv in zip(slots, combo, mirrors):
+        for (x, y, z0), v in zip(slots, combo):
             orel[(x, y)] = v
-            orel[(y, x)] = invert(v) if inv else v
+            orel[(y, x)] = z0.mirror(road[x], road[y], v)
         # relation triangles inside each window (PR14_TRANS)
         if all(_window_closed(z, road, tri, orel) for z, tri in triangles):
             yield orel
@@ -410,7 +403,7 @@ def _orel_assignments(scene, n, occ, road, vrel, prel, prev_road, oref_pins):
 def _window_closed(z, road, tri, orel) -> bool:
     """Whether the window relations of three members of ``z`` compose in every order."""
     return all(
-        window_composes(orel[x, y], orel[y, w], orel[x, w], z.orientation[road[x]], z.orientation[road[y]])
+        window_composes(z, road[x], road[y], orel[x, y], orel[y, w], orel[x, w])
         for x, y, w in permutations(tri)
     )
 
@@ -454,7 +447,7 @@ def _monotone_pins(goal: Optional[Goal], net: RoadNetwork, initial: Scene):
                 ox, oy = z.orientation.get(rx), z.orientation.get(ry)
                 if ox is None or oy is None or ox == oy:
                     continue
-                t_ref = atom.rel if ox > 0 else invert(atom.rel)
+                t_ref = z.frame(rx, atom.rel)
                 oref_pins[(sx, sy)] = frozenset({B}) if t_ref is B else frozenset({B, C})
                 break
     return prel_pins, oref_pins
@@ -505,7 +498,7 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
     bad = check_scene(req.initial, net)
     if bad:
         raise RequestError(
-            "initial scene violates rules: " + "; ".join(v.render() for v in bad)
+            "initial scene violates rules: " + "; ".join(sorted(v.render() for v in bad))
         )
     final_stable = req.final_stable
     if final_stable is None:
@@ -577,7 +570,7 @@ def _parse_goal_atom(text: str, lineno: int) -> GoalAtom:
     name, args = parse_scene_atom(body + ".", lineno)
     if name == "on":
         return GoalAtom("on", args, None, negated)
-    return GoalAtom(name, args[:-1], _REL[args[-1]], negated)
+    return GoalAtom(name, args[:-1], LonRel(args[-1]), negated)
 
 
 def parse_request(text: str) -> ExpansionRequest:
@@ -622,10 +615,7 @@ def parse_request(text: str) -> ExpansionRequest:
         if in_init:
             init_atoms.append(parse_scene_atom(line, lineno))
             continue
-        name, args = parse_atom(line, lineno)
-        if name not in _NETWORK_ARITY:
-            raise ParseError(f"unknown network fact {name!r}", lineno)
-        builder.add(name, args, lineno)
+        builder.add(*parse_atom(line, lineno), lineno)
     net = builder.build()
     if horizon is None:
         raise ParseError("missing #horizon directive")
@@ -649,25 +639,16 @@ def parse_request(text: str) -> ExpansionRequest:
 def _validate_request(req: ExpansionRequest) -> None:
     net = req.network
     lanes = set(net.lanes)
-    for c in req.frozen:
+    for c in sorted(req.frozen):
         if c not in req.vehicles:
             raise RequestError(f"#freeze names unknown vehicle {c!r}")
     if req.goal is None:
         return
     for atom in req.goal.atoms:
-        if atom.kind == "on":
-            c, l = atom.args
+        for c in atom.args if atom.kind in ("lonr", "lonro") else atom.args[:1]:
             if c not in req.vehicles:
                 raise RequestError(f"goal names unknown vehicle {c!r}")
-            if l not in lanes:
-                raise RequestError(f"goal names unknown lane {l!r}")
-        elif atom.kind == "lonpr":
-            c, p = atom.args
-            if c not in req.vehicles:
-                raise RequestError(f"goal names unknown vehicle {c!r}")
-            if p not in net.points:
-                raise RequestError(f"goal names unknown point {p!r}")
-        else:
-            for c in atom.args:
-                if c not in req.vehicles:
-                    raise RequestError(f"goal names unknown vehicle {c!r}")
+        if atom.kind == "on" and atom.args[1] not in lanes:
+            raise RequestError(f"goal names unknown lane {atom.args[1]!r}")
+        if atom.kind == "lonpr" and atom.args[1] not in net.points:
+            raise RequestError(f"goal names unknown point {atom.args[1]!r}")

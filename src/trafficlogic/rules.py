@@ -106,18 +106,15 @@ MIXED_FORBIDDEN = frozenset(
 # -- scene-level checking ------------------------------------------------------
 
 
-def _ref_frame(value: LonRel, orientation: int) -> LonRel:
-    return value if orientation > 0 else invert(value)
+def window_composes(
+    z: OverlapZone, road_x: str, road_y: str, r_xy: LonRel, r_yw: LonRel, r_xw: LonRel
+) -> bool:
+    """Whether window relations of ``x, y, w`` in ``z`` compose along the window axis.
 
-
-def window_composes(r_xy: LonRel, r_yw: LonRel, r_xw: LonRel, o_x: int, o_y: int) -> bool:
-    """Whether window relations of ``x, y, w`` compose along the window axis.
-
-    ``o_x`` and ``o_y`` are the window orientations of the roads of ``x``
-    and ``y``; a triple that does not compose breaks PR14_TRANS.
+    ``road_x`` and ``road_y`` are the roads of ``x`` and ``y``; a triple
+    that does not compose breaks PR14_TRANS.
     """
-    f1, f2, f3 = _ref_frame(r_xy, o_x), _ref_frame(r_yw, o_y), _ref_frame(r_xw, o_x)
-    return f3 in COMPOSITION[(f1, f2)]
+    return z.frame(road_x, r_xw) in COMPOSITION[(z.frame(road_x, r_xy), z.frame(road_y, r_yw))]
 
 
 def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
@@ -241,18 +238,15 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
         inside.append((z, members))
         for x, y in combinations(members, 2):
             rx, ry = road_of[x], road_of[y]
-            same_dir = z.orientation[rx] == z.orientation[ry]
             oxy, oyx = scene.orel.get((x, y)), scene.orel.get((y, x))
             if oxy is None or oyx is None:
                 add(RuleId.PR13, x, y)
                 continue
-            if same_dir:
+            if z.orientation[rx] == z.orientation[ry]:
                 if rx == ry and (oxy is not scene.vrel_of(x, y) or oyx is not scene.vrel_of(y, x)):
                     add(RuleId.PR13, x, y)
-            else:
-                carrying = n.lanes_of_point(z.start) & n.lanes_of_point(z.end)
-                if oxy is C and (scene.occ_of(x) & carrying) and (scene.occ_of(y) & carrying):
-                    add(RuleId.PR13, x, y)
+            elif oxy is C and (scene.occ_of(x) & z.carrying) and (scene.occ_of(y) & z.carrying):
+                add(RuleId.PR13, x, y)
         # relation triangle inside the window, judged along the window axis
         for x, y, w in permutations(members, 3):
             r1 = scene.orel.get((x, y))
@@ -260,7 +254,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
             r3 = scene.orel.get((x, w))
             if r1 is None or r2 is None or r3 is None:
                 continue
-            if not window_composes(r1, r2, r3, z.orientation[road_of[x]], z.orientation[road_of[y]]):
+            if not window_composes(z, road_of[x], road_of[y], r1, r2, r3):
                 add(RuleId.PR14_TRANS, x, y, w)
 
     for (x, y), v in scene.orel.items():
@@ -274,10 +268,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
         if z is None:
             add(RuleId.WF, "unsupported_lonro", x, y)
             continue
-        mirror = scene.orel.get((y, x))
-        same_dir = z.orientation[road_of[x]] == z.orientation[road_of[y]]
-        expected = invert(v) if same_dir else v
-        if mirror is not expected:
+        if scene.orel.get((y, x)) is not z.mirror(road_of[x], road_of[y], v):
             add(RuleId.PR14_SYM, *sorted((x, y)))
     return out
 
@@ -359,14 +350,12 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
             if z.holds_inside(road_p[c], c, prev.prel) and z.holds_inside(road_n[c], c, next_.prel)
         ]
         for x, y in combinations(inside, 2):
-            ox_p, oy_p = z.orientation[road_p[x]], z.orientation[road_p[y]]
-            if ox_p == oy_p:
+            if z.orientation[road_p[x]] == z.orientation[road_p[y]]:
                 continue  # same direction: PR4 already governs via the copy rule
             u, v = prev.orel.get((x, y)), next_.orel.get((x, y))
             if u is None or v is None:
                 continue
-            fu, fv = _ref_frame(u, ox_p), _ref_frame(v, z.orientation[road_n[x]])
-            if fv not in PREL_NEXT[fu]:
+            if z.frame(road_n[x], v) not in PREL_NEXT[z.frame(road_p[x], u)]:
                 add(RuleId.PR14_CONT, x, y)
     return out
 

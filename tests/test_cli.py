@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import collections
 import multiprocessing.process
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 from oracle import stepwise_violations
 
+import trafficlogic
 from trafficlogic import abstraction, domain, rules
 from trafficlogic.cli import main
 from trafficlogic.rules import render_report
@@ -156,6 +160,33 @@ class TestGenerate:
         bad.write_text("lane(l1, ra).\n" + where)
         assert main(["generate", str(bad)]) == INPUT
         assert f"error: line {line}: bad relation value 'sideways'" in capsys.readouterr().err
+
+    def test_errors_do_not_depend_on_the_hash_seed(self, tmp_path):
+        overtake = (DATA / "ex1_overtake.req").read_text()
+        frozen = tmp_path / "frozen.req"  # two unknown vehicles
+        frozen.write_text(overtake + "#freeze oe, c3\n")
+        lanes = tmp_path / "lanes.req"  # two WF violations in one initial scene
+        lanes.write_text(overtake.replace("#init\n", "#init\non(c1, l8).\non(c1, l9).\n"))
+        script = "import sys\nfrom trafficlogic.cli import main\nfor p in sys.argv[1:]:\n    main(['generate', p])\n"
+        src = str(pathlib.Path(trafficlogic.__file__).parents[1])
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(frozen), str(lanes)],
+                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for seed in range(8)
+        ]
+        errs = {run.communicate()[1] for run in runs}
+        assert len(errs) == 1
+        (err,) = errs
+        assert err == (
+            "error: #freeze names unknown vehicle 'c3'\n"
+            "error: initial scene violates rules: TR1 @step 1 [c1]; "
+            "WF @step 1 [unknown_lane, c1, l8]; WF @step 1 [unknown_lane, c1, l9]\n"
+        )
 
     def test_outdir_config_places_result(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
@@ -438,6 +469,27 @@ class TestExport:
         sc.write_text("#step 1\non(c1,l2).\nlonpr(c1,pz,sideways).\n")
         assert main(["export", str(sc), data("ex1_overtake.net")]) == INPUT
         assert "error: line 3: bad relation value 'sideways'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "coords,message",
+        [
+            ("px nan 1e999 -inf\n", "coords line 1: non-finite coordinate"),
+            ("px 1 2 3\npx 1 inf 3\n", "coords line 2: non-finite coordinate"),
+            ("px 1 2 1e999\n", "coords line 1: non-finite coordinate"),
+            ("px 1 abc 3\n", "coords line 1: non-numeric coordinate"),
+            ("px 1 2\n", "coords line 1: expected 'point x y z'"),
+        ],
+    )
+    def test_bad_coords_are_input_errors(self, coords, message, tmp_path, capsys):
+        single = self._single(tmp_path, "ex2_crossing.req", "ex2_crossing.net")
+        sidecar = tmp_path / "bad.coords"
+        sidecar.write_text(coords)
+        out = tmp_path / "one.osc"
+        argv = ["export", str(single), data("ex2_crossing.net"), "--coords", str(sidecar)]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestConfig:

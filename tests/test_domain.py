@@ -109,6 +109,39 @@ class TestOverlapZone:
         assert not z.holds_inside("rz", "c1", prel)
         assert not z.holds_inside(None, "c1", prel)
 
+    def test_frame_reads_along_start_to_end(self):
+        z = OverlapZone("ps", "pe", {"ra": 1, "rb": -1})
+        assert [z.frame("ra", v) for v in (A, C, B)] == [A, C, B]
+        assert [z.frame("rb", v) for v in (A, C, B)] == [B, C, A]
+
+    @pytest.mark.parametrize(
+        "road_x,road_y,expected",
+        [("ra", "ra", B), ("ra", "rc", B), ("ra", "rb", A), ("rb", "ra", A), ("rb", "rb", B)],
+        ids=["same-road", "same-direction", "opposed", "opposed-reversed", "same-road-reversed"],
+    )
+    def test_mirror(self, road_x, road_y, expected):
+        z = OverlapZone("ps", "pe", {"ra": 1, "rb": -1, "rc": 1})
+        assert z.mirror(road_x, road_y, A) is expected
+        for v in (A, C, B):
+            # the mirror, read along the window, is the inverse of the relation read along it
+            assert z.frame(road_y, z.mirror(road_x, road_y, v)) is invert(z.frame(road_x, v))
+
+    def test_carrying_lanes_from_the_network(self):
+        n = RoadNetwork(
+            roads=[Road("ra", ("l1", "l2")), Road("rb", ("l3",)), Road("rc", ("l4",))],
+            points={"ps": PointKind.OVERLAP_START, "pe": PointKind.OVERLAP_END},
+            succ_p=[("l2", "ps", "pe"), ("l3", "pe", "ps"), ("l4", "ps", "pe")],
+            overlaps=[("ps", "pe")],
+            affiliation=[
+                ("ps", "l1"), ("ps", "l2"), ("pe", "l2"), ("ps", "l3"), ("pe", "l3"),
+                ("ps", "l4"), ("pe", "l4"),
+            ],
+        )
+        (z,) = n.zones
+        assert z.carrying == {"l2", "l3", "l4"}  # l1 holds the start point only
+        assert dict(z.orientation) == {"ra": 1, "rb": -1, "rc": 1}
+        assert z.mirror("ra", "rc", A) is B and z.mirror("ra", "rb", A) is A
+
 
 def _tee_network() -> RoadNetwork:
     return RoadNetwork(

@@ -3,8 +3,10 @@
 A traceback fails the test; so does an exit-0 output that the fact parser
 cannot read back, and a ``check`` report that differs from one made by
 checking every step on its own.  Traces go through ``abstract``, edited
-result files through ``check`` and ``export``, and ``--config`` files and
-edited OpenDRIVE maps through ``ingest``.
+result files and network files through ``check`` (results also through
+``export``), ``--config`` files and edited OpenDRIVE maps through
+``ingest``, edited requests through ``generate`` and coordinate sidecars
+through ``export``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import dataclasses
 import io
 import os
 import pathlib
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 
@@ -28,7 +31,7 @@ from trafficlogic.cli import main
 from trafficlogic.config import Config
 from trafficlogic.opendrive import parse_opendrive
 from trafficlogic.reasoner import expand, parse_request
-from trafficlogic.rules import render_report
+from trafficlogic.rules import check_scenario, render_report
 
 DATA = pathlib.Path(__file__).parent / "data"
 STRAIGHT = DATA / "ex1_straight.xodr"
@@ -121,6 +124,20 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _assert_stepwise_report(code: int, out: str, result_text: str, net_text: str) -> None:
+    """A ``check`` exit 0 or 1 carries the report that checking every step on its own gives."""
+    net, declared = facts.parse_network(net_text)
+    scenarios = facts.parse_scenarios(result_text, net, declared)
+    prefix = "scenario {}: " if len(scenarios) > 1 else ""
+    expected = [
+        prefix.format(i) + line
+        for i, sc in enumerate(scenarios, start=1)
+        for line in render_report(stepwise_violations(sc)).splitlines()
+    ]
+    assert out.splitlines() == expected
+    assert code == (1 if expected else 0)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(mutated_results())
 def test_check_and_export_fuzzed_results(lines):
@@ -131,16 +148,7 @@ def test_check_and_export_fuzzed_results(lines):
         code, out = _run(["check", str(result), str(OPPOSING_NET)])
         assert code in (0, 1, 2, 3)
         if code in (0, 1):
-            net, declared = facts.parse_network(OPPOSING_NET.read_text())
-            scenarios = facts.parse_scenarios(text, net, declared)
-            prefix = "scenario {}: " if len(scenarios) > 1 else ""
-            expected = [
-                prefix.format(i) + line
-                for i, sc in enumerate(scenarios, start=1)
-                for line in render_report(stepwise_violations(sc)).splitlines()
-            ]
-            assert out.splitlines() == expected
-            assert code == (1 if expected else 0)
+            _assert_stepwise_report(code, out, text, OPPOSING_NET.read_text())
         osc = pathlib.Path(tmp) / "opposing.osc"
         code, _ = _run(["export", str(result), str(OPPOSING_NET), "--out", str(osc)])
         assert code in (0, 1, 2, 3)
@@ -193,9 +201,20 @@ ATTRIBUTE_VALUE = st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "-1", "ab
 )
 
 
+# decodable, unknown, multi-byte and bytes-to-bytes encodings
+ENCODING = st.sampled_from(
+    ["UTF-8", "ascii", "latin-1", "utf-16", "bogus", "mbcs", "rot13", "hex", "utf-32",
+     "shift_jis", "big5", "utf-7", "idna"]
+)
+
+
 @st.composite
 def mutated_maps(draw) -> bytes:
-    """A fixture map with up to four elements dropped, duplicated or given an odd attribute."""
+    """A fixture map with up to four elements dropped, duplicated or given an odd attribute.
+
+    Half the maps start with an XML declaration naming a drawn encoding,
+    which ``ET.tostring`` leaves out.
+    """
     root = ET.fromstring(XODR[draw(st.sampled_from(sorted(XODR)))])
     for _ in range(draw(st.integers(1, 4))):
         pairs = [(parent, child) for parent in root.iter() for child in parent]
@@ -209,7 +228,10 @@ def mutated_maps(draw) -> bytes:
             parent.insert(list(parent).index(child), copy.deepcopy(child))
         elif child.attrib:
             child.set(draw(st.sampled_from(sorted(child.attrib))), draw(ATTRIBUTE_VALUE))
-    return ET.tostring(root)
+    xml = ET.tostring(root)
+    if draw(st.booleans()):
+        xml = f'<?xml version="1.0" encoding="{draw(ENCODING)}"?>\n'.encode() + xml
+    return xml
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -223,3 +245,139 @@ def test_ingest_fuzzed_maps(xodr):
         assert code in (0, 1, 2, 3)
         if code == 0:
             facts.parse_network(out.read_text())
+
+
+NETWORK_LINES = OPPOSING_NET.read_text().splitlines()
+OPPOSING_RESULT = "\n".join(OPPOSING_LINES) + "\n"
+NETWORK_ID = st.sampled_from(["l1", "l2", "l3", "ra", "rb", "pos", "poe", "c1", "zz", "x", "c"])
+NETWORK_NAME = st.sampled_from(
+    ["lane", "left", "class", "pon", "succp", "succl", "overlap", "vehicle", "lanes", "on"]
+)
+
+
+def _edit_atom(draw, line: str) -> str:
+    """``line`` with one argument replaced, one dropped or one added, or its name changed."""
+    if "(" not in line or not line.endswith(")."):
+        return line
+    name, args = line[: line.index("(")], line[line.index("(") + 1 : -2].split(",")
+    op = draw(st.sampled_from(["argument", "drop", "add", "name"]))
+    i = draw(st.integers(0, len(args) - 1))
+    if op == "argument":
+        args[i] = draw(NETWORK_ID)
+    elif op == "drop":
+        del args[i]
+    elif op == "add":
+        args.insert(i, draw(NETWORK_ID))
+    else:
+        name = draw(NETWORK_NAME)
+    return f"{name}({','.join(args)})."
+
+
+def _edit_lines(draw, lines: list[str], extra: st.SearchStrategy[str]) -> list[str]:
+    """One to four line edits: duplicate, drop, swap, edit an atom or insert an ``extra`` line."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["duplicate", "drop", "swap", "atom", "insert"]))
+        if op == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "atom":
+            lines[i] = _edit_atom(draw, lines[i])
+        elif op == "insert":
+            lines.insert(i, draw(extra))
+    return lines
+
+
+NETWORK_LINE = st.sampled_from(["#step 1", "% note", "vehicle(c9).", "left(l1,l2).", "class(pq,os)."])
+
+
+@st.composite
+def mutated_networks(draw) -> list[str]:
+    """The ex5_opposing_pass network with a few lines edited."""
+    return _edit_lines(draw, NETWORK_LINES, NETWORK_LINE)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(mutated_networks())
+def test_check_fuzzed_networks(lines):
+    net_text = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        result = pathlib.Path(tmp) / "opposing.result"
+        net = pathlib.Path(tmp) / "opposing.net"
+        result.write_text(OPPOSING_RESULT)
+        net.write_text(net_text)
+        code, out = _run(["check", str(result), str(net)])
+        assert code in (0, 1, 2, 3)
+        if code in (0, 1):
+            _assert_stepwise_report(code, out, OPPOSING_RESULT, net_text)
+
+
+REQUESTS = {path.name: path.read_text().splitlines() for path in sorted(DATA.glob("*.req"))}
+REQUEST_LINE = st.sampled_from(
+    ["#init", "#horizon x", "#horizon 0", "#mode fast", "#mode exact", "#final any", "#final x",
+     "#freeze c9", "#freeze c1", "#goal on(c9, l1)", "#goal lonr(c1, c2, sideways)",
+     "#goal not lonpr(c1, pz, ahead)", "#bogus", "on(c1, l1).", "lonro(c1, c2, cover).", "% note"]
+)
+
+
+@st.composite
+def mutated_requests(draw) -> list[str]:
+    """A fixture request with a few lines edited."""
+    return _edit_lines(draw, REQUESTS[draw(st.sampled_from(sorted(REQUESTS)))], REQUEST_LINE)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(mutated_requests())
+def test_generate_fuzzed_requests(lines):
+    text = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        request = pathlib.Path(tmp) / "fuzz.req"
+        out = pathlib.Path(tmp) / "fuzz.result"
+        request.write_text(text)
+        code, _ = _run(["generate", str(request), "--horizon", "3", "--out", str(out)])
+        assert code in (0, 2)
+        if code == 0:
+            req = parse_request(text)
+            verdicts: dict = {}
+            for sc in facts.parse_scenarios(out.read_text(), req.network, req.vehicles):
+                assert check_scenario(sc, verdicts) == []
+
+
+OPPOSING_FIRST = "\n".join(OPPOSING_LINES[: OPPOSING_LINES.index("#scenario 2")]) + "\n"
+ODD_COORD = st.sampled_from(["nan", "inf", "-inf", "1e999", "abc", ""])
+FINITE_COORD = st.floats(-1e6, 1e6).map(repr)
+
+
+@st.composite
+def coords_sidecars(draw) -> str:
+    """Lines ``point x y z`` for the window points and maybe a stray point; one value in six is odd."""
+    points = draw(st.lists(st.sampled_from(["pos", "poe", "px"]), min_size=1, max_size=3))
+
+    def coord() -> str:
+        return draw(ODD_COORD if draw(st.integers(0, 5)) == 0 else FINITE_COORD)
+
+    lines = [" ".join([p, coord(), coord(), coord()]) for p in points]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# from ingest")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(coords_sidecars())
+def test_export_fuzzed_coords(coords):
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = pathlib.Path(tmp) / "first.scenario"
+        sidecar = pathlib.Path(tmp) / "fuzz.coords"
+        osc = pathlib.Path(tmp) / "first.osc"
+        scenario.write_text(OPPOSING_FIRST)
+        sidecar.write_text(coords)
+        argv = ["export", str(scenario), str(OPPOSING_NET), "--coords", str(sidecar)]
+        code, _ = _run(argv + ["--out", str(osc)])
+        assert code in (0, 2)
+        if code == 0:
+            assert not re.search(r"\b(nan|inf)\b", osc.read_text())

@@ -177,6 +177,26 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "(line " in err
 
+    @pytest.mark.parametrize(
+        "encoding,message",
+        [
+            ("bogus", "unknown encoding: bogus"),  # LookupError
+            ("utf-32", "multi-byte encodings are not supported"),  # ValueError
+            ("idna", "decoding with 'idna' codec failed"),  # UnicodeError
+        ],
+    )
+    def test_undecodable_encoding_is_input_error(self, encoding, message, tmp_path, capsys):
+        text = (DATA / "ex1_straight.xodr").read_text()
+        assert 'encoding="UTF-8"' in text
+        path = tmp_path / "enc.xodr"
+        path.write_text(text.replace('encoding="UTF-8"', f'encoding="{encoding}"', 1))
+        trace = str(DATA / "ex1_overtake_trace.csv")
+        for argv in (["ingest", str(path)], ["abstract", trace, str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: undecodable XML encoding: ") and message in err
+            assert err.endswith("(line 1)\n")
+
     def test_junction_lane_link_must_be_an_integer(self, tmp_path, capsys):
         body = (
             straight_road("1")

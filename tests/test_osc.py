@@ -123,3 +123,8 @@ class TestCoordSidecar:
     def test_non_numeric(self):
         with pytest.raises(ValueError, match="line 2"):
             osc.parse_coords("pos1 1 2 3\npoe1 x 2 3\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite(self, value):
+        with pytest.raises(facts.ParseError, match="coords line 2: non-finite coordinate"):
+            osc.parse_coords(f"pos1 1 2 3\npoe1 1 {value} 3\n")
