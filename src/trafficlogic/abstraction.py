@@ -556,17 +556,23 @@ def _tracks(samples: list[TraceSample]) -> tuple[list[float], dict[str, _Vehicle
 
 
 def _lane_fit(abst: NetworkAbstraction, track: _VehicleTrack, cfg: Config):
-    """Per lane: center projections, occupancy mask, and range projections."""
+    """Per lane: center projections, occupancy mask, and range projections.
+
+    A sample far off the map (a finite coordinate near the float range) can
+    overflow to inf or nan here; neither passes the occupancy test, so the
+    sample is off-road on that lane, and numpy is kept from warning about it.
+    """
     fits = {}
-    for lid, lane in abst.lanes.items():
-        s_c, d_c, e_c = project_points(lane.line, track.centers)
-        s_f, _, _ = project_points(lane.line, track.fronts)
-        s_r, _, _ = project_points(lane.line, track.rears)
-        widths = np.interp(s_c, lane.line.arclength, lane.widths)
-        overrun = np.sqrt(np.maximum(e_c * e_c - d_c * d_c, 0.0))
-        ok = (np.abs(d_c) <= widths / 2.0 + cfg.occupancy_halfwidth) & (overrun <= 0.5)
-        ok &= angle_difference(track.headings, lane.line.heading_at(s_c)) < math.pi / 2
-        fits[lid] = (s_c, d_c, s_f, s_r, ok)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lid, lane in abst.lanes.items():
+            s_c, d_c, e_c = project_points(lane.line, track.centers)
+            s_f, _, _ = project_points(lane.line, track.fronts)
+            s_r, _, _ = project_points(lane.line, track.rears)
+            widths = np.interp(s_c, lane.line.arclength, lane.widths)
+            overrun = np.sqrt(np.maximum(e_c * e_c - d_c * d_c, 0.0))
+            ok = (np.abs(d_c) <= widths / 2.0 + cfg.occupancy_halfwidth) & (overrun <= 0.5)
+            ok &= angle_difference(track.headings, lane.line.heading_at(s_c)) < math.pi / 2
+            fits[lid] = (s_c, d_c, s_f, s_r, ok)
     return fits
 
 

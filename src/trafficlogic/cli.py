@@ -54,7 +54,13 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """A UTF-8 text input; a byte that is not UTF-8 is an input error."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise facts.ParseError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -89,7 +95,7 @@ def cmd_ingest(
 
     Raises the input errors `main` maps to exit codes 2 and 3.
     """
-    abst = NetworkAbstraction(parse_opendrive(_read(map_path)), cfg)
+    abst = NetworkAbstraction(parse_opendrive(Path(map_path).read_bytes()), cfg)
     _emit(abst.facts_text(), _default_out(cfg, map_path, ".facts", out))
     coords_out = _default_out(cfg, map_path, ".coords", coords_out)
     if coords_out is not None:
@@ -157,8 +163,9 @@ def cmd_abstract(
 
     Raises the input errors `main` maps to exit codes 2 and 3.
     """
-    trace_text, map_text = _read(trace_path), _read(map_path)
-    model = parse_opendrive(map_text)
+    # a map is read as bytes: its XML declaration names its encoding
+    trace_text, map_data = _read(trace_path), Path(map_path).read_bytes()
+    model = parse_opendrive(map_data)
     scenario = abstract_trace(read_trace_csv(trace_text), None, model, cfg)
     _emit(facts.render_scenario(scenario), _default_out(cfg, trace_path, ".scenario", out))
     return OK

@@ -46,6 +46,10 @@ _INVERT = {
 }
 
 
+#: small-int code of each relation, for scene keys (equality and hashing only)
+_CODE = {rel: i for i, rel in enumerate(LonRel)}
+
+
 def invert(d: LonRel) -> LonRel:
     """Mirror a relation: ahead<->behind, cover and none are self-mirrored."""
     return _INVERT[d]
@@ -178,6 +182,7 @@ class RoadNetwork:
         "_order_by_lane",
         "_connections_by_lane",
         "_zones",
+        "_road_of_set",
     )
 
     def __init__(
@@ -249,6 +254,8 @@ class RoadNetwork:
             for l, ps in self._points_of_lane.items()
         }
         self._zones = tuple(self._build_zone(a, b) for a, b in sorted(self.overlaps))
+        #: `road_of` answers by lane set, filled as they are asked
+        self._road_of_set: dict[frozenset[str], Optional[str]] = {}
 
     def _build_zone(self, start: str, end: str) -> OverlapZone:
         orientation: dict[str, int] = {}
@@ -281,9 +288,14 @@ class RoadNetwork:
 
     def road_of(self, lanes: Iterable[str]) -> Optional[str]:
         """The one road the known ``lanes`` lie on; None for no road or several."""
-        roads = set(map(self._lane_road.get, lanes))
-        roads.discard(None)
-        return roads.pop() if len(roads) == 1 else None
+        lanes = frozenset(lanes)  # the argument itself when it is a frozenset
+        try:
+            return self._road_of_set[lanes]
+        except KeyError:
+            roads = set(map(self._lane_road.get, lanes))
+            roads.discard(None)
+            rid = self._road_of_set[lanes] = roads.pop() if len(roads) == 1 else None
+            return rid
 
     def road(self, road_id: str) -> Road:
         return self._road_by_id[road_id]
@@ -433,9 +445,9 @@ class Scene:
         self.orel: dict[tuple[str, str], LonRel] = dict(orel)
         self._key = (
             tuple(sorted((c, tuple(sorted(ls))) for c, ls in self.occ.items())),
-            tuple(sorted((k, v.value) for k, v in self.vrel.items())),
-            tuple(sorted((k, v.value) for k, v in self.prel.items())),
-            tuple(sorted((k, v.value) for k, v in self.orel.items())),
+            tuple(sorted((k, _CODE[v]) for k, v in self.vrel.items())),
+            tuple(sorted((k, _CODE[v]) for k, v in self.prel.items())),
+            tuple(sorted((k, _CODE[v]) for k, v in self.orel.items())),
         )
         self._hash = hash(self._key)
 
@@ -466,7 +478,7 @@ class Scene:
 
     @property
     def vehicles(self) -> tuple[str, ...]:
-        return tuple(sorted(self.occ))
+        return tuple(c for c, _ in self._key[0])
 
     def occ_of(self, c: str) -> frozenset[str]:
         return self.occ.get(c, frozenset())

@@ -27,9 +27,11 @@ consistency over the qualitative point algebra, applied to each partial
 assignment; window relations are tested the same way once a window map is
 complete, and opposed vehicles on a window's carrying lanes get no cover
 (PR13).  Only complete survivors become scenes, and the full rule
-checker, which stays authoritative, still judges each one.  Successors
-never stutter: consecutive scenes always differ, because steps carry
-order, not duration.
+checker, which stays authoritative, still judges each one.  Its scene
+verdicts are shared across one `expand`: a candidate reached from several
+parents is judged by `check_scene` once, while `check_transition` judges
+every (parent, candidate) pair.  Successors never stutter: consecutive
+scenes always differ, because steps carry order, not duration.
 
 In shortest mode the final scene is additionally required to be *steady*
 (every vehicle on exactly one lane) unless the request says ``#final
@@ -233,6 +235,7 @@ def _gen_successors(
     frozen: frozenset[str],
     prel_pins: Mapping[tuple[str, str], frozenset[LonRel]],
     oref_pins: Mapping[tuple[str, str], frozenset[LonRel]],
+    verdicts: Optional[dict[Scene, bool]] = None,
 ) -> tuple[Scene, ...]:
     """Every valid, non-stuttering successor of ``scene``, in a fixed order.
 
@@ -242,7 +245,15 @@ def _gen_successors(
     maps that break PR13 or PR14_TRANS are dropped too.  The survivors come out in
     the order of the full product of candidate values, and each still
     passes through the rule checkers, which decide the remaining rules.
+
+    ``verdicts`` maps each candidate scene already judged by `check_scene` on
+    ``n`` to whether it broke a rule; `expand` shares one map across every
+    call of a request, so each distinct candidate is judged once.  Without
+    it, the call starts a fresh map.  `check_transition` judges every
+    (``scene``, candidate) pair.
     """
+    if verdicts is None:
+        verdicts = {}
     vehicles = scene.vehicles
     prev_road = {c: n.road_of(scene.occ[c]) for c in vehicles}
     occ_lists = [_occ_options(scene, n, c, frozen) for c in vehicles]
@@ -328,7 +339,10 @@ def _gen_successors(
                 cand = Scene(occ, vrel, prel, orel)
                 if cand == scene or cand.key() in results:
                     continue
-                if check_scene(cand, n) or check_transition(scene, cand, n):
+                bad = verdicts.get(cand)
+                if bad is None:
+                    bad = verdicts[cand] = bool(check_scene(cand, n))
+                if bad or check_transition(scene, cand, n):
                     continue
                 results[cand.key()] = cand
                 order.append(cand)
@@ -504,7 +518,10 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
     if final_stable is None:
         final_stable = req.mode == "shortest"
     prel_pins, oref_pins = _monotone_pins(req.goal, net, req.initial)
-    gen = partial(_gen_successors, n=net, frozen=req.frozen, prel_pins=prel_pins, oref_pins=oref_pins)
+    verdicts = {req.initial: False}  # checked above
+    gen = partial(
+        _gen_successors, n=net, frozen=req.frozen, prel_pins=prel_pins, oref_pins=oref_pins, verdicts=verdicts
+    )
 
     def accept(scene: Scene) -> bool:
         if req.goal is not None and not req.goal.holds(scene):

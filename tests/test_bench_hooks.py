@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` records per-layer metrics by replacing module
 attributes of the program (``TARGETS``: owner, attribute, span name, counter).
 A renamed or deleted attribute would leave a per-layer metric silently empty,
-so every target must still resolve to a callable.
+so every target must still resolve to a callable, and a traced run must
+still record the spans the per-layer metrics are summed from.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import pathlib
 
 import pytest
 
+from trafficlogic.cli import main
+
 TRACER = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _load_tracer():
@@ -31,3 +35,13 @@ tracer = _load_tracer()
 )
 def test_target_resolves_to_a_callable(owner, attr):
     assert callable(getattr(tracer._owner(owner), attr, None))
+
+
+def test_generate_records_scene_checks_under_successor_generation(tmp_path):
+    rec = tracer.Recorder()
+    with tracer.Tracing(rec):
+        assert main(["generate", str(DATA / "ex1_overtake.req"), "--out", str(tmp_path / "r.result")]) == 0
+    counts = tracer.pass_counts(rec)
+    assert counts["reasoner.successor_gen.calls"] > 0
+    assert 0 < counts["reasoner.generator_checked"] <= counts["rules.check_scene.calls"]
+    assert counts["rules.check_transition.calls"] >= counts["reasoner.successors_out"] > 0

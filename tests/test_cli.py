@@ -9,6 +9,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 from oracle import stepwise_violations
@@ -353,6 +354,18 @@ class TestAbstract:
         assert main(["abstract", str(trace), data("ex1_straight.xodr")]) == INPUT
         assert "off-road" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("xy", ["73.200,1e308", "1e308,-6.0", "1e308,-1e308", "-1e308,-6.0"])
+    def test_far_off_coordinate_is_off_road_without_warnings(self, xy, tmp_path, capsys):
+        text = (DATA / "ex1_overtake_trace.csv").read_text()
+        row = "5.4,c2,73.200,-6.0,0.0,4.5\n"
+        assert text.count(row) == 1
+        trace = tmp_path / "far.csv"
+        trace.write_text(text.replace(row, f"5.4,c2,{xy},0.0,4.5\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["abstract", str(trace), data("ex1_straight.xodr")]) == INPUT
+        assert capsys.readouterr().err == "error: trace row 110: vehicle c2 is off-road at t=5.4\n"
+
     def test_map_compiled_once(self, tmp_path, monkeypatch):
         builds = []
         init = abstraction.NetworkAbstraction.__init__
@@ -543,3 +556,47 @@ class TestConfig:
         assert main(["--config", str(cfg), "ingest", data("ex1_straight.xodr")]) == INPUT
         assert "error: outdir must not be empty" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.cfg"]
+
+
+class TestTextEncoding:
+    """Text inputs are UTF-8; maps are decoded by their own XML declaration."""
+
+    LATIN1_CAFE = "% café\n".encode("latin-1")
+
+    @pytest.mark.parametrize(
+        "argv,victim",
+        [
+            (["generate", "{}"], "ex1_overtake.req"),
+            (["check", "{}", data("ex1_overtake.net")], "ex1_overtake.req"),
+            (["check", data("ex1_overtake.req"), "{}"], "ex1_overtake.net"),
+            (["abstract", "{}", data("ex1_straight.xodr")], "ex1_overtake_trace.csv"),
+            (["export", "{}", data("ex1_overtake.net")], "ex1_overtake.req"),
+            (["--config", "{}", "generate", data("ex1_overtake.req")], None),
+        ],
+        ids=["request", "scenario", "network", "trace", "export", "config"],
+    )
+    def test_non_utf8_text_is_input_error(self, argv, victim, tmp_path, capsys):
+        # the latin-1 byte sits on line 2, after one valid line of the file
+        head = (DATA / victim).read_bytes().split(b"\n", 1)[0] + b"\n" if victim else b""
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(head + self.LATIN1_CAFE)
+        argv = [str(path) if a == "{}" else a for a in argv]
+        assert main(argv) == INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if victim:
+            assert err == f"error: {path}:2: not UTF-8 text (byte 0xe9)\n"
+
+    def test_latin1_map_is_decoded_by_its_declaration(self, tmp_path, capsys):
+        text = (DATA / "ex1_straight.xodr").read_text()
+        assert 'encoding="UTF-8"' in text and 'name="main"' in text
+        text = text.replace('encoding="UTF-8"', 'encoding="latin-1"', 1)
+        latin1 = tmp_path / "latin1.xodr"
+        latin1.write_bytes(text.replace('name="main"', 'name="rue café"', 1).encode("latin-1"))
+        trace = data("ex1_overtake_trace.csv")
+        for argv in (["ingest", "{}"], ["abstract", trace, "{}"]):
+            assert main([data("ex1_straight.xodr") if a == "{}" else a for a in argv]) == OK
+            expected = capsys.readouterr().out
+            assert main([str(latin1) if a == "{}" else a for a in argv]) == OK
+            captured = capsys.readouterr()
+            assert captured.out == expected and captured.err == ""

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from trafficlogic import facts
+from trafficlogic import facts, reasoner
 from trafficlogic.domain import LonRel
 from trafficlogic.facts import ParseError, render_scenario
 from trafficlogic.reasoner import (
@@ -326,6 +326,37 @@ class TestFixtureRequests:
         ]
         assert serial.stats.nodes == fanned.stats.nodes
         assert serial.stats.pruned == fanned.stats.pruned
+
+    #: four vehicles on three lanes, c3 and c4 free to move for two steps
+    DENSE = (
+        "lane(l1, ra).\nlane(l2, ra).\nlane(l3, ra).\nleft(l1, l2).\nleft(l2, l3).\n#init\n"
+        "on(c1, l1).\non(c2, l2).\non(c3, l2).\non(c4, l3).\n"
+        + "".join(f"lonr(c{i}, c{j}, behind).\n" for i in range(1, 5) for j in range(i + 1, 5))
+        + "#horizon 3\n#freeze c1, c2\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text", [(DATA / "ex5_opposing_pass.req").read_text(), DENSE], ids=["ex5_opposing_pass", "dense-4v-3l"]
+    )
+    def test_each_distinct_scene_is_judged_once(self, text, monkeypatch):
+        """`expand` shares scene verdicts across parents; every transition is still judged."""
+        plain = expand(parse_request(text)).texts
+        judged, transitions = [], []
+        check_scene, check_transition = reasoner.check_scene, reasoner.check_transition
+
+        def counting_scene(scene, n, step=1):
+            judged.append(scene)
+            return check_scene(scene, n, step)
+
+        def counting_transition(prev, next_, n, step=1):
+            transitions.append((prev, next_))
+            return check_transition(prev, next_, n, step)
+
+        monkeypatch.setattr(reasoner, "check_scene", counting_scene)
+        monkeypatch.setattr(reasoner, "check_transition", counting_transition)
+        assert expand(parse_request(text)).texts == plain
+        assert len(judged) == len(set(judged))
+        assert len(transitions) == len(set(transitions)) > len(judged)
 
     def test_result_rendering_roundtrips(self):
         res = expand(load_request("ex3_branching.req"))

@@ -9,10 +9,14 @@ successor tuple, order included, on every scene of these families:
   initial scene while the request's ``#freeze`` holds;
 * dense requests, three or four vehicles on one road of two or three lanes,
   each vehicle behind the next: every scene within a few steps of the
-  initial scene (all of them for three vehicles on two lanes).
+  initial scene (all of them for three vehicles on two lanes);
+* a chain of three single-lane roads joined by connection points, with two
+  vehicles that change roads (PR7, PR12): every reachable scene.
 
-The checker must also never reject a candidate for a rule the generator
-prunes, so the pruning is complete for those rules.
+Each family is explored with one scene-verdict map shared across all its
+scenes, as `expand` shares it, so a candidate reached from several scenes
+is judged once and reused.  The checker must also never reject a candidate
+for a rule the generator prunes, so the pruning is complete for those rules.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import pytest
 
 from trafficlogic import reasoner
 from trafficlogic.domain import RoadNetwork, Scene
-from trafficlogic.reasoner import _gen_successors, _monotone_pins, parse_request, successors
+from trafficlogic.reasoner import _gen_successors, _monotone_pins, parse_request
 from trafficlogic.rules import RuleId
 
 from reference_successors import reference_successors
@@ -49,6 +53,18 @@ def dense_request(lanes: int, lane_of: tuple[int, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def chain_request() -> str:
+    """Roads r1..r3 of one lane each, joined by connections pc1 and pc2; c1 behind c2 on l1."""
+    return (
+        "lane(l1, r1).\nlane(l2, r2).\nlane(l3, r3).\n"
+        "class(pc1, c).\npon(pc1, l1).\npon(pc1, l2).\nsuccl(pc1, l2).\n"
+        "class(pc2, c).\npon(pc2, l2).\npon(pc2, l3).\nsuccl(pc2, l3).\n"
+        "succp(l2, pc1, pc2).\n"
+        "#init\non(c1, l1).\non(c2, l1).\nlonr(c1, c2, behind).\n"
+        "lonpr(c1, pc1, behind).\nlonpr(c2, pc1, behind).\n#horizon 2\n"
+    )
+
+
 #: (name, request text, step bound on reachability; None = every reachable scene)
 FAMILIES = [(p.stem, p.read_text(), None) for p in sorted(DATA.glob("*.req"))] + [
     ("dense-3v-2l", dense_request(2, (1, 2, 1)), None),
@@ -58,6 +74,7 @@ FAMILIES = [(p.stem, p.read_text(), None) for p in sorted(DATA.glob("*.req"))] +
     ("dense-4v-2l-shared", dense_request(2, (1, 1, 1, 2)), 0),
     ("dense-4v-3l", dense_request(3, (1, 2, 2, 3)), 0),
     ("dense-4v-3l-shared", dense_request(3, (1, 1, 2, 3)), 0),
+    ("chain-2v-3r", chain_request(), None),
 ]
 
 
@@ -84,14 +101,15 @@ def _explore(text: str, bound: Optional[int]) -> Explored:
     depth = {req.initial: 0}
     todo = [req.initial]
     succ: dict[Scene, tuple[Scene, ...]] = {}
+    verdicts: dict[Scene, bool] = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reasoner, "check_scene", counting)
         while todo:
             s = todo.pop()
-            succ[s] = successors(s, net)
+            succ[s] = _gen_successors(s, net, frozenset(), {}, {}, verdicts)
             if bound is not None and depth[s] == bound:
                 continue
-            for t in successors(s, net, req.frozen) if req.frozen else succ[s]:
+            for t in _gen_successors(s, net, req.frozen, {}, {}, verdicts) if req.frozen else succ[s]:
                 if t not in depth:
                     depth[t] = depth[s] + 1
                     todo.append(t)
