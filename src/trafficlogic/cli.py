@@ -53,16 +53,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _read(path: str) -> str:
-    """A UTF-8 text input; a byte that is not UTF-8 is an input error."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise facts.ParseError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -115,12 +105,12 @@ def cmd_generate(
 
     Raises the input errors `main` maps to exit code 2.
     """
-    req = parse_request(_read(request_path))
+    req = parse_request(facts.read_utf8(request_path))
     if mode is not None:
         req = dataclasses.replace(req, mode=mode)
     if horizon is not None:
         req = dataclasses.replace(req, horizon=horizon)
-    result = expand(req, workers=cfg.workers)
+    result = expand(req)
     _emit(facts.render_result(result.scenarios, result.texts), _default_out(cfg, request_path, ".result", out))
     stats = result.stats
     tstar = "-" if result.shortest_length is None else str(result.shortest_length)
@@ -139,7 +129,7 @@ def cmd_check(scenario_path: str, network_path: str) -> int:
 
     Raises the input errors `main` maps to exit code 2.
     """
-    net_text, sc_text = _read(network_path), _read(scenario_path)
+    net_text, sc_text = facts.read_utf8(network_path), facts.read_utf8(scenario_path)
     _, scenarios = _parse_scenarios(net_text, sc_text)
     failed = False
     verdicts: dict = {}
@@ -164,7 +154,7 @@ def cmd_abstract(
     Raises the input errors `main` maps to exit codes 2 and 3.
     """
     # a map is read as bytes: its XML declaration names its encoding
-    trace_text, map_data = _read(trace_path), Path(map_path).read_bytes()
+    trace_text, map_data = facts.read_utf8(trace_path), Path(map_path).read_bytes()
     model = parse_opendrive(map_data)
     scenario = abstract_trace(read_trace_csv(trace_text), None, model, cfg)
     _emit(facts.render_scenario(scenario), _default_out(cfg, trace_path, ".scenario", out))
@@ -182,8 +172,8 @@ def cmd_export(
 
     Raises the input errors `main` maps to exit code 2.
     """
-    net_text, sc_text = _read(network_path), _read(scenario_path)
-    coords_text = _read(coords_path) if coords_path is not None else None
+    net_text, sc_text = facts.read_utf8(network_path), facts.read_utf8(scenario_path)
+    coords_text = facts.read_utf8(coords_path) if coords_path is not None else None
     net, scenarios = _parse_scenarios(net_text, sc_text)
     coords = parse_coords(coords_text) if coords_text is not None else None
     if len(scenarios) != 1:
@@ -232,12 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="enumerate scenarios for a request file")
     p.add_argument("request", help="expansion request file")
     p.add_argument("--out", help="output result file (default: stdout)")
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="worker count, >= 1 (overrides config); generation is sequential, "
-        "so the value changes nothing",
-    )
     p.add_argument("--mode", choices=("exact", "shortest"), help="override request mode")
     p.add_argument("--horizon", type=int, help="override request horizon")
     p.add_argument("--dot", help="write a graphviz timeline of the results")
@@ -264,8 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else Config()
-        if getattr(args, "workers", None) is not None:
-            cfg = dataclasses.replace(cfg, workers=args.workers)
     except (OSError, ValueError) as exc:
         return _fail(str(exc), INPUT_ERROR)
     try:

@@ -1,4 +1,4 @@
-"""Runtime configuration: tolerances, worker count, output placement.
+"""Runtime configuration: tolerances and output placement.
 
 Every geometric tolerance that influences network abstraction is carried
 here and echoed into output metadata, so that a fact file can always be
@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from trafficlogic.facts import read_utf8
 
 __all__ = ["Config", "load_config"]
 
@@ -39,9 +41,6 @@ class Config:
     overlap_heading_tolerance_deg: float = 30.0
     #: extra lateral reach of a vehicle beyond the lane edge, meters
     occupancy_halfwidth: float = 0.9
-    #: worker count for generation, validated (>= 1) but unused:
-    #: generation is sequential and any value gives the same output
-    workers: int = 1
     #: output directory for artifact files without an explicit output path
     #: (None = stdout)
     outdir: str | None = None
@@ -51,8 +50,6 @@ class Config:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.outdir == "":
             raise ValueError("outdir must not be empty")
 
@@ -67,7 +64,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 def load_config(path: str | Path) -> Config:
     """Read a flat ``key=value`` config file; '#' starts a comment."""
     values: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,9 +76,7 @@ def load_config(path: str | Path) -> Config:
         val = val.strip()
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key == "workers":
-            values[key] = int(val)
-        elif key == "outdir":
+        if key == "outdir":
             values[key] = val
         else:
             values[key] = float(val)

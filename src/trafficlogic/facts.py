@@ -22,6 +22,7 @@ entries omitted, pair relations present in both orientations.
 from __future__ import annotations
 
 import re
+from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from trafficlogic.domain import (
@@ -32,6 +33,7 @@ from trafficlogic.domain import (
     RoadNetwork,
     Scenario,
     Scene,
+    validate_network,
 )
 
 _ATOM_RE = re.compile(r"([a-z][a-z0-9_]*)\s*\(\s*([^()]*?)\s*\)\s*\.\s*\Z")
@@ -60,6 +62,16 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None) -> None:
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 is a `ParseError` naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
 
 
 def strip_comment(raw: str) -> str:
@@ -114,7 +126,8 @@ class NetworkBuilder:
     """Accumulates network facts and assembles a `RoadNetwork`.
 
     The left-neighbour facts must order every multi-lane road into a
-    single left-to-right chain; anything else is a parse error.
+    single left-to-right chain, and the network must pass
+    `domain.validate_network`; anything else is a parse error.
     """
 
     def __init__(self) -> None:
@@ -188,7 +201,7 @@ class NetworkBuilder:
         for l, r in self.lane_road.items():
             by_road.setdefault(r, set()).add(l)
         roads = [Road(rid, self._order_lanes(rid, ls)) for rid, ls in sorted(by_road.items())]
-        return RoadNetwork(
+        net = RoadNetwork(
             roads,
             points=self.kinds,
             succ_p=self.succ_p,
@@ -196,6 +209,10 @@ class NetworkBuilder:
             overlaps=self.overlaps,
             affiliation=self.affiliation,
         )
+        defects = validate_network(net)
+        if defects:
+            raise ParseError("invalid network: " + "; ".join(defects))
+        return net
 
 
 def parse_network(text: str) -> tuple[RoadNetwork, frozenset[str]]:

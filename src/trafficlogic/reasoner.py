@@ -33,6 +33,13 @@ parents is judged by `check_scene` once, while `check_transition` judges
 every (parent, candidate) pair.  Successors never stutter: consecutive
 scenes always differ, because steps carry order, not duration.
 
+A goal constrains the final scene only, with one exception: a positive
+``lonpr(c, p, behind)`` goal atom pins slot (c, p) to ``behind`` at every
+step, and ``lonpr(c, p, cover)`` to ``behind`` or ``cover``.  This is sound
+because `PREL_NEXT` is monotone (behind, cover, ahead) while a vehicle stays
+on its road, which holds on a network without connections, the only kind
+that gets pins.  No other goal atom pins anything.
+
 In shortest mode the final scene is additionally required to be *steady*
 (every vehicle on exactly one lane) unless the request says ``#final
 any`` — mid-lane-change endings would otherwise multiply every result.
@@ -234,7 +241,6 @@ def _gen_successors(
     n: RoadNetwork,
     frozen: frozenset[str],
     prel_pins: Mapping[tuple[str, str], frozenset[LonRel]],
-    oref_pins: Mapping[tuple[str, str], frozenset[LonRel]],
     verdicts: Optional[dict[Scene, bool]] = None,
 ) -> tuple[Scene, ...]:
     """Every valid, non-stuttering successor of ``scene``, in a fixed order.
@@ -245,6 +251,9 @@ def _gen_successors(
     maps that break PR13 or PR14_TRANS are dropped too.  The survivors come out in
     the order of the full product of candidate values, and each still
     passes through the rule checkers, which decide the remaining rules.
+    ``scene`` must pass `check_scene` on ``n``, so that every vehicle is on
+    one road in it and in each of its candidates.  ``prel_pins`` narrows
+    vehicle-point slots to the values it lists (see `_goal_pins`).
 
     ``verdicts`` maps each candidate scene already judged by `check_scene` on
     ``n`` to whether it broke a rule; `expand` shares one map across every
@@ -287,32 +296,22 @@ def _gen_successors(
         # vehicle-point slots (points carried by the vehicle's road); each
         # vehicle's slots follow the point order of its lanes (PR14_TRANS)
         pslot: dict[tuple[str, str], int] = {}
-        dead = False
         for c in vehicles:
             rid = road[c]
-            if rid is None:
-                continue
             for p in sorted(n.points_of_road(rid)):
                 u = scene.prel_of(c, p)
                 vals = _PREL_STEPS[u] if u is not N else _ALL3
                 pin = prel_pins.get((c, p))
-                if pin is not None:
+                if pin is not None:  # a slot left empty makes `_consistent` yield nothing
                     vals = tuple(v for v in vals if v in pin)
-                if not vals:
-                    dead = True
-                    break
                 pslot[c, p] = len(cands)
                 cands.append(vals)
                 checks.append([])
-            if dead:
-                break
             if rid not in order_pairs:
                 order_pairs[rid] = frozenset().union(*map(n.lane_order_pairs, n.road(rid).lanes))
             for p1, p2 in order_pairs[rid]:
                 if (c, p1) in pslot and (c, p2) in pslot:
                     _add_check(checks, (pslot[c, p1], pslot[c, p2]), _ORDER_OK)
-        if dead:
-            continue
         # two vehicles at one point: mixed transitivity (PR14_TRANS) and
         # point-cover exclusivity (PR11)
         for (y, p), k in pslot.items():
@@ -335,7 +334,7 @@ def _gen_successors(
                 vrel[x, y] = v
                 vrel[y, x] = invert(v)
             prel = dict(zip(prel_slots, combo[n_vrel:]))
-            for orel in _orel_assignments(scene, n, occ, road, vrel, prel, prev_road, oref_pins):
+            for orel in _orel_assignments(scene, n, occ, road, vrel, prel, prev_road):
                 cand = Scene(occ, vrel, prel, orel)
                 if cand == scene or cand.key() in results:
                     continue
@@ -349,7 +348,7 @@ def _gen_successors(
     return tuple(order)
 
 
-def _orel_assignments(scene, n, occ, road, vrel, prel, prev_road, oref_pins):
+def _orel_assignments(scene, n, occ, road, vrel, prel, prev_road):
     """Yield every admissible window-relation map for a candidate scene.
 
     ``occ``, ``road``, ``vrel`` and ``prel`` describe the candidate and
@@ -373,11 +372,8 @@ def _orel_assignments(scene, n, occ, road, vrel, prel, prev_road, oref_pins):
         z0 = zs[0]
         if z0.orientation[road[x]] == z0.orientation[road[y]]:
             if road[x] == road[y]:
-                v = vrel.get((x, y))
-                if v is None:
-                    return  # same road without a relation never survives checking
-                forced[(x, y)] = v
-                forced[(y, x)] = invert(v)
+                forced[x, y] = v = vrel[x, y]
+                forced[y, x] = invert(v)
                 continue
             cands: tuple[LonRel, ...] = _ALL3
         else:
@@ -396,12 +392,7 @@ def _orel_assignments(scene, n, occ, road, vrel, prel, prev_road, oref_pins):
                 if z.orientation[road[x]] != z.orientation[road[y]]:
                     if occ[x] & z.carrying and occ[y] & z.carrying:
                         ref_cands.discard(C)
-            pin = oref_pins.get((x, y))
-            if pin is not None:
-                ref_cands &= pin
             cands = tuple(z0.frame(road[x], v) for v in _ALL3 if v in ref_cands)
-        if not cands:
-            return
         slots.append((x, y, z0))
         cand_lists.append(cands)
     for combo in product(*cand_lists):
@@ -424,47 +415,24 @@ def _window_closed(z, road, tri, orel) -> bool:
 
 def successors(scene: Scene, n: RoadNetwork, frozen: frozenset[str] = frozenset()) -> tuple[Scene, ...]:
     """All valid, non-stuttering next scenes, in deterministic order."""
-    return _gen_successors(scene, n, frozen, {}, {})
+    return _gen_successors(scene, n, frozen, {})
 
 
 # -- goal-implied candidate pins ----------------------------------------------
 
+#: goal ``lonpr`` value -> the values its slot may hold at every step before
+_GOAL_PINS = {B: frozenset({B}), C: frozenset({B, C})}
 
-def _monotone_pins(goal: Optional[Goal], net: RoadNetwork, initial: Scene):
-    """Candidate-level pins implied by monotone relations and a final goal.
 
-    Only sound when no connection successors exist (vehicles can never
-    change roads, so vehicle-point relations never reset through NONE).
-    """
-    prel_pins: dict[tuple[str, str], frozenset[LonRel]] = {}
-    oref_pins: dict[tuple[str, str], frozenset[LonRel]] = {}
+def _goal_pins(goal: Optional[Goal], net: RoadNetwork) -> dict[tuple[str, str], frozenset[LonRel]]:
+    """Vehicle-point slot pins implied by the goal's positive ``lonpr`` atoms (see the module notes)."""
     if goal is None or net.succ_c:
-        return prel_pins, oref_pins
-    for atom in goal.atoms:
-        if atom.negated:
-            continue
-        if atom.kind == "lonpr":
-            if atom.rel is B:
-                prel_pins[atom.args] = frozenset({B})
-            elif atom.rel is C:
-                prel_pins[atom.args] = frozenset({B, C})
-        elif atom.kind == "lonro" and atom.rel in (B, C):
-            # mixed-direction window relations are stored symmetrically, so
-            # the goal value applies to the sorted pair as-is; the window
-            # frame is taken from the sorted-first vehicle's road
-            sx, sy = sorted(atom.args)
-            rx = net.road_of(initial.occ_of(sx))
-            ry = net.road_of(initial.occ_of(sy))
-            if rx is None or ry is None:
-                continue
-            for z in net.zones:
-                ox, oy = z.orientation.get(rx), z.orientation.get(ry)
-                if ox is None or oy is None or ox == oy:
-                    continue
-                t_ref = z.frame(rx, atom.rel)
-                oref_pins[(sx, sy)] = frozenset({B}) if t_ref is B else frozenset({B, C})
-                break
-    return prel_pins, oref_pins
+        return {}
+    return {
+        a.args: _GOAL_PINS[a.rel]
+        for a in goal.atoms
+        if a.kind == "lonpr" and not a.negated and a.rel in _GOAL_PINS
+    }
 
 
 # -- search --------------------------------------------------------------------
@@ -517,10 +485,9 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
     final_stable = req.final_stable
     if final_stable is None:
         final_stable = req.mode == "shortest"
-    prel_pins, oref_pins = _monotone_pins(req.goal, net, req.initial)
     verdicts = {req.initial: False}  # checked above
     gen = partial(
-        _gen_successors, n=net, frozen=req.frozen, prel_pins=prel_pins, oref_pins=oref_pins, verdicts=verdicts
+        _gen_successors, n=net, frozen=req.frozen, prel_pins=_goal_pins(req.goal, net), verdicts=verdicts
     )
 
     def accept(scene: Scene) -> bool:

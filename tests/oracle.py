@@ -14,7 +14,7 @@ Complexity is exponential in every direction; keep universes tiny
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from trafficlogic.domain import LonRel, RoadNetwork, Scenario, Scene
 from trafficlogic.reasoner import ExpansionRequest, canonicalize
@@ -40,15 +40,21 @@ def stepwise_violations(sc: Scenario) -> list[Violation]:
     return out
 
 
-def all_valid_scenes(net: RoadNetwork, vehicles: Iterable[str]) -> list[Scene]:
+def all_valid_scenes(
+    net: RoadNetwork,
+    vehicles: Iterable[str],
+    occupancies: Optional[Mapping[str, Iterable[Iterable[str]]]] = None,
+) -> list[Scene]:
     """Every scene over the universe that passes ``check_scene``.
 
     The raw space is the full product of occupancy subsets, one relation
     value per vehicle pair (mirrored by inversion), one per vehicle/point
     pair, and one per *ordered* vehicle pair for the window relation
     (window mirrors are layout-dependent, so both orientations are free
-    and the checker decides).
+    and the checker decides).  ``occupancies`` narrows the universe: a
+    vehicle it names occupies only the lane sets it lists.
     """
+    occupancies = occupancies or {}
     vehicles = tuple(sorted(vehicles))
     lanes = tuple(sorted(net.lanes))
     points = tuple(sorted(net.points))
@@ -62,7 +68,8 @@ def all_valid_scenes(net: RoadNetwork, vehicles: Iterable[str]) -> list[Scene]:
     point_slots = [(c, p) for c in vehicles for p in points]
     out: list[Scene] = []
     seen: set = set()
-    for occ_combo in product(subsets, repeat=len(vehicles)):
+    occ_lists = [list(map(frozenset, occupancies[c])) if c in occupancies else subsets for c in vehicles]
+    for occ_combo in product(*occ_lists):
         occ = dict(zip(vehicles, occ_combo))
         for vrel_combo in product(VALUES, repeat=len(pairs)):
             vrel = {k: v for k, v in zip(pairs, vrel_combo)}

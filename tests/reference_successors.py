@@ -48,7 +48,6 @@ def reference_successors(
     n: RoadNetwork,
     frozen: frozenset[str],
     prel_pins: Mapping[tuple[str, str], frozenset[LonRel]],
-    oref_pins: Mapping[tuple[str, str], frozenset[LonRel]],
 ) -> tuple[Scene, ...]:
     """All valid, non-stuttering next scenes, by generate-and-test.
 
@@ -106,7 +105,7 @@ def reference_successors(
             for prel_combo in product(*prel_cands):
                 prel = dict(zip(prel_slots, prel_combo))
                 pscene = _ProtoScene(occ, road, vrel, prel)
-                for orel in _orel_assignments(scene, n, pscene, prev_road, oref_pins):
+                for orel in _orel_assignments(scene, n, pscene, prev_road):
                     cand = Scene(occ, vrel, prel, orel)
                     if cand == scene or cand.key() in results:
                         continue
@@ -143,7 +142,7 @@ def _engaged_proto(n, proto, c, z) -> bool:
     return proto.prel_of(c, ee[0]) is A and proto.prel_of(c, ee[1]) is B
 
 
-def _orel_assignments(scene, n, proto, prev_road, oref_pins):
+def _orel_assignments(scene, n, proto, prev_road):
     """Yield every admissible window-relation map for a candidate scene."""
     vehicles = sorted(proto.occ)
     pair_zones: dict[tuple[str, str], list] = {}
@@ -183,9 +182,6 @@ def _orel_assignments(scene, n, proto, prev_road, oref_pins):
                         if o_prev is not None:
                             u_ref = u if o_prev > 0 else invert(u)
                             ref_cands &= PREL_NEXT[u_ref]
-            pin = oref_pins.get((x, y))
-            if pin is not None:
-                ref_cands &= pin
             cands = tuple(v if ox > 0 else invert(v) for v in _ALL3 if v in ref_cands)
             mirror_invert = False
         if not cands:

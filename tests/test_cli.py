@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import multiprocessing.process
 import os
 import pathlib
 import shutil
@@ -101,24 +100,11 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "mode=exact" in err and "scenarios: 16 (" in err
 
-    def test_workers_flag_changes_nothing_in_output(self, tmp_path, capsys):
-        a, b = tmp_path / "a.result", tmp_path / "b.result"
-        assert main(["generate", data("ex5_opposing_pass.req"), "--out", str(a)]) == OK
-        assert main(
-            ["generate", data("ex5_opposing_pass.req"), "--out", str(b), "--workers", "4"]
-        ) == OK
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_workers_start_no_process(self, tmp_path, monkeypatch, capsys):
-        def no_process(self):
-            raise AssertionError("generation started a child process")
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
-        out = tmp_path / "r.result"
-        assert main(
-            ["generate", data("ex5_opposing_pass.req"), "--out", str(out), "--workers", "4"]
-        ) == OK
-        assert "scenarios: 2 (" in capsys.readouterr().err
+    def test_workers_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", data("ex5_opposing_pass.req"), "--workers", "2"])
+        assert exc.value.code == INPUT
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_dot_timeline(self, tmp_path, capsys):
         dot = tmp_path / "t.dot"
@@ -144,11 +130,6 @@ class TestGenerate:
         )
         assert main(["generate", str(bad)]) == INPUT
         assert "initial scene" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_workers_below_one_is_input_error(self, workers, capsys):
-        assert main(["generate", data("ex3_branching.req"), "--workers", workers]) == INPUT
-        assert "error: workers must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "where,line",
@@ -324,6 +305,85 @@ class TestCheck:
             "transition": len(transitions),
             "init": len(blocks),
         }
+
+
+#: (extra network facts, one defect line `domain.validate_network` reports);
+#: one case per defect class a fact file can produce, on top of lanes l1
+#: (road ra) and l2 (road rb).  Bad ids and a lane on two roads cannot
+#: reach the check: the fact parser rejects them first.
+NETWORK_DEFECTS = {
+    "succp-unknown-point": ("succp(l1, p9, zz).", "unknown point in succp: p9"),
+    "succp-unknown-lane": (
+        "class(p1, c).\nclass(p2, c).\nsuccp(l9, p1, p2).", "unknown lane in succp: l9"
+    ),
+    "succp-unaffiliated": (
+        "class(p1, c).\nclass(p2, c).\npon(p1, l1).\npon(p2, l2).\nsuccp(l1, p1, p2).",
+        "succp point not affiliated with its lane: p2 on l1",
+    ),
+    "succl-unknown-point": ("succl(p9, l1).", "unknown point in succl: p9"),
+    "succl-unknown-lane": ("class(p1, c).\npon(p1, l1).\nsuccl(p1, l9).", "unknown lane in succl: l9"),
+    "succl-not-connection": (
+        "class(q1, x).\npon(q1, l1).\npon(q1, l2).\nsuccl(q1, l2).",
+        "succl source not a connection point: q1",
+    ),
+    "overlap-unknown-point": ("overlap(p8, p9).", "unknown point in overlap: p8"),
+    "overlap-class-mismatch": (
+        "class(pa, c).\nclass(pb, oe).\npon(pa, l1).\npon(pb, l1).\noverlap(pa, pb).",
+        "overlap pair class mismatch: (pa, pb)",
+    ),
+    "pon-unknown-point": ("pon(p9, l1).", "unknown point in pon: p9"),
+    "pon-unknown-lane": ("class(p1, c).\npon(p1, l9).", "unknown lane in pon: l9"),
+    "point-on-no-lane": ("class(p1, c).", "point affiliated with no lane: p1"),
+    "intersection-on-one-lane": (
+        "class(q1, x).\npon(q1, l1).", "intersection point not on exactly two lanes of two roads: q1"
+    ),
+    "order-cycle": (
+        "class(p1, c).\nclass(p2, c).\npon(p1, l1).\npon(p2, l1).\nsuccp(l1, p1, p2).\nsuccp(l1, p2, p1).",
+        "point order not acyclic on lane l1",
+    ),
+    "order-partial": (
+        "".join(f"class(p{i}, c).\npon(p{i}, l1).\n" for i in range(1, 5))
+        + "succp(l1, p1, p2).\nsuccp(l1, p3, p4).",
+        "point order not total on lane l1: p1 vs p3",
+    ),
+}
+
+
+class TestInvalidNetwork:
+    """A network that parses but breaks an invariant is an input error, never a run."""
+
+    LANES = "lane(l1, ra).\nlane(l2, rb).\n"
+
+    @pytest.mark.parametrize("facts,defect", NETWORK_DEFECTS.values(), ids=NETWORK_DEFECTS)
+    @pytest.mark.parametrize("command", ["generate", "check"])
+    def test_defect_is_input_error(self, command, facts, defect, tmp_path, capsys):
+        net = tmp_path / "bad.net"
+        net.write_text(self.LANES + facts + "\n")
+        if command == "generate":
+            net.write_text(net.read_text() + "#init\non(c1, l1).\n#horizon 2\n")
+            argv = ["generate", str(net), "--out", str(tmp_path / "r.result")]
+        else:
+            sc = tmp_path / "one.scenario"
+            sc.write_text("#scenario 1\n#step 1\non(c1,l1).\n")
+            argv = ["check", str(sc), str(net)]
+        assert main(argv) == INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid network: ") and captured.err.count("\n") == 1
+        assert defect in captured.err.rstrip("\n").split(": ", 2)[2].split("; ")
+        assert not (tmp_path / "r.result").exists()
+
+    def test_every_defect_is_listed(self, tmp_path, capsys):
+        req = tmp_path / "bad.req"
+        req.write_text(
+            self.LANES + "class(q1, x).\nsuccp(l1, p9, zz).\n#init\non(c1, l1).\n#horizon 2\n"
+        )
+        assert main(["generate", str(req)]) == INPUT
+        assert capsys.readouterr().err == (
+            "error: invalid network: unknown point in succp: p9; unknown point in succp: zz; "
+            "point affiliated with no lane: q1; "
+            "intersection point not on exactly two lanes of two roads: q1\n"
+        )
 
 
 class TestAbstract:
@@ -548,6 +608,12 @@ class TestConfig:
         ) == INPUT
         assert f"error: {key} must be a finite positive number" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_utf8_config_names_path_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("sampling_step=0.5 # café\n".encode("latin-1"))
+        assert main(["--config", str(cfg), "generate", data("ex1_overtake.req")]) == INPUT
+        assert capsys.readouterr().err == f"error: {cfg}:1: not UTF-8 text (byte 0xe9)\n"
 
     def test_empty_outdir_rejected(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "t.cfg"

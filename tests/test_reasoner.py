@@ -125,6 +125,18 @@ class TestRequestParsing:
                 "#goal lonpr(c1, px, ahead)\n"
             )
 
+    def test_goal_unknown_lane(self):
+        with pytest.raises(RequestError, match="l9"):
+            parse_request(
+                "lane(l1, ra).\n#init\non(c1, l1).\n#horizon 2\n#goal on(c1, l9)\n"
+            )
+
+    def test_bad_final_value(self):
+        with pytest.raises(ParseError, match="sometimes"):
+            parse_request(
+                "lane(l1, ra).\n#init\non(c1, l1).\n#horizon 2\n#final sometimes\n"
+            )
+
     def test_goal_bad_relation_value(self):
         with pytest.raises(ParseError, match="sideways"):
             parse_request(
@@ -187,6 +199,12 @@ class TestExpansionSemantics:
         req = parse_request(self.ONE_LANE + "#horizon 1\n")
         req.horizon = 0
         with pytest.raises(RequestError, match="horizon"):
+            expand(req)
+
+    def test_unknown_mode_rejected(self):
+        req = parse_request(self.ONE_LANE + "#horizon 1\n")
+        req.mode = "fastest"
+        with pytest.raises(RequestError, match="fastest"):
             expand(req)
 
     def test_invalid_initial_scene_rejected(self):

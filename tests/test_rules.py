@@ -235,6 +235,17 @@ class TestSceneRules:
         )
         assert RuleId.PR14_TRANS in rules_of(check_scene(s, OVERLAP))
 
+    def test_window_triangle_waits_for_every_relation(self):
+        # the c1-c3 window relation is missing: PR13 fires, the triangle is not judged
+        prel = engaged_ra("c1", engaged_ra("c2", engaged_rb("c3", {})))
+        s = scene(
+            {"c1": ["l1"], "c2": ["l1"], "c3": ["l3"]},
+            vrel={("c1", "c2"): A},
+            prel=prel,
+            orel={("c1", "c2"): A, ("c2", "c1"): B, ("c2", "c3"): C, ("c3", "c2"): C},
+        )
+        assert rules_of(check_scene(s, OVERLAP)) == {RuleId.PR13}
+
     def test_tr1_at_most_two_lanes(self):
         wide = _net(
             "lane(l1,ra).\nlane(l2,ra).\nlane(l3,ra).\nleft(l1,l2).\nleft(l2,l3)."
@@ -282,6 +293,11 @@ class TestWellFormedness:
         vs = check_scene(s, combined)
         assert any(v.rule is RuleId.WF and "unsupported_lonpr" in v.witnesses for v in vs)
 
+    def test_point_relation_to_unknown_point(self):
+        s = scene({"c1": ["l1"]}, prel={("c1", "p9"): A})
+        vs = check_scene(s, ROAD2)
+        assert any(v.rule is RuleId.WF and "unknown_point" in v.witnesses for v in vs)
+
     def test_window_relation_without_engagement(self):
         s = scene(
             {"c1": ["l1"], "c3": ["l3"]},
@@ -294,6 +310,11 @@ class TestWellFormedness:
     def test_self_relation(self):
         s = Scene({"c1": frozenset({"l1"})}, {("c1", "c1"): C}, {}, {})
         vs = check_scene(s, ROAD2)
+        assert any(v.rule is RuleId.WF and "self_relation" in v.witnesses for v in vs)
+
+    def test_self_window_relation(self):
+        s = Scene({"c1": frozenset({"l1"})}, {}, engaged_ra("c1", {}), {("c1", "c1"): C})
+        vs = check_scene(s, OVERLAP)
         assert any(v.rule is RuleId.WF and "self_relation" in v.witnesses for v in vs)
 
 
@@ -367,6 +388,9 @@ class TestTransitionRules:
             orel={("c1", "c3"): C, ("c3", "c1"): C},
         )
         assert check_transition(before, met, OVERLAP) == []
+        # a missing window relation is PR13's fault in its own scene, not PR14_CONT's
+        lost = scene({"c1": ["l1"], "c3": ["l3"]}, prel=prel)
+        assert check_transition(before, lost, OVERLAP) == []
 
     def test_stutter_flagged(self):
         s = scene({"c1": ["l1"]})

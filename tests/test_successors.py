@@ -11,7 +11,9 @@ successor tuple, order included, on every scene of these families:
   each vehicle behind the next: every scene within a few steps of the
   initial scene (all of them for three vehicles on two lanes);
 * a chain of three single-lane roads joined by connection points, with two
-  vehicles that change roads (PR7, PR12): every reachable scene.
+  vehicles that change roads (PR7, PR12): every reachable scene;
+* two single-lane roads sharing an overlap window, opposed or running the
+  same way, with one vehicle on each: every reachable scene.
 
 Each family is explored with one scene-verdict map shared across all its
 scenes, as `expand` shares it, so a candidate reached from several scenes
@@ -30,7 +32,7 @@ import pytest
 
 from trafficlogic import reasoner
 from trafficlogic.domain import RoadNetwork, Scene
-from trafficlogic.reasoner import _gen_successors, _monotone_pins, parse_request
+from trafficlogic.reasoner import _gen_successors, _goal_pins, parse_request
 from trafficlogic.rules import RuleId
 
 from reference_successors import reference_successors
@@ -65,6 +67,23 @@ def chain_request() -> str:
     )
 
 
+def window_request(l2_first: str, l2_second: str) -> str:
+    """Roads ra and rb, one lane each, sharing the window (pos, poe).
+
+    ``l2`` carries ``l2_first`` before ``l2_second``: ``poe`` first opposes
+    the roads, ``pos`` first runs them the same way.  c1 on ``l2`` and c2
+    on ``l1`` both start before the window.
+    """
+    return (
+        "lane(l1, ra).\nlane(l2, rb).\nclass(pos, os).\nclass(poe, oe).\n"
+        "pon(pos, l1).\npon(poe, l1).\npon(pos, l2).\npon(poe, l2).\noverlap(pos, poe).\n"
+        f"succp(l1, pos, poe).\nsuccp(l2, {l2_first}, {l2_second}).\n"
+        "#init\non(c1, l2).\non(c2, l1).\n"
+        "lonpr(c1, pos, behind).\nlonpr(c1, poe, behind).\n"
+        "lonpr(c2, pos, behind).\nlonpr(c2, poe, behind).\n#horizon 2\n"
+    )
+
+
 #: (name, request text, step bound on reachability; None = every reachable scene)
 FAMILIES = [(p.stem, p.read_text(), None) for p in sorted(DATA.glob("*.req"))] + [
     ("dense-3v-2l", dense_request(2, (1, 2, 1)), None),
@@ -75,6 +94,8 @@ FAMILIES = [(p.stem, p.read_text(), None) for p in sorted(DATA.glob("*.req"))] +
     ("dense-4v-3l", dense_request(3, (1, 2, 2, 3)), 0),
     ("dense-4v-3l-shared", dense_request(3, (1, 1, 2, 3)), 0),
     ("chain-2v-3r", chain_request(), None),
+    ("window-opposed", window_request("poe", "pos"), None),
+    ("window-same-way", window_request("pos", "poe"), None),
 ]
 
 
@@ -106,10 +127,10 @@ def _explore(text: str, bound: Optional[int]) -> Explored:
         mp.setattr(reasoner, "check_scene", counting)
         while todo:
             s = todo.pop()
-            succ[s] = _gen_successors(s, net, frozenset(), {}, {}, verdicts)
+            succ[s] = _gen_successors(s, net, frozenset(), {}, verdicts)
             if bound is not None and depth[s] == bound:
                 continue
-            for t in _gen_successors(s, net, req.frozen, {}, {}, verdicts) if req.frozen else succ[s]:
+            for t in _gen_successors(s, net, req.frozen, {}, verdicts) if req.frozen else succ[s]:
                 if t not in depth:
                     depth[t] = depth[s] + 1
                     todo.append(t)
@@ -124,7 +145,7 @@ def explored(request) -> Explored:
 
 def test_successors_match_generate_and_test(explored):
     for s in explored.scenes:
-        assert explored.successors[s] == reference_successors(s, explored.network, frozenset(), {}, {})
+        assert explored.successors[s] == reference_successors(s, explored.network, frozenset(), {})
 
 
 def test_checker_rejects_nothing_the_generator_prunes(explored):
@@ -136,13 +157,13 @@ def test_pinned_successors_match_generate_and_test(path):
     """With the request's own freeze and goal-implied pins, as ``expand`` runs it."""
     req = parse_request(path.read_text())
     net = req.network
-    pins = _monotone_pins(req.goal, net, req.initial)
+    pins = _goal_pins(req.goal, net)
     seen = {req.initial}
     todo = [req.initial]
     while todo:
         s = todo.pop()
-        got = _gen_successors(s, net, req.frozen, *pins)
-        assert got == reference_successors(s, net, req.frozen, *pins)
+        got = _gen_successors(s, net, req.frozen, pins)
+        assert got == reference_successors(s, net, req.frozen, pins)
         for t in got:
             if t not in seen:
                 seen.add(t)
