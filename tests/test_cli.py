@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import multiprocessing.process
 import os
 import pathlib
 import shutil
@@ -14,7 +15,7 @@ import pytest
 from oracle import stepwise_violations
 
 import trafficlogic
-from trafficlogic import abstraction, domain, rules
+from trafficlogic import abstraction, domain, reasoner, rules
 from trafficlogic.cli import main
 from trafficlogic.rules import render_report
 
@@ -105,6 +106,31 @@ class TestGenerate:
             main(["generate", data("ex5_opposing_pass.req"), "--workers", "2"])
         assert exc.value.code == INPUT
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_workers_flag_changes_nothing_in_output(self, tmp_path, capsys):
+        # the flag is gone; the ``workers`` parameter ``expand`` keeps is inert
+        req = reasoner.parse_request(pathlib.Path(data("ex5_opposing_pass.req")).read_text())
+        assert reasoner.expand(req, workers=4).texts == reasoner.expand(req).texts
+        out = tmp_path / "r.result"
+        with pytest.raises(SystemExit):
+            main(["generate", data("ex5_opposing_pass.req"), "--out", str(out), "--workers", "4"])
+        assert not out.exists()
+
+    def test_workers_start_no_process(self, monkeypatch, capsys):
+        def no_process(self):
+            raise AssertionError("generation started a child process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        req = reasoner.parse_request(pathlib.Path(data("ex5_opposing_pass.req")).read_text())
+        assert len(reasoner.expand(req, workers=4).texts) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_input_error(self, workers, capsys):
+        # no value of the deleted flag is accepted, so no range check is left
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", data("ex3_branching.req"), "--workers", workers])
+        assert exc.value.code == INPUT
+        assert f"unrecognized arguments: --workers {workers}" in capsys.readouterr().err
 
     def test_dot_timeline(self, tmp_path, capsys):
         dot = tmp_path / "t.dot"
