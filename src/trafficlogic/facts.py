@@ -17,6 +17,12 @@ Scene atoms: ``on(c,l)``, ``lonr(c1,c2,rel)``, ``lonpr(c,p,rel)``,
 ``lonro(c1,c2,rel)`` with ``rel`` one of ahead/cover/behind/none.
 Rendering is canonical: entries sorted, no whitespace inside atoms, NONE
 entries omitted, pair relations present in both orientations.
+
+Result files repeat a few scenes many times, so `parse_scenarios` works per
+distinct step block, not per line: the text is split at its header lines
+once, each distinct block is parsed line by line at its first occurrence
+only, and later occurrences are a dict lookup.  Its cost grows with the
+distinct blocks plus the header lines.
 """
 
 from __future__ import annotations
@@ -37,6 +43,15 @@ from trafficlogic.domain import (
 )
 
 _ATOM_RE = re.compile(r"([a-z][a-z0-9_]*)\s*\(\s*([^()]*?)\s*\)\s*\.\s*\Z")
+
+#: The line breaks of ``str.splitlines`` other than ``\n``, and a pattern that
+#: turns each of them (``\r\n`` as one) into ``\n``.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK_RE = re.compile(f"\r\n|[{_OTHER_BREAKS}]")
+#: A line break and the directive line after it, whose first character that
+#: is not blank is ``#``; and such a piece that is a well-formed header.
+_HEADER_RE = re.compile(r"(\n[^\S\n]*#.*)")
+_HEADER_LINE_RE = re.compile(r"\s*(#scenario|#step)\s+([0-9]+)\s*(?:%.*)?")
 
 _REL = {r.value: r for r in LonRel}
 _KIND = {k.value: k for k in PointKind}
@@ -93,9 +108,10 @@ def parse_atom(text: str, lineno: Optional[int] = None) -> tuple[str, tuple[str,
     return name, args
 
 
-def _numbered_atoms(text: str) -> list[tuple[int, str]]:
+def _numbered_atoms(text: str, start: int = 1) -> list[tuple[int, str]]:
+    """The numbered lines of ``text`` that hold more than a comment, stripped; the first is ``start``."""
     out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(text.splitlines(), start=start):
         line = strip_comment(raw).strip()
         if line:
             out.append((i, line))
@@ -235,30 +251,25 @@ def scene_from_atoms(
 ) -> Scene:
     """Assemble a scene from ``on``/``lonr``/``lonpr``/``lonro`` atoms.
 
-    Vehicles listed in ``vehicles`` receive (possibly empty) occupancy
-    entries even without ``on`` atoms.  Missing ``lonr`` mirrors are
-    filled by inversion; with a network, missing ``lonro`` mirrors are
-    filled by `OverlapZone.mirror` of the first window carrying both roads.
+    The atoms are `parse_scene_atom` results, so names, arities and
+    relation values are already checked.  Vehicles listed in ``vehicles``
+    receive (possibly empty) occupancy entries even without ``on`` atoms.
+    Missing ``lonr`` mirrors are filled by inversion; with a network,
+    missing ``lonro`` mirrors are filled by `OverlapZone.mirror` of the
+    first window carrying both roads.
     """
     occ: dict[str, set[str]] = {c: set() for c in vehicles}
     vrel: dict[tuple[str, str], LonRel] = {}
     prel: dict[tuple[str, str], LonRel] = {}
     orel: dict[tuple[str, str], LonRel] = {}
+    relations = {"lonr": vrel, "lonpr": prel, "lonro": orel}
     for name, args in atoms:
         if name == "on":
             c, l = args
             occ.setdefault(c, set()).add(l)
-        elif name == "lonr":
-            x, y, d = args
-            vrel[(x, y)] = _REL[d]
-        elif name == "lonpr":
-            c, p, d = args
-            prel[(c, p)] = _REL[d]
-        elif name == "lonro":
-            x, y, d = args
-            orel[(x, y)] = _REL[d]
         else:
-            raise ParseError(f"unknown scene atom {name!r}")
+            x, y, d = args
+            relations[name][(x, y)] = _REL[d]
     orel = {k: v for k, v in orel.items() if v is not LonRel.NONE}
     if net is not None:
         for (x, y), v in list(orel.items()):
@@ -320,14 +331,32 @@ def render_result(scenarios: Sequence[Scenario], texts: Optional[Sequence[str]] 
     return "".join(parts)
 
 
-def _header(line: str, lineno: int) -> tuple[str, int]:
-    """The directive and number of a ``#scenario <n>`` or ``#step <n>`` line."""
-    parts = line.split()
-    if parts[0] not in ("#scenario", "#step"):
-        raise ParseError(f"unexpected directive {parts[0]!r}", lineno)
-    if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
-        raise ParseError(f"malformed header {line!r}, expected {parts[0]} <number>", lineno)
-    return parts[0], int(parts[1])
+def _bad_header(raw: str, lineno: int) -> ParseError:
+    """Why a directive line that `_HEADER_LINE_RE` rejects is not ``#scenario <n>`` or ``#step <n>``."""
+    line = strip_comment(raw).strip()
+    directive = line.split()[0]
+    if directive not in ("#scenario", "#step"):
+        return ParseError(f"unexpected directive {directive!r}", lineno)
+    return ParseError(f"malformed header {line!r}, expected {directive} <number>", lineno)
+
+
+def _parse_block(
+    text: str, lineno: int, parsed: dict[str, _Atom], stepped: bool
+) -> tuple[tuple[_Atom, ...], frozenset[str]]:
+    """The atoms of a block whose first line is ``lineno``, and the vehicles of its ``on`` atoms.
+
+    ``parsed`` interns atom lines across blocks.  Outside a step
+    (``stepped`` false) the first atom line is an error.
+    """
+    atoms = []
+    for i, line in _numbered_atoms(text, lineno):
+        atom = parsed.get(line)
+        if atom is None:
+            atom = parsed[line] = parse_scene_atom(line, i)
+        if not stepped:
+            raise ParseError("scene atom before any #step header", i)
+        atoms.append(atom)
+    return tuple(atoms), frozenset(args[0] for name, args in atoms if name == "on")
 
 
 def parse_scenarios(
@@ -343,60 +372,86 @@ def parse_scenarios(
     `ParseError`.  The vehicle universe of each scenario is the union of the
     declared vehicles and every vehicle occurring in its ``on`` atoms.
 
-    Parsing is hash-consed: each distinct atom line is parsed once (its
-    first occurrence, so errors name the first line that has it), and
-    each distinct step block builds one `Scene` per vehicle universe,
-    shared by every scenario that holds it.
+    Parsing is per distinct block, not per line.  Line breaks are
+    normalised once (the breaks of ``str.splitlines``, so line numbers are
+    the same), and one regular expression splits the text at its header
+    lines.  Each distinct header line is checked once.  Each distinct step
+    block, the text between a ``#step`` header and the next header, is
+    parsed line by line at its first occurrence only, so an error names
+    the first line that has it; later occurrences are one dict lookup.
+    Each distinct block builds one `Scene` per vehicle universe, shared by
+    every scenario that holds it.
     """
-    parsed: dict[str, _Atom] = {}
-    groups: list[list[list[_Atom]]] = []  # scenario -> step -> atoms
-    current_steps: Optional[list[list[_Atom]]] = None
-    current_atoms: Optional[list[_Atom]] = None
+    if any(c in text for c in _OTHER_BREAKS):
+        text = _BREAK_RE.sub("\n", text)
+    # With a line break in front, every header piece starts with one and
+    # every block starts on the line of the header before it (line 0 for
+    # the first block); without the breaks at the end, the last block reads
+    # like the same block anywhere else.
+    pieces = _HEADER_RE.split("\n" + text)  # block, header, block, ..., block
+    pieces[-1] = pieces[-1].rstrip("\n")
+    parsed: dict[str, _Atom] = {}  # atom line -> atom
+    headers: dict[str, tuple[str, int]] = {}  # header piece -> directive, number
+    block_ids: dict[str, int] = {}  # block text -> index into blocks
+    blocks: list[tuple[tuple[_Atom, ...], frozenset[str]]] = []  # atoms, vehicles with an on atom
+    groups: list[list[int]] = []  # scenario -> block of each step
+    steps: Optional[list[int]] = None
+    stepped = False  # whether the next block follows a #step header
     scenario_no = 0  # number of the last #scenario header, 0 before the first
-    for lineno, line in _numbered_atoms(text):
-        if line.startswith("#"):
-            directive, number = _header(line, lineno)
-            if directive == "#scenario":
-                expected = scenario_no + 1 if scenario_no else max(number, 1)
-                scenario_no = number
-                current_steps = []
-                groups.append(current_steps)
-                current_atoms = None
-            else:
-                if current_steps is None:
-                    current_steps = []
-                    groups.append(current_steps)
-                expected = len(current_steps) + 1
-                current_atoms = []
-                current_steps.append(current_atoms)
-            if number != expected:
-                raise ParseError(
-                    f"{directive} {number} out of order, expected {directive} {expected}", lineno
-                )
+    counted, lineno = 0, 0  # pieces[counted] starts on line lineno
+
+    def line_at(i: int) -> int:
+        nonlocal counted, lineno
+        lineno += "".join(pieces[counted:i]).count("\n")
+        counted = i
+        return lineno
+
+    for i in range(0, len(pieces), 2):
+        block = pieces[i]
+        b = block_ids.get(block)
+        if b is None or (blocks[b][0] and not stepped):
+            b = block_ids[block] = len(blocks)
+            blocks.append(_parse_block(block, line_at(i), parsed, stepped))
+        if stepped:
+            steps.append(b)
+        if i + 1 == len(pieces):
+            break
+        header = pieces[i + 1]
+        checked = headers.get(header)
+        if checked is None:
+            m = _HEADER_LINE_RE.fullmatch(header)
+            if m is None:
+                raise _bad_header(header, line_at(i + 1) + 1)
+            checked = headers[header] = m[1], int(m[2])
+        directive, number = checked
+        stepped = directive == "#step"
+        if stepped:
+            if steps is None:
+                steps = []
+                groups.append(steps)
+            expected = len(steps) + 1
         else:
-            atom = parsed.get(line)
-            if atom is None:
-                atom = parsed[line] = parse_scene_atom(line, lineno)
-            if current_atoms is None:
-                raise ParseError("scene atom before any #step header", lineno)
-            current_atoms.append(atom)
-    scenes: dict[tuple[frozenset[str], tuple[_Atom, ...]], Scene] = {}
+            expected = scenario_no + 1 if scenario_no else max(number, 1)
+            scenario_no = number
+            steps = []
+            groups.append(steps)
+        if number != expected:
+            raise ParseError(
+                f"{directive} {number} out of order, expected {directive} {expected}",
+                line_at(i + 1) + 1,
+            )
+    declared = frozenset(declared)
+    scenes: dict[frozenset[str], dict[int, Scene]] = {}  # universe -> block -> scene
     scenarios = []
     for steps in groups:
         if not steps:
             raise ParseError("scenario with no #step blocks")
-        universe = set(declared)
-        for atoms in steps:
-            universe.update(args[0] for name, args in atoms if name == "on")
-        vehicles = frozenset(universe)
-        interned = []
-        for atoms in steps:
-            key = (vehicles, tuple(atoms))
-            scene = scenes.get(key)
-            if scene is None:
-                scene = scenes[key] = scene_from_atoms(atoms, vehicles, net)
-            interned.append(scene)
-        scenarios.append(Scenario(vehicles, net, tuple(interned)))
+        vehicles = declared.union(*[blocks[b][1] for b in steps])
+        built = scenes.setdefault(vehicles, {})
+        for b in steps:
+            if b not in built:
+                built[b] = scene_from_atoms(blocks[b][0], vehicles, net)
+        scenarios.append(Scenario(vehicles, net, tuple(map(built.__getitem__, steps))))
     return scenarios
 
 

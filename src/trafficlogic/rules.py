@@ -342,7 +342,8 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
                     add(RuleId.PR12, c, p)
 
     # window relations evolve monotonically for opposed traffic: once two
-    # vehicles heading toward each other have met, they can only separate
+    # vehicles heading toward each other have met, they can only separate;
+    # traffic the same way evolves as on one road (PR4's table)
     for z in n.zones:
         inside = [
             c
@@ -350,12 +351,14 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
             if z.holds_inside(road_p[c], c, prev.prel) and z.holds_inside(road_n[c], c, next_.prel)
         ]
         for x, y in combinations(inside, 2):
-            if z.orientation[road_p[x]] == z.orientation[road_p[y]]:
-                continue  # same direction: PR4 already governs via the copy rule
             u, v = prev.orel.get((x, y)), next_.orel.get((x, y))
             if u is None or v is None:
                 continue
-            if z.frame(road_n[x], v) not in PREL_NEXT[z.frame(road_p[x], u)]:
+            if z.orientation[road_p[x]] != z.orientation[road_p[y]]:
+                ok = z.frame(road_n[x], v) in PREL_NEXT[z.frame(road_p[x], u)]
+            else:  # on one road the copy rule (PR13) leaves this to PR4
+                ok = road_p[x] == road_p[y] or v in VREL_NEXT[u]
+            if not ok:
                 add(RuleId.PR14_CONT, x, y)
     return out
 
@@ -374,19 +377,20 @@ def check_scenario(sc: Scenario, verdicts: Optional[dict] = None) -> list[Violat
     out: list[Violation] = []
     n = sc.network
     for k, scene in enumerate(sc.scenes, start=1):
-        missing = sc.vehicles - set(scene.occ)
-        extra = set(scene.occ) - sc.vehicles
-        for c in sorted(missing | extra):
-            out.append(Violation(RuleId.WF, k, ("universe", c)))
+        if sc.vehicles != scene.occ.keys():
+            for c in sorted(sc.vehicles ^ scene.occ.keys()):
+                out.append(Violation(RuleId.WF, k, ("universe", c)))
         found = verdicts.get(scene)
         if found is None:
             found = verdicts[scene] = check_scene(scene, n)
-        out.extend(_at_step(found, k))
+        if found:
+            out.extend(_at_step(found, k))
     for k, pair in enumerate(zip(sc.scenes, sc.scenes[1:]), start=1):
         found = verdicts.get(pair)
         if found is None:
             found = verdicts[pair] = check_transition(*pair, n)
-        out.extend(_at_step(found, k))
+        if found:
+            out.extend(_at_step(found, k))
     return out
 
 

@@ -276,6 +276,8 @@ class TestCheck:
             ("#step\non(c1,l1).\n", "line 1: malformed header '#step', expected #step <number>"),
             ("#step one\non(c1,l1).\n", "line 1: malformed header '#step one'"),
             ("#scenario 1 2\n#step 1\non(c1,l1).\n", "line 1: malformed header '#scenario 1 2'"),
+            ("#scenario 1\n#scenario 2\n#step 1\non(c1,l1).\n", "scenario with no #step blocks"),
+            ("#scenario 1\n\non(c1,l1).\n#step 1\n", "line 3: scene atom before any #step header"),
         ],
     )
     def test_malformed_header_is_input_error(self, text, message, tmp_path, capsys):
@@ -398,6 +400,26 @@ class TestInvalidNetwork:
         assert captured.err.startswith("error: invalid network: ") and captured.err.count("\n") == 1
         assert defect in captured.err.rstrip("\n").split(": ", 2)[2].split("; ")
         assert not (tmp_path / "r.result").exists()
+
+    @pytest.mark.parametrize(
+        "facts,message",
+        [
+            ("class(p1, y).", "line 3: unknown point kind 'y'"),
+            ("class(p1, c).\nclass(p1, x).", "line 4: point p1 declared with two kinds"),
+            # l1 is the one lane of ra with no left neighbour, but l3 and l4 are
+            # each other's, so the chain from l1 misses them
+            ("lane(l3, ra).\nlane(l4, ra).\nleft(l3, l4).\nleft(l4, l3).",
+             "road ra lanes cannot be ordered left-to-right from left() facts"),
+        ],
+        ids=["unknown-kind", "two-kinds", "short-left-chain"],
+    )
+    def test_unbuildable_network_is_input_error(self, facts, message, tmp_path, capsys):
+        net = tmp_path / "bad.net"
+        net.write_text(self.LANES + facts + "\n")
+        sc = tmp_path / "one.scenario"
+        sc.write_text("#scenario 1\n#step 1\non(c1,l1).\n")
+        assert main(["check", str(sc), str(net)]) == INPUT
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_every_defect_is_listed(self, tmp_path, capsys):
         req = tmp_path / "bad.req"

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_facts import reference_parse_scenarios
 
 from trafficlogic import facts
 from trafficlogic.domain import LonRel, Scenario, Scene
+from trafficlogic.reasoner import expand, parse_request
 
 A, C, B, N = LonRel.AHEAD, LonRel.COVER, LonRel.BEHIND, LonRel.NONE
 
@@ -169,3 +175,114 @@ class TestScenarioFiles:
         net, _ = facts.parse_network(NETWORK)
         (sc,) = facts.parse_scenarios("#step 1\non(c1,l1).\n", net, frozenset({"c9"}))
         assert sc.vehicles == {"c1", "c9"}
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+OPPOSING_NET, OPPOSING_DECLARED = facts.parse_network((DATA / "ex5_opposing_pass.net").read_text())
+_opposing = expand(parse_request((DATA / "ex5_opposing_pass.req").read_text()))
+#: The lines of each section of the ex5_opposing_pass result, without its #scenario header.
+SECTIONS = [text.splitlines() for text in _opposing.texts]
+#: Every line break of ``str.splitlines``, ``\r\n`` included.
+BREAK = st.sampled_from(["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+BLANK = st.sampled_from([" ", "  ", "\t", "\xa0", "\x1f", "\u3000"])
+NOTE = st.sampled_from(["% note", "%", "  % indented note", "% #step 1"])
+ODD_HEADER = st.sampled_from(
+    ["#step", "#step x", "#step 1 2", "#step -1", "#step +1", "#step 1.", "#step \u0663",
+     "#step%1", "#steps 1", "#stop 1", "#", "#scenario", "#scenario 0", "#scenario 99",
+     "#step 9", "#horizon 3", "# step 1"]
+)
+#: Well-formed headers for step 1 and scenario 1 written another way.
+ODD_FIRST = st.sampled_from(
+    ["#step 01", "#step\t1", "#step\xa01 ", "#step 1%", "#step  1\x1f% x", "#scenario 001 %%"]
+)
+RELATION = st.sampled_from(["ahead", "cover", "behind", "none", "sideways"])
+
+
+def _headers(lines: list[str], directive: str = "#") -> list[int]:
+    return [i for i, line in enumerate(lines) if line.lstrip().startswith(directive)]
+
+
+@st.composite
+def edited_results(draw) -> str:
+    """Sections of the ex5_opposing_pass result, repeated and edited, joined by drawn line breaks."""
+    picks = draw(st.lists(st.integers(0, len(SECTIONS) - 1), min_size=1, max_size=4))
+    lines: list[str] = []
+    for n, k in enumerate(picks, start=1):
+        lines += [f"#scenario {n}", *SECTIONS[k]]
+    if len(picks) == 1 and draw(st.booleans()):
+        del lines[0]  # bare #step blocks
+    for _ in range(draw(st.integers(0, 5))):
+        steps = _headers(lines, "#step")
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(
+            ["copy", "empty", "header_note", "indent", "odd_header", "renumber", "drop", "swap",
+             "duplicate", "relation", "note", "atom_first", "empty_scenario", "drop_header"]
+        ))
+        if op == "copy" and len(steps) > 1:
+            # one step block takes another's atom lines: a repeat in a valid place
+            a, b = draw(st.sampled_from(steps)), draw(st.sampled_from(steps))
+            ends = _headers(lines) + [len(lines)]
+            body = lines[b + 1 : min(e for e in ends if e > b)]
+            lines[a + 1 : min(e for e in ends if e > a)] = body
+        elif op == "empty":
+            # one more step at the end of a scenario, empty or holding only comments
+            at = draw(st.sampled_from(_headers(lines, "#scenario")[1:] + [len(lines)]))
+            last = [j for j in steps if j < at]
+            number = int(lines[last[-1]].split()[1]) + 1 if last else 1
+            block = [f"#step {number}"] + draw(st.lists(NOTE | st.just(""), max_size=2))
+            lines[at:at] = block
+        elif op == "header_note" and steps:
+            j = draw(st.sampled_from(_headers(lines)))
+            lines[j] += draw(st.sampled_from([" % note", "%", "  %% #step 9", "\t% x"]))
+        elif op == "indent":
+            j = draw(st.sampled_from(_headers(lines))) if draw(st.booleans()) else i
+            lines[j] = draw(BLANK) + lines[j]
+        elif op == "odd_header":
+            j = draw(st.sampled_from(_headers(lines)))
+            lines[j] = draw(ODD_FIRST if lines[j] in ("#step 1", "#scenario 1") else ODD_HEADER)
+        elif op == "renumber":
+            j = draw(st.sampled_from(_headers(lines)))
+            parts = lines[j].split()
+            if len(parts) == 2 and parts[1].isdigit():
+                lines[j] = f"{parts[0]} {int(parts[1]) + draw(st.sampled_from([-1, 1]))}"
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "relation" and lines[i].startswith("lon"):
+            lines[i] = f"{lines[i][: lines[i].rindex(',') + 1]}{draw(RELATION)})."
+        elif op == "note":
+            lines.insert(i, draw(NOTE))
+        elif op == "atom_first":
+            j = draw(st.sampled_from(_headers(lines)))
+            lines.insert(j + 1 if lines[j].startswith("#scenario") else j, "on(c1,l1).")
+        elif op == "drop_header":
+            # a step's atom lines, seen before as a block, now follow a #scenario header
+            del lines[draw(st.sampled_from(_headers(lines)))]
+        elif op == "empty_scenario":
+            lines.append(f"#scenario {len(_headers(lines, '#scenario')) + 1}")
+    breaks = ["\n"] * len(lines)
+    if draw(st.booleans()):
+        breaks = [draw(BREAK)] * len(lines)
+    for j in draw(st.lists(st.integers(0, len(lines) - 1), max_size=4)):
+        breaks[j] = draw(BREAK)
+    if draw(st.booleans()):
+        breaks[-1] = ""  # no break after the last line
+    return "".join(line + end for line, end in zip(lines, breaks))
+
+
+def _outcome(parse, text: str):
+    """The scenarios' universes and scenes, or the `ParseError` text and line."""
+    try:
+        return [(sc.vehicles, sc.scenes) for sc in parse(text, OPPOSING_NET, OPPOSING_DECLARED)]
+    except facts.ParseError as exc:
+        return str(exc), exc.line
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(edited_results())
+def test_parse_scenarios_matches_the_line_by_line_reference(text):
+    assert _outcome(facts.parse_scenarios, text) == _outcome(reference_parse_scenarios, text)

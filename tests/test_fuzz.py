@@ -20,6 +20,8 @@ import pathlib
 import re
 import tempfile
 import xml.etree.ElementTree as ET
+from typing import Optional
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from trafficlogic import facts
 from trafficlogic.abstraction import abstract_network
 from trafficlogic.cli import main
 from trafficlogic.config import Config
+from trafficlogic.domain import validate_network
 from trafficlogic.opendrive import parse_opendrive
 from trafficlogic.reasoner import expand, parse_request
 from trafficlogic.rules import check_scenario, render_report
@@ -302,6 +305,16 @@ def mutated_networks(draw) -> list[str]:
     return _edit_lines(draw, NETWORK_LINES, NETWORK_LINE)
 
 
+def _network_defects(net_text: str) -> Optional[list[str]]:
+    """What `validate_network` finds in the network a text builds, or None when it builds none."""
+    with mock.patch.object(facts, "validate_network", lambda net: []):
+        try:
+            net, _ = facts.parse_network(net_text)
+        except facts.ParseError:
+            return None
+    return validate_network(net)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(mutated_networks())
 def test_check_fuzzed_networks(lines):
@@ -313,7 +326,11 @@ def test_check_fuzzed_networks(lines):
         net.write_text(net_text)
         code, out = _run(["check", str(result), str(net)])
         assert code in (0, 1, 2, 3)
+        defects = _network_defects(net_text)
+        if defects:
+            assert code == 2
         if code in (0, 1):
+            assert defects == []
             _assert_stepwise_report(code, out, OPPOSING_RESULT, net_text)
 
 

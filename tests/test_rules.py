@@ -11,7 +11,7 @@ from __future__ import annotations
 from oracle import stepwise_violations
 
 from trafficlogic import facts
-from trafficlogic.domain import LonRel, Scenario, Scene
+from trafficlogic.domain import LonRel, Scenario, Scene, invert
 from trafficlogic.rules import (
     COMPOSITION,
     PREL_NEXT,
@@ -45,6 +45,12 @@ OVERLAP = _net(
     "class(pos,os).\nclass(poe,oe).\n"
     "pon(pos,l2).\npon(poe,l2).\npon(pos,l3).\npon(poe,l3).\n"
     "succp(l2,pos,poe).\nsuccp(l3,poe,pos).\noverlap(pos,poe)."
+)
+#: Two roads that traverse one window the same way, from pos to poe.
+SAME_WAY = _net(
+    "lane(l1,ra).\nlane(l2,rb).\nclass(pos,os).\nclass(poe,oe).\n"
+    "pon(pos,l1).\npon(poe,l1).\npon(pos,l2).\npon(poe,l2).\n"
+    "succp(l1,pos,poe).\nsuccp(l2,pos,poe).\noverlap(pos,poe)."
 )
 
 
@@ -391,6 +397,23 @@ class TestTransitionRules:
         # a missing window relation is PR13's fault in its own scene, not PR14_CONT's
         lost = scene({"c1": ["l1"], "c3": ["l3"]}, prel=prel)
         assert check_transition(before, lost, OVERLAP) == []
+
+    def test_pr14_cont_same_way_on_two_roads_passes_through_cover(self):
+        prel = engaged_ra("c1", engaged_ra("c2", {}))
+
+        def window(rel: LonRel) -> Scene:
+            return scene(
+                {"c1": ["l1"], "c2": ["l2"]}, prel=prel,
+                orel={("c1", "c2"): rel, ("c2", "c1"): invert(rel)},
+            )
+
+        ahead, cover, behind = window(A), window(C), window(B)
+        for s in (ahead, cover, behind):
+            assert check_scene(s, SAME_WAY) == []
+        assert rules_of(check_transition(ahead, behind, SAME_WAY)) == {RuleId.PR14_CONT}
+        assert rules_of(check_transition(behind, ahead, SAME_WAY)) == {RuleId.PR14_CONT}
+        assert check_transition(ahead, cover, SAME_WAY) == []
+        assert check_transition(cover, behind, SAME_WAY) == []
 
     def test_stutter_flagged(self):
         s = scene({"c1": ["l1"]})
