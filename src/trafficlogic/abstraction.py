@@ -44,7 +44,6 @@ from trafficlogic.geometry import (
 from trafficlogic.opendrive import (
     MapModel,
     RoadSpec,
-    UnsupportedFeatureError,
     sample_centerline,
 )
 
@@ -81,9 +80,6 @@ class AbstractLane:
     line: Polyline  # vertices ordered along travel
     widths: np.ndarray  # lane width at each vertex
 
-    def width_at(self, s: float) -> float:
-        return float(np.interp(s, self.line.arclength, self.widths))
-
     @property
     def length(self) -> float:
         return self.line.length
@@ -103,12 +99,7 @@ def _direction_groups(model: MapModel) -> list[tuple[RoadSpec, str, list]]:
     groups = []
     for rid in sorted(model.roads, key=_natural_key):
         road = model.roads[rid]
-        if len(road.sections) != 1:
-            raise UnsupportedFeatureError(
-                f"road {road.id}: multiple lane sections are outside the supported subset",
-                road.source_line,
-            )
-        sec = road.sections[0]
+        sec = road.only_section()
         right = [l for l in sec.right if l.type == "driving"]
         left = [l for l in sec.left if l.type == "driving"]
         if right:
@@ -206,8 +197,7 @@ class NetworkAbstraction:
                 lid = f"l{len(self.lanes) + 1}"
                 line = sample_centerline(model, (road.id, spec.id), params.sampling_step)
                 svals = np.linspace(0.0, road.length, len(line))
-                sec_s = road.sections[0].s
-                widths = np.array([spec.width_at(float(s) - sec_s) for s in svals])
+                widths = spec.width_at(svals - road.sections[0].s)
                 if side == "left":
                     line = line.reversed()
                     widths = widths[::-1].copy()
@@ -400,14 +390,15 @@ def overlap_corridor(
     """
     pts = la.line.points
     s_b = np.zeros(len(pts))
+    near = np.flatnonzero(lb.line.near_box(pts, _corridor_reach(la, lb, params)))
+    if not near.size:
+        return s_b, np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
     dist = np.full(len(pts), np.inf)
     e_b = np.full(len(pts), np.inf)
-    near = np.flatnonzero(lb.line.near_box(pts, _corridor_reach(la, lb, params)))
-    if near.size:
-        s_near, d_near, e_near = project_points(lb.line, pts[near])
-        s_b[near] = s_near
-        dist[near] = np.abs(d_near)
-        e_b[near] = e_near
+    s_near, d_near, e_near = project_points(lb.line, pts[near])
+    s_b[near] = s_near
+    dist[near] = np.abs(d_near)
+    e_b[near] = e_near
     diff = angle_difference(la.line.heading_at(la.line.arclength), lb.line.heading_at(s_b))
     wmin = np.minimum(la.widths, np.interp(s_b, lb.line.arclength, lb.widths))
     corridor = dist <= params.overlap_corridor_factor * wmin
@@ -551,24 +542,59 @@ def _tracks(samples: list[TraceSample]) -> tuple[list[float], dict[str, _Vehicle
 
 
 def _lane_fit(abst: NetworkAbstraction, track: _VehicleTrack, cfg: Config):
-    """Per lane: center projections, occupancy mask, and range projections.
+    """Per sample: the lane that fits the center best, and the lanes of its road it occupies.
 
-    A sample far off the map (a finite coordinate near the float range) can
-    overflow to inf or nan here; neither passes the occupancy test, so the
-    sample is off-road on that lane, and numpy is kept from warning about it.
+    Every center is projected onto every lane, since occupancy needs them
+    all.  The best lane is the occupied one with the smallest lateral offset
+    ``|d|``, ties going to the smallest lane id; it is None for a sample that
+    occupies no lane.  A sample far off the map (a finite coordinate near the
+    float range) can overflow to inf or nan here; neither passes the
+    occupancy test, so the sample is off-road on that lane, and numpy is kept
+    from warning about it.
     """
-    fits = {}
+    lids = sorted(abst.lanes)
+    if not lids:
+        return [None] * len(track.samples), [frozenset()] * len(track.samples)
+    dist = np.empty((len(lids), len(track.samples)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lid, lane in abst.lanes.items():
-            s_c, d_c, e_c = project_points(lane.line, track.centers)
-            s_f, _, _ = project_points(lane.line, track.fronts)
-            s_r, _, _ = project_points(lane.line, track.rears)
-            widths = np.interp(s_c, lane.line.arclength, lane.widths)
+        for i, lid in enumerate(lids):
+            line, widths = abst.lanes[lid].line, abst.lanes[lid].widths
+            s_c, d_c, e_c = project_points(line, track.centers)
+            width = np.interp(s_c, line.arclength, widths)
             overrun = np.sqrt(np.maximum(e_c * e_c - d_c * d_c, 0.0))
-            ok = (np.abs(d_c) <= widths / 2.0 + cfg.occupancy_halfwidth) & (overrun <= 0.5)
-            ok &= angle_difference(track.headings, lane.line.heading_at(s_c)) < math.pi / 2
-            fits[lid] = (s_c, d_c, s_f, s_r, ok)
-    return fits
+            ok = (np.abs(d_c) <= width / 2.0 + cfg.occupancy_halfwidth) & (overrun <= 0.5)
+            ok &= angle_difference(track.headings, line.heading_at(s_c)) < math.pi / 2
+            dist[i] = np.where(ok, np.abs(d_c), np.inf)
+    roads = {}
+    road = np.array([roads.setdefault(abst.lanes[lid].road, len(roads)) for lid in lids])
+    best = np.argmin(dist, axis=0)  # the first minimum: the smallest id
+    occupied = np.isfinite(dist)
+    same_road = occupied & (road[:, None] == road[best])
+    best_lane = [lids[i] if occupied[i, ti] else None for ti, i in enumerate(best.tolist())]
+    occ = [frozenset(lid for lid, on in zip(lids, col) if on) for col in same_road.T.tolist()]
+    return best_lane, occ
+
+
+def _ranges(
+    abst: NetworkAbstraction, tracks: dict[str, _VehicleTrack], wanted
+) -> dict[tuple[str, str, int], SRange]:
+    """The range from rear to front of each wanted ``(vehicle, lane, sample)``.
+
+    The fronts of one (vehicle, lane) go to one projection call, and its
+    rears to another: one call for both would double the call's peak memory.
+    """
+    by_lane: dict[tuple[str, str], dict[int, None]] = {}
+    for v, lid, ti in wanted:
+        by_lane.setdefault((v, lid), {})[ti] = None
+    out = {}
+    for (v, lid), tis in by_lane.items():
+        idx, line = list(tis), abst.lanes[lid].line
+        with np.errstate(over="ignore", invalid="ignore"):
+            fronts, _, _ = project_points(line, tracks[v].fronts[idx])
+            rears, _, _ = project_points(line, tracks[v].rears[idx])
+        for ti, s_f, s_r in zip(idx, fronts.tolist(), rears.tolist()):
+            out[v, lid, ti] = SRange(min(s_r, s_f), max(s_r, s_f))
+    return out
 
 
 def abstract_trace(
@@ -583,6 +609,11 @@ def abstract_trace(
     to place every sample.  With ``n=None`` the scenario is built on that
     compiled network; otherwise ``n`` must equal it (same facts under the
     same parameters) and the scenario is built on ``n``.
+
+    Every sample's center is projected onto every lane.  Its front and rear
+    are projected only where its range is read: on its own best lane, and on
+    the best lane of a vehicle on another road that it shares an overlap
+    window with.
     """
     cfg = params or Config()
     abst = NetworkAbstraction(model, cfg)
@@ -591,59 +622,67 @@ def abstract_trace(
     elif facts.render_network(abst.network) != facts.render_network(n):
         raise AbstractionError("network facts do not match the map under these tolerances")
     times, tracks = _tracks(samples)
-    fits = {v: _lane_fit(abst, tr, cfg) for v, tr in tracks.items()}
     vehicles = sorted(tracks)
-
-    scenes: list[Scene] = []
-    for ti, _t in enumerate(times):
-        placement: dict[str, tuple[str, frozenset[str], SRange]] = {}
+    best, occ = {}, {}
+    for v in vehicles:
+        best[v], occ[v] = _lane_fit(abst, tracks[v], cfg)
+    for ti, t in enumerate(times):
         for v in vehicles:
-            track = tracks[v]
-            cands = [
-                (abs(float(fit[1][ti])), lid)
-                for lid, fit in fits[v].items()
-                if fit[4][ti]
-            ]
-            if not cands:
+            if best[v][ti] is None:
                 raise TraceError(
-                    f"trace row {track.samples[ti].row}: vehicle {v} is off-road at "
-                    f"t={track.samples[ti].t}"
+                    f"trace row {tracks[v].samples[ti].row}: vehicle {v} is off-road at t={t}"
                 )
-            _, best = min(cands)
-            road = abst.lanes[best].road
-            occ = frozenset(lid for _, lid in cands if abst.lanes[lid].road == road)
-            s_f = float(fits[v][best][2][ti])
-            s_r = float(fits[v][best][3][ti])
-            placement[v] = (best, occ, SRange(min(s_r, s_f), max(s_r, s_f)))
-        scenes.append(_qualify(abst, n, placement, fits, ti))
-    collapsed = [scenes[0]]
-    for sc in scenes[1:]:
-        if sc != collapsed[-1]:
-            collapsed.append(sc)
+    ranges = _ranges(abst, tracks, ((v, best[v][ti], ti) for v in vehicles for ti in range(len(times))))
+    projected: dict[tuple[str, str], float] = {}
+    steps = []
+    for ti in range(len(times)):
+        placement = {v: (best[v][ti], occ[v][ti], ranges[v, best[v][ti], ti]) for v in vehicles}
+        steps.append((placement, *_relations(abst, n, placement, projected)))
+    # a window pair on two roads reads the second vehicle's range on the first one's lane
+    cross = ((b, lane, ti) for ti, step in enumerate(steps) for _, b, _, lane in step[-1] if lane)
+    ranges.update(_ranges(abst, tracks, cross))
+    collapsed: list[Scene] = []
+    for ti, (placement, road_of, vrel, prel, pairs) in enumerate(steps):
+        orel: dict[tuple[str, str], LonRel] = {}
+        for a, b, z, lane in pairs:
+            if lane is None:
+                val = vrel[(a, b)]
+            else:
+                val = lon_rel_of_ranges(placement[a][2], ranges[b, lane, ti])
+            orel[(a, b)] = val
+            orel[(b, a)] = z.mirror(road_of[a], road_of[b], val)
+        scene = Scene.build({v: placement[v][1] for v in vehicles}, vrel, prel, orel)
+        if not collapsed or scene != collapsed[-1]:
+            collapsed.append(scene)
     return Scenario(frozenset(vehicles), n, tuple(collapsed))
 
 
-def _point_s_on(abst: NetworkAbstraction, pid: str, lid: str) -> float:
+def _point_s_on(
+    abst: NetworkAbstraction, pid: str, lid: str, projected: dict[tuple[str, str], float]
+) -> float:
+    """Arclength of point ``pid`` on lane ``lid``; ``projected`` keeps those not carried."""
     cached = abst.point_s[pid]
     if lid in cached:
         return cached[lid]
-    pose = frenet_project(abst.lanes[lid].line, abst.point_coords[pid])
-    return pose.s
+    if (pid, lid) not in projected:
+        projected[pid, lid] = frenet_project(abst.lanes[lid].line, abst.point_coords[pid]).s
+    return projected[pid, lid]
 
 
-def _qualify(
+def _relations(
     abst: NetworkAbstraction,
     n: RoadNetwork,
     placement: dict[str, tuple[str, frozenset[str], SRange]],
-    fits: dict[str, dict[str, tuple]],
-    ti: int,
-) -> Scene:
-    """Build one qualitative scene from metric placements."""
+    projected: dict[tuple[str, str], float],
+):
+    """The vehicle and point relations of one sample, and its vehicle pairs inside a window.
+
+    A pair ``(a, b, zone, lane)`` names ``a``'s lane when the two are on
+    different roads: their window relation then reads ``b``'s range there.
+    """
     vehicles = sorted(placement)
-    occ = {v: placement[v][1] for v in vehicles}
     vrel: dict[tuple[str, str], LonRel] = {}
     prel: dict[tuple[str, str], LonRel] = {}
-    orel: dict[tuple[str, str], LonRel] = {}
 
     road_of = {v: abst.lanes[placement[v][0]].road for v in vehicles}
     for i, a in enumerate(vehicles):
@@ -654,21 +693,14 @@ def _qualify(
     for v in vehicles:
         ref, _, rng = placement[v]
         for pid in sorted(n.points_of_road(road_of[v])):
-            s_p = _point_s_on(abst, pid, ref)
+            s_p = _point_s_on(abst, pid, ref, projected)
             prel[(v, pid)] = lon_rel_of_ranges(rng, SRange(s_p, s_p))
 
     inside = [(z, {v for v in vehicles if z.holds_inside(road_of[v], v, prel)}) for z in n.zones]
+    pairs = []
     for i, a in enumerate(vehicles):
         for b in vehicles[i + 1 :]:
             z = next((z for z, members in inside if a in members and b in members), None)
-            if z is None:
-                continue
-            if road_of[a] == road_of[b]:
-                val = vrel[(a, b)]
-            else:
-                _, _, s_f, s_r, _ = fits[b][placement[a][0]]
-                ends = (float(s_f[ti]), float(s_r[ti]))
-                val = lon_rel_of_ranges(placement[a][2], SRange(min(ends), max(ends)))
-            orel[(a, b)] = val
-            orel[(b, a)] = z.mirror(road_of[a], road_of[b], val)
-    return Scene.build(occ, vrel, prel, orel)
+            if z is not None:
+                pairs.append((a, b, z, None if road_of[a] == road_of[b] else placement[a][0]))
+    return road_of, vrel, prel, pairs

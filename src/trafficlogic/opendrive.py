@@ -17,6 +17,7 @@ import logging
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from itertools import repeat
 from xml.parsers import expat
 
 import numpy as np
@@ -65,6 +66,17 @@ class UnsupportedFeatureError(MapError):
     """The file uses a documented-out-of-subset OpenDRIVE feature."""
 
 
+# Sine and cosine of every element, taken through ``math``: numpy's vectorised
+# versions can differ from it in the last ulp on some CPUs, and array sampling
+# must give the very vertices that point-by-point sampling does.
+def _sin(a: np.ndarray) -> np.ndarray:
+    return np.array(list(map(math.sin, a.tolist())))
+
+
+def _cos(a: np.ndarray) -> np.ndarray:
+    return np.array(list(map(math.cos, a.tolist())))
+
+
 @dataclass(frozen=True)
 class RefLineSegment:
     """One piece of a road reference line, evaluated in closed form."""
@@ -76,29 +88,22 @@ class RefLineSegment:
     curvature: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("line", "arc"):
-            raise ValueError(f"unknown reference-line kind {self.kind!r}")
         if not self.length > 0.0:
             raise ValueError("reference-line segment length must be positive")
         if self.kind == "arc" and self.curvature == 0.0:
             raise ValueError("arc segment needs nonzero curvature")
+        if not math.isfinite(self.heading + self.curvature * self.length):
+            raise ValueError("arc segment turns through a non-finite angle")
 
-    def point_at(self, s: float) -> tuple[float, float]:
-        """Point at local arclength ``s`` from the segment origin."""
+    def poses(self, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Points ``x``, ``y`` and headings at local arclengths ``ds`` from the segment origin."""
         x0, y0 = self.origin
         h = self.heading
         if self.kind == "line":
-            return (x0 + s * math.cos(h), y0 + s * math.sin(h))
+            return x0 + ds * math.cos(h), y0 + ds * math.sin(h), np.full(len(ds), h)
         k = self.curvature
-        return (
-            x0 + (math.sin(h + k * s) - math.sin(h)) / k,
-            y0 - (math.cos(h + k * s) - math.cos(h)) / k,
-        )
-
-    def heading_at(self, s: float) -> float:
-        if self.kind == "line":
-            return self.heading
-        return self.heading + self.curvature * s
+        hs = h + k * ds
+        return x0 + (_sin(hs) - math.sin(h)) / k, y0 - (_cos(hs) - math.cos(h)) / k, hs
 
 
 @dataclass(frozen=True)
@@ -111,8 +116,10 @@ class WidthRecord:
     c: float = 0.0
     d: float = 0.0
 
-    def eval(self, ds: float) -> float:
-        return self.a + self.b * ds + self.c * ds * ds + self.d * ds ** 3
+    def eval(self, ds: np.ndarray) -> np.ndarray:
+        # the cube as Python's float power computes it; numpy's can differ in the last ulp
+        cube = np.array(list(map(pow, ds.tolist(), repeat(3))))
+        return self.a + self.b * ds + self.c * ds * ds + self.d * cube
 
 
 @dataclass(frozen=True)
@@ -126,14 +133,17 @@ class LaneSpec:
     predecessor: int | None = None
     successor: int | None = None
 
-    def width_at(self, section_s: float) -> float:
-        rec = None
-        for w in self.widths:
-            if w.s_offset <= section_s + 1e-9:
-                rec = w
-        if rec is None:
-            return 0.0
-        return rec.eval(section_s - rec.s_offset)
+    def width_at(self, section_s) -> np.ndarray:
+        """Width at each section arclength in ``section_s``: 0 before the first record."""
+        s = np.atleast_1d(np.asarray(section_s, dtype=float))
+        # the last record starting at most 1e-9 past s governs s
+        rec = np.searchsorted([w.s_offset for w in self.widths], s + 1e-9, side="right") - 1
+        out = np.zeros(len(s))
+        for i, w in enumerate(self.widths):
+            at = rec == i
+            if at.any():
+                out[at] = w.eval(s[at] - w.s_offset)
+        return out
 
 
 @dataclass(frozen=True)
@@ -171,22 +181,32 @@ class RoadSpec:
     successor: RoadLink | None = None
     source_line: int | None = None
 
-    def point_at(self, s: float) -> tuple[float, float]:
-        seg, ds = self._locate(s)
-        return seg.point_at(ds)
+    def only_section(self) -> LaneSectionSpec:
+        """The road's one lane section; several are outside the supported subset."""
+        if len(self.sections) != 1:
+            raise UnsupportedFeatureError(
+                f"road {self.id}: multiple lane sections are outside the supported subset",
+                self.source_line,
+            )
+        return self.sections[0]
 
-    def heading_at(self, s: float) -> float:
-        seg, ds = self._locate(s)
-        return seg.heading_at(ds)
+    def poses(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reference-line points ``x``, ``y`` and headings at road arclengths ``s``.
 
-    def _locate(self, s: float) -> tuple[RefLineSegment, float]:
-        s = min(max(s, 0.0), self.length)
-        acc = 0.0
-        for seg in self.ref_line:
-            if s <= acc + seg.length + 1e-9:
-                return seg, min(max(s - acc, 0.0), seg.length)
-            acc += seg.length
-        return self.ref_line[-1], self.ref_line[-1].length
+        ``s`` is clamped to the road.  A value belongs to the first segment
+        whose end it passes by at most 1e-9, and is clamped to that segment.
+        """
+        s = np.clip(s, 0.0, self.length)
+        ends = np.cumsum([seg.length for seg in self.ref_line])
+        starts = np.concatenate(([0.0], ends[:-1]))
+        which = np.minimum(np.searchsorted(ends + 1e-9, s), len(ends) - 1)
+        x, y, h = np.empty(len(s)), np.empty(len(s)), np.empty(len(s))
+        for i, seg in enumerate(self.ref_line):
+            on = which == i
+            if on.any():
+                ds = np.minimum(np.maximum(s[on] - starts[i], 0.0), seg.length)
+                x[on], y[on], h[on] = seg.poses(ds)
+        return x, y, h
 
 
 @dataclass(frozen=True)
@@ -196,6 +216,7 @@ class JunctionConnection:
     connecting_road: str
     contact_point: str
     lane_links: tuple[tuple[int, int], ...]  # (from incoming, to connecting)
+    source_line: int | None = None
 
 
 @dataclass(frozen=True)
@@ -203,6 +224,7 @@ class JunctionSpec:
     id: str
     name: str
     connections: tuple[JunctionConnection, ...]
+    source_line: int | None = None
 
 
 @dataclass
@@ -423,9 +445,15 @@ def _parse_junction(junc: ET.Element) -> JunctionSpec:
                 connecting_road=_req(conn, "connectingRoad"),
                 contact_point=conn.get("contactPoint", "start"),
                 lane_links=links,
+                source_line=_line_of(conn),
             )
         )
-    return JunctionSpec(id=_req(junc, "id"), name=junc.get("name", ""), connections=tuple(conns))
+    return JunctionSpec(
+        id=_req(junc, "id"),
+        name=junc.get("name", ""),
+        connections=tuple(conns),
+        source_line=_line_of(junc),
+    )
 
 
 def _validate_model(model: MapModel) -> None:
@@ -443,7 +471,9 @@ def _validate_model(model: MapModel) -> None:
         for conn in junc.connections:
             for rid in (conn.incoming_road, conn.connecting_road):
                 if rid not in model.roads:
-                    raise MapParseError(f"junction {junc.id}: dangling road reference {rid!r}")
+                    raise MapParseError(
+                        f"junction {junc.id}: dangling road reference {rid!r}", conn.source_line
+                    )
             inc = model.roads[conn.incoming_road]
             con = model.roads[conn.connecting_road]
             for frm, to in conn.lane_links:
@@ -453,7 +483,8 @@ def _validate_model(model: MapModel) -> None:
                     except KeyError:
                         raise MapParseError(
                             f"junction {junc.id}: connection {conn.id} references "
-                            f"missing lane {lane_id} of road {road.id}"
+                            f"missing lane {lane_id} of road {road.id}",
+                            conn.source_line,
                         ) from None
 
 
@@ -475,7 +506,7 @@ def parse_opendrive(text: str | bytes) -> MapModel:
     for junc in root.findall("junction"):
         spec_j = _parse_junction(junc)
         if spec_j.id in model.junctions:
-            raise MapParseError(f"duplicate junction id {spec_j.id!r}")
+            raise MapParseError(f"duplicate junction id {spec_j.id!r}", spec_j.source_line)
         model.junctions[spec_j.id] = spec_j
     _validate_model(model)
     return model
@@ -485,21 +516,18 @@ def parse_opendrive(text: str | bytes) -> MapModel:
 # centerline sampling
 
 
-def _lane_offset(section: LaneSectionSpec, lane_id: int, section_s: float) -> float:
-    """Signed lateral offset of a lane center from the reference line."""
+def _center_offset(section: LaneSectionSpec, lane_id: int, section_s: np.ndarray) -> np.ndarray:
+    """Signed lateral offset of a lane center from the reference line, per arclength."""
     if lane_id > 0:
         chain = [l for l in section.left if l.id <= lane_id]
         sign = 1.0
     else:
         chain = [l for l in section.right if l.id >= lane_id]
         sign = -1.0
-    acc = 0.0
-    for lane in chain:
-        w = lane.width_at(section_s)
-        if lane.id == lane_id:
-            return sign * (acc + 0.5 * w)
-        acc += w
-    raise KeyError(lane_id)
+    inner = 0.0
+    for lane in chain[:-1]:
+        inner = inner + lane.width_at(section_s)
+    return sign * (inner + 0.5 * chain[-1].width_at(section_s))
 
 
 def sample_centerline(model: MapModel, lane: tuple[str, int], step: float) -> Polyline:
@@ -507,28 +535,25 @@ def sample_centerline(model: MapModel, lane: tuple[str, int], step: float) -> Po
 
     ``lane`` is ``(road_id, lane_id)``.  The returned polyline follows the
     *reference line* direction (not travel direction) and includes both
-    endpoints.  Only single-section roads are supported for sampling.
+    endpoints.  Only single-section roads are supported for sampling.  The
+    reference line, the lane widths and the center offset are evaluated over
+    the whole arclength array at once.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     road_id, lane_id = lane
     road = model.road(road_id)
-    if len(road.sections) != 1:
-        raise UnsupportedFeatureError(
-            f"road {road.id}: multiple lane sections are outside the supported subset",
-            road.source_line,
-        )
-    section = road.sections[0]
+    section = road.only_section()
     section.lane(lane_id)  # raise early on unknown lane
     n = max(1, int(math.ceil(road.length / step - 1e-9)))
-    svals = np.linspace(0.0, road.length, n + 1)
-    pts = []
-    for s in svals:
-        x, y = road.point_at(float(s))
-        h = road.heading_at(float(s))
-        off = _lane_offset(section, lane_id, float(s) - section.s)
+    s = np.linspace(0.0, road.length, n + 1)
+    # huge coefficients overflow to inf or nan, as they would in Python
+    # floats; Polyline rejects the vertices below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, h = road.poses(s)
+        off = _center_offset(section, lane_id, s - section.s)
         # left normal of the reference line is (-sin h, cos h)
-        pts.append((x - off * math.sin(h), y + off * math.cos(h)))
+        pts = np.column_stack((x - off * _sin(h), y + off * _cos(h)))
     try:
         return Polyline(pts)
     except ValueError as exc:

@@ -192,6 +192,13 @@ class TestTraceReading:
         with pytest.raises(TraceError, match="row 2.*off-road"):
             abstract_trace(samples, net, model)
 
+    def test_map_without_driving_lanes_puts_every_sample_off_road(self):
+        text = (DATA / "ex1_straight.xodr").read_text().replace('type="driving"', 'type="sidewalk"')
+        model = parse_opendrive(text)
+        samples = read_trace_csv("t,vehicle,x,y,heading,length\n0,c1,10,-6,0,4\n")
+        with pytest.raises(TraceError, match="row 2: vehicle c1 is off-road at t=0.0"):
+            abstract_trace(samples, None, model)
+
     @pytest.mark.parametrize("vehicle", ["C1", " ", "", "1c", "c-1"])
     def test_bad_vehicle_id_rejected(self, vehicle):
         with pytest.raises(TraceError, match="row 3: bad vehicle id"):

@@ -45,3 +45,15 @@ def test_generate_records_scene_checks_under_successor_generation(tmp_path):
     assert counts["reasoner.successor_gen.calls"] > 0
     assert 0 < counts["reasoner.generator_checked"] <= counts["rules.check_scene.calls"]
     assert counts["rules.check_transition.calls"] >= counts["reasoner.successors_out"] > 0
+
+
+def test_ingest_and_abstract_record_map_and_trace_counts(tmp_path):
+    rec = tracer.Recorder()
+    with tracer.Tracing(rec):
+        assert main(["ingest", str(DATA / "ex5_overlap.xodr"), "--out", str(tmp_path / "n.facts")]) == 0
+        trace, xodr = str(DATA / "ex5_squeeze_trace.csv"), str(DATA / "ex5_overlap.xodr")
+        assert main(["abstract", trace, xodr, "--out", str(tmp_path / "s.result")]) == 0
+    counts = tracer.pass_counts(rec)
+    assert counts["opendrive.vertices"] > 0
+    assert counts["geometry.project_points.pairs"] > 0
+    assert counts["abstraction.trace.samples"] > 0

@@ -49,25 +49,34 @@ def straight_road(road_id: str = "1", length: float = 100.0, lanes_left: int = 2
 </road>"""
 
 
+JUNCTION = """
+<junction id="10" name="j">
+  <connection id="0" incomingRoad="1" connectingRoad="2" contactPoint="start">
+    <laneLink from="1" to="1"/>
+  </connection>
+</junction>"""
+
+
 class TestRefLineSegment:
     def test_line_point_and_heading(self):
         seg = RefLineSegment("line", (1.0, 2.0), math.pi / 2, 10.0, 0.0)
-        assert seg.point_at(4.0) == pytest.approx((1.0, 6.0))
-        assert seg.heading_at(4.0) == pytest.approx(math.pi / 2)
+        x, y, h = seg.poses(np.array([4.0]))
+        assert (x[0], y[0]) == pytest.approx((1.0, 6.0))
+        assert h[0] == pytest.approx(math.pi / 2)
 
     def test_arc_matches_circle_parametrization(self):
         # curvature 0.01 over 10 m, starting east from the origin
         seg = RefLineSegment("arc", (0.0, 0.0), 0.0, 10.0, 0.01)
         r = 100.0
-        x, y = seg.point_at(10.0)
+        (x,), (y,), (h,) = seg.poses(np.array([10.0]))
         assert x == pytest.approx(r * math.sin(10.0 / r), abs=1e-9)
         assert y == pytest.approx(r * (1.0 - math.cos(10.0 / r)), abs=1e-9)
-        assert seg.heading_at(10.0) == pytest.approx(0.1)
+        assert h == pytest.approx(0.1)
 
     def test_negative_curvature_bends_right(self):
         seg = RefLineSegment("arc", (0.0, 0.0), 0.0, 10.0, -0.01)
-        _, y = seg.point_at(10.0)
-        assert y < 0.0
+        _, y, _ = seg.poses(np.array([10.0]))
+        assert y[0] < 0.0
 
     def test_invalid_segments_rejected(self):
         with pytest.raises(ValueError):
@@ -157,6 +166,7 @@ class TestParsing:
             ('sOffset="0"', 'sOffset="nan"', "sOffset='nan' is not a finite number"),
             ('<laneSection s="0">', '<laneSection s="nan">', "s='nan' is not a finite number"),
             ('<line/>', '<arc curvature="nan"/>', "curvature='nan' is not a finite number"),
+            ('<line/>', '<arc curvature="1e308"/>', "arc segment turns through a non-finite angle"),
             (
                 '<lane id="1" type="driving" level="false">',
                 '<lane id="1" type="driving" level="false"><link><successor id="x"/></link>',
@@ -196,6 +206,63 @@ class TestParsing:
             err = capsys.readouterr().err
             assert err.startswith("error: undecodable XML encoding: ") and message in err
             assert err.endswith("(line 1)\n")
+
+    @pytest.mark.parametrize(
+        "edits,anchor,message",
+        [
+            ([('x="0" y="0"', 'y="0"')], "<geometry", "<geometry> missing attribute 'x'"),
+            ([('hdg="0"', 'hdg="abc"')], "<geometry", "<geometry> attribute hdg='abc' is not a finite number"),
+            ([('<lane id="1" type', '<lane type')], "<lane type", "<lane> missing attribute 'id'"),
+            (
+                [('<lane id="1" type="driving"', '<lane id="0" type="driving"')],
+                '<lane id="0" type="driving"',
+                "center lane listed under a side group",
+            ),
+            (
+                [("<laneSection ", "<section "), ("</laneSection>", "</section>")],
+                "<lanes>",
+                "road without <laneSection>",
+            ),
+            ([('<laneLink from="1" to="1"/>', "")], "<connection", "junction connection without <laneLink>"),
+            (
+                [('connectingRoad="2"', 'connectingRoad="9"')],
+                "<connection",
+                "junction 10: dangling road reference '9'",
+            ),
+            (
+                [('to="1"', 'to="9"')],
+                "<connection",
+                "junction 10: connection 0 references missing lane 9 of road 2",
+            ),
+            (
+                [("</junction>", '</junction>\n<junction id="10" name="again"></junction>')],
+                '<junction id="10" name="again"',
+                "duplicate junction id '10'",
+            ),
+        ],
+    )
+    def test_structural_fault_names_its_line(self, edits, anchor, message, tmp_path, capsys):
+        text = doc(straight_road("1") + straight_road("2") + JUNCTION)
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new, 1)
+        path = tmp_path / "bad.xodr"
+        path.write_text(text)
+        assert main(["ingest", str(path)]) == 2
+        line = text[: text.index(anchor)].count("\n") + 1
+        assert capsys.readouterr().err == f"error: {message} (line {line})\n"
+
+    def test_omitted_optional_numbers_take_their_defaults(self, tmp_path, capsys):
+        full = doc(straight_road())
+        short = full.replace('<laneSection s="0">', "<laneSection>")
+        short = short.replace('<width sOffset="0" a="4.0" b="0" c="0" d="0"/>', '<width a="4.0"/>')
+        assert short.count("<width a=") == 2
+        outputs = []
+        for name, text in (("full", full), ("short", short)):
+            (tmp_path / f"{name}.xodr").write_text(text)
+            assert main(["ingest", str(tmp_path / f"{name}.xodr"), "--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name).read_text())
+        assert outputs[0] == outputs[1]
 
     def test_junction_lane_link_must_be_an_integer(self, tmp_path, capsys):
         body = (
@@ -257,7 +324,7 @@ class TestSampling:
         model = parse_opendrive(doc(body))
         road = model.road("1")
         r = 100.0
-        x, y = road.point_at(road.length)
+        (x,), (y,), _ = road.poses(np.array([road.length]))
         assert x == pytest.approx(r * math.sin(road.length / r), abs=1e-9)
         assert y == pytest.approx(r * (1.0 - math.cos(road.length / r)), abs=1e-9)
 
