@@ -97,9 +97,6 @@ class Polyline:
     def __len__(self) -> int:
         return int(self.points.shape[0])
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Polyline({len(self)} pts, {self.length:.2f} m)"
-
 
 def _slack(*coords: np.ndarray) -> float:
     """Box growth that makes bounding-box culling exact.
@@ -111,6 +108,13 @@ def _slack(*coords: np.ndarray) -> float:
     return 1e-6 * (1.0 + max(float(np.abs(c).max()) for c in coords))
 
 
+#: Most (point, segment) pairs `project_points` works on at once: a larger
+#: call is split into blocks of whole points, which bounds its memory by
+#: this many pairs instead of points times segments.  2**16 holds every call
+#: the benchmark makes (at most 201 x 200 pairs) in one block.
+PROJECT_BLOCK_PAIRS = 1 << 16
+
+
 def project_points(line: Polyline, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized Frenet projection of many points onto ``line``.
 
@@ -119,8 +123,19 @@ def project_points(line: Polyline, pts) -> tuple[np.ndarray, np.ndarray, np.ndar
     a point past an end of the polyline but on its axis has d = 0), and
     the euclidean distance to the clamped projection point.  Ties between
     equidistant segments are broken in favour of the smallest ``s``.
+    Points are projected in blocks of at most `PROJECT_BLOCK_PAIRS` pairs;
+    each point's values do not depend on the others.
     """
     p = np.atleast_2d(np.asarray(pts, dtype=float))
+    rows = max(1, PROJECT_BLOCK_PAIRS // (len(line.points) - 1))
+    if len(p) <= rows:
+        return _project_block(line, p)
+    blocks = [_project_block(line, p[i : i + rows]) for i in range(0, len(p), rows)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _project_block(line: Polyline, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`project_points` of the (P, 2) array ``p``, all at once."""
     a = line.points[:-1]  # (M, 2)
     v = np.diff(line.points, axis=0)  # (M, 2)
     vv = np.einsum("ij,ij->i", v, v)  # (M,)

@@ -26,12 +26,22 @@ mixed transitivity (PR14_TRANS).  These are the triangle tests of path
 consistency over the qualitative point algebra, applied to each partial
 assignment; window relations are tested the same way once a window map is
 complete, and opposed vehicles on a window's carrying lanes get no cover
-(PR13).  Only complete survivors become scenes, and the full rule
-checker, which stays authoritative, still judges each one.  Its scene
-verdicts are shared across one `expand`: a candidate reached from several
-parents is judged by `check_scene` once, while `check_transition` judges
-every (parent, candidate) pair.  Successors never stutter: consecutive
-scenes always differ, because steps carry order, not duration.
+(PR13).  Only complete survivors become scenes, and `check_scene`, which
+stays authoritative, still judges each one.  Its verdicts are shared
+across one `expand`: a candidate reached from several parents is judged
+once.
+
+The transition rules are judged before any candidate is built, once per
+parent and scope value, by the same judgments `check_transition` is made
+of (see `rules`): PR7 per (vehicle, next occupancy) filters the
+occupancy options; PR9 per (vehicle, point) and PR12 per (vehicle,
+covered connection, next occupancy) filter the vehicle-point slot values,
+and an occupancy whose road does not carry a covered connection is
+dropped; PR4 per vehicle pair filters the vehicle-pair slot values; and
+PR14_CONT per (window, vehicle pair) filters the window values.  So every
+candidate passes `check_transition`, which the generator never calls.
+Successors never stutter: consecutive scenes always differ, because steps
+carry order, not duration.
 
 A goal constrains the final scene only, with one exception: a positive
 ``lonpr(c, p, behind)`` goal atom pins slot (c, p) to ``behind`` at every
@@ -71,21 +81,29 @@ from trafficlogic.facts import (
     scene_from_atoms,
     strip_comment,
 )
-from trafficlogic.rules import (
+from trafficlogic.rules import (  # noqa: F401 - check_transition: the benchmark's tracer wraps it here
     COMPOSITION,
     MIXED_FORBIDDEN,
     ORDER_FORBIDDEN,
-    PREL_NEXT,
     check_scene,
     check_transition,
+    connection_step_ok,
+    covered_connections,
+    occ_step_ok,
+    prel_step_ok,
+    vrel_step_ok,
     window_composes,
+    window_step_ok,
 )
 
 A, C, B, N = LonRel.AHEAD, LonRel.COVER, LonRel.BEHIND, LonRel.NONE
 
-_VREL_STEPS = {A: (A, C), C: (A, C, B), B: (B, C)}
-_PREL_STEPS = {B: (B, C), C: (C, A), A: (A,)}
 _ALL3 = (A, C, B)
+#: a relation slot's values in the order successors are enumerated, by the
+#: slot's value in the parent (`_ALL3` when it is not listed or NONE);
+#: PR4 and PR9 then drop the values the parent's value cannot step to
+_VREL_ORDER = {B: (B, C, A)}
+_PREL_ORDER = {B: (B, C, A), C: (C, A, B)}
 
 
 class RequestError(ValueError):
@@ -245,12 +263,18 @@ def _gen_successors(
 ) -> tuple[Scene, ...]:
     """Every valid, non-stuttering successor of ``scene``, in a fixed order.
 
-    Per occupancy choice, the relation slots (vehicle pairs, then
-    vehicle-point pairs) are assigned in order, and a partial assignment is
-    dropped as soon as it breaks TR2, PR2, PR3, PR11 or PR14_TRANS; window
-    maps that break PR13 or PR14_TRANS are dropped too.  The survivors come out in
-    the order of the full product of candidate values, and each still
-    passes through the rule checkers, which decide the remaining rules.
+    The transition rules are judged once per scope and value, by the
+    checker's own judgments, before any candidate is built: PR7 and PR12
+    pick each vehicle's next occupancies (`_occ_moves`), PR9 and PR12 its
+    vehicle-point slot values on each, PR4 the values of each vehicle-pair
+    slot, and PR14_CONT each window pair's values (`_window_judge`).  So
+    no candidate breaks a transition rule, and `check_transition` is never
+    called here.  Per occupancy choice, the relation slots (vehicle pairs,
+    then vehicle-point pairs) are assigned in order, and a partial
+    assignment is dropped as soon as it breaks TR2, PR2, PR3, PR11 or
+    PR14_TRANS; window maps that break PR13 or PR14_TRANS are dropped too.
+    The survivors come out in the order of the full product of candidate
+    values, and `check_scene` decides the remaining scene rules.
     ``scene`` must pass `check_scene` on ``n``, so that every vehicle is on
     one road in it and in each of its candidates.  ``prel_pins`` narrows
     vehicle-point slots to the values it lists (see `_goal_pins`).
@@ -258,20 +282,20 @@ def _gen_successors(
     ``verdicts`` maps each candidate scene already judged by `check_scene` on
     ``n`` to whether it broke a rule; `expand` shares one map across every
     call of a request, so each distinct candidate is judged once.  Without
-    it, the call starts a fresh map.  `check_transition` judges every
-    (``scene``, candidate) pair.
+    it, the call starts a fresh map.
     """
     if verdicts is None:
         verdicts = {}
     vehicles = scene.vehicles
-    prev_road = {c: n.road_of(scene.occ[c]) for c in vehicles}
-    occ_lists = [_occ_options(scene, n, c, frozen) for c in vehicles]
+    occ_lists = [_occ_moves(scene, n, c, frozen, prel_pins) for c in vehicles]
+    vrel_moves: dict[tuple[str, str], tuple[LonRel, ...]] = {}
+    window_ok = _window_judge(scene, n)
     order_pairs: dict[str, frozenset[tuple[str, str]]] = {}
     results: dict = {}
     order: list[Scene] = []
-    for occ_combo in product(*occ_lists):
-        occ = dict(zip(vehicles, occ_combo))
-        road = {c: n.road_of(ls) for c, ls in occ.items()}
+    for moves in product(*occ_lists):
+        occ = {c: ls for c, (ls, _, _) in zip(vehicles, moves)}
+        road = {c: rid for c, (_, rid, _) in zip(vehicles, moves)}
         cands: list[tuple[LonRel, ...]] = []
         checks: list[list] = []
         # vehicle-vehicle relation slots (same-road pairs only); vehicles
@@ -281,8 +305,10 @@ def _gen_successors(
             for y in vehicles[i + 1 :]:
                 if road[x] is None or road[x] != road[y]:
                     continue
-                u = scene.vrel_of(x, y)
-                vals = _VREL_STEPS[u] if u is not N else _ALL3
+                vals = vrel_moves.get((x, y))
+                if vals is None:
+                    order_xy = _VREL_ORDER.get(scene.vrel_of(x, y), _ALL3)
+                    vals = vrel_moves[x, y] = tuple(v for v in order_xy if vrel_step_ok(scene, x, y, v))
                 if occ[x] & occ[y]:
                     vals = tuple(v for v in vals if v is not C)
                 vslot[x, y] = len(cands)
@@ -296,14 +322,8 @@ def _gen_successors(
         # vehicle-point slots (points carried by the vehicle's road); each
         # vehicle's slots follow the point order of its lanes (PR14_TRANS)
         pslot: dict[tuple[str, str], int] = {}
-        for c in vehicles:
-            rid = road[c]
-            for p in sorted(n.points_of_road(rid)):
-                u = scene.prel_of(c, p)
-                vals = _PREL_STEPS[u] if u is not N else _ALL3
-                pin = prel_pins.get((c, p))
-                if pin is not None:  # a slot left empty makes `_consistent` yield nothing
-                    vals = tuple(v for v in vals if v in pin)
+        for c, (_, rid, slots) in zip(vehicles, moves):
+            for p, vals in slots:
                 pslot[c, p] = len(cands)
                 cands.append(vals)
                 checks.append([])
@@ -334,69 +354,128 @@ def _gen_successors(
                 vrel[x, y] = v
                 vrel[y, x] = invert(v)
             prel = dict(zip(prel_slots, combo[n_vrel:]))
-            for orel in _orel_assignments(scene, n, occ, road, vrel, prel, prev_road):
+            for orel in _orel_assignments(n, occ, road, vrel, prel, window_ok):
                 cand = Scene(occ, vrel, prel, orel)
                 if cand == scene or cand.key() in results:
                     continue
                 bad = verdicts.get(cand)
                 if bad is None:
                     bad = verdicts[cand] = bool(check_scene(cand, n))
-                if bad or check_transition(scene, cand, n):
+                if bad:
                     continue
                 results[cand.key()] = cand
                 order.append(cand)
     return tuple(order)
 
 
-def _orel_assignments(scene, n, occ, road, vrel, prel, prev_road):
+def _occ_moves(
+    scene: Scene,
+    n: RoadNetwork,
+    c: str,
+    frozen: frozenset[str],
+    prel_pins: Mapping[tuple[str, str], frozenset[LonRel]],
+):
+    """Vehicle ``c``'s next occupancies, each with its vehicle-point slot values.
+
+    One ``(lanes, road, ((p, values), ...))`` per occupancy, over the points
+    of its road in sorted order.  An occupancy that breaks PR7 is dropped,
+    and so is one whose road does not carry a connection ``c`` covers (PR12
+    judged with NONE).  A slot keeps the values PR9 and PR12 allow, in
+    `_PREL_ORDER`, narrowed by ``prel_pins``; a slot left empty makes
+    `_consistent` yield nothing.
+    """
+    covered = covered_connections(scene, c, n)
+    prel_moves: dict[str, tuple[LonRel, ...]] = {}
+    out = []
+    for ls in dict.fromkeys(_occ_options(scene, n, c, frozen)):
+        if not occ_step_ok(scene, c, ls, n):
+            continue
+        rid = n.road_of(ls)
+        slots: dict[str, tuple[LonRel, ...]] = {}
+        for p in sorted(n.points_of_road(rid)):
+            vals = prel_moves.get(p)
+            if vals is None:
+                pin = prel_pins.get((c, p), _ALL3)
+                order_cp = _PREL_ORDER.get(scene.prel_of(c, p), _ALL3)
+                vals = prel_moves[p] = tuple(v for v in order_cp if v in pin and prel_step_ok(scene, c, p, v))
+            slots[p] = vals
+        for l1, p in covered:
+            if p in slots:
+                slots[p] = tuple(v for v in slots[p] if connection_step_ok(l1, p, ls, v, n))
+            elif not connection_step_ok(l1, p, ls, N, n):
+                break
+        else:
+            out.append((ls, rid, tuple(slots.items())))
+    return out
+
+
+def _window_judge(scene: Scene, n: RoadNetwork):
+    """PR14_CONT for the window pairs of ``scene``'s candidates, each instance judged once.
+
+    The returned ``ok(k, x, y, road_x, v)`` tells whether the pair ``x <
+    y``, inside window ``n.zones[k]`` in the candidate, may take the stored
+    ``orel(x, y) = v`` there with ``x`` on ``road_x`` (`window_step_ok`).  A
+    pair not inside that window in ``scene`` is not bound by the rule.
+    """
+    prev_road = {c: n.road_of(ls) for c, ls in scene.occ.items()}
+    inside = [{c for c in prev_road if z.holds_inside(prev_road[c], c, scene.prel)} for z in n.zones]
+    memo: dict[tuple, bool] = {}
+
+    def ok(k: int, x: str, y: str, road_x: str, v: LonRel) -> bool:
+        if x not in inside[k] or y not in inside[k]:
+            return True
+        key = (k, x, y, road_x, v)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = window_step_ok(
+                scene, n.zones[k], x, y, prev_road[x], prev_road[y], road_x, v
+            )
+        return found
+
+    return ok
+
+
+def _orel_assignments(n, occ, road, vrel, prel, window_ok):
     """Yield every admissible window-relation map for a candidate scene.
 
-    ``occ``, ``road``, ``vrel`` and ``prel`` describe the candidate and
-    ``prev_road`` maps each vehicle to its road in ``scene``.  Maps whose
-    relations inside a window do not compose are left out, and so is cover
-    between opposed vehicles on a window's carrying lanes (PR13).
+    ``occ``, ``road``, ``vrel`` and ``prel`` describe the candidate.  Maps
+    whose relations inside a window do not compose are left out, and so is
+    cover between opposed vehicles on a window's carrying lanes (PR13).  A
+    pair's values are those ``window_ok`` (see `_window_judge`) allows in
+    every window holding both vehicles (PR14_CONT).
     """
     vehicles = sorted(occ)
-    pair_zones: dict[tuple[str, str], list] = {}
+    zones = n.zones
+    pair_zones: dict[tuple[str, str], list[int]] = {}
     triangles = []
-    for z in n.zones:
+    for k, z in enumerate(zones):
         members = [c for c in vehicles if z.holds_inside(road[c], c, prel)]
         triangles.extend((z, tri) for tri in combinations(members, 3))
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
-                pair_zones.setdefault((x, y), []).append(z)
+                pair_zones.setdefault((x, y), []).append(k)
     slots: list[tuple[str, str, OverlapZone]] = []  # (x, y, first window holding both)
     cand_lists: list[tuple[LonRel, ...]] = []
-    forced: dict[tuple[str, str], LonRel] = {}
-    for (x, y), zs in sorted(pair_zones.items()):
-        z0 = zs[0]
+    for (x, y), ks in sorted(pair_zones.items()):
+        z0 = zones[ks[0]]
         if z0.orientation[road[x]] == z0.orientation[road[y]]:
-            if road[x] == road[y]:
-                forced[x, y] = v = vrel[x, y]
-                forced[y, x] = invert(v)
-                continue
-            cands: tuple[LonRel, ...] = _ALL3
-        else:
-            # opposed traffic: candidates restricted by monotone continuity
-            # in the window frame for every window engaged on both steps,
-            # and no cover while both are on the window's carrying lanes
-            ref_cands = set(_ALL3)
-            u = scene.orel.get((x, y))
-            for z in zs:
-                if (
-                    u is not None
-                    and z.holds_inside(prev_road[x], x, scene.prel)
-                    and z.holds_inside(prev_road[y], y, scene.prel)
-                ):
-                    ref_cands &= PREL_NEXT[z.frame(prev_road[x], u)]
-                if z.orientation[road[x]] != z.orientation[road[y]]:
-                    if occ[x] & z.carrying and occ[y] & z.carrying:
-                        ref_cands.discard(C)
-            cands = tuple(z0.frame(road[x], v) for v in _ALL3 if v in ref_cands)
+            # the same way; on one road the copy rule (PR13) fixes the value
+            cands: tuple[LonRel, ...] = (vrel[x, y],) if road[x] == road[y] else _ALL3
+        else:  # opposed traffic, read along the window
+            cands = tuple(z0.frame(road[x], v) for v in _ALL3)
+        # no cover while both are on the carrying lanes of a window that
+        # opposes them, which need not be the first one (PR13)
+        if any(
+            zones[k].orientation[road[x]] != zones[k].orientation[road[y]]
+            and occ[x] & zones[k].carrying
+            and occ[y] & zones[k].carrying
+            for k in ks
+        ):
+            cands = tuple(v for v in cands if v is not C)
         slots.append((x, y, z0))
-        cand_lists.append(cands)
+        cand_lists.append(tuple(v for v in cands if all(window_ok(k, x, y, road[x], v) for k in ks)))
     for combo in product(*cand_lists):
-        orel = dict(forced)
+        orel = {}
         for (x, y, z0), v in zip(slots, combo):
             orel[(x, y)] = v
             orel[(y, x)] = z0.mirror(road[x], road[y], v)

@@ -276,8 +276,98 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
 # -- transition-level checking -------------------------------------------------
 
 
+def vrel_step_ok(prev: Scene, x: str, y: str, v: LonRel) -> bool:
+    """PR4 for the vehicle pair ``(x, y)``: whether ``vrel(x, y)`` may step to ``v``."""
+    u = prev.vrel_of(x, y)
+    return u is N or v is N or v in VREL_NEXT[u]
+
+
+def occ_step_ok(prev: Scene, c: str, ln: frozenset[str], n: RoadNetwork) -> bool:
+    """PR7 for vehicle ``c``: whether its occupancy may step to the lanes ``ln``.
+
+    On one road, at most one lane is gained or lost.  A road change must be
+    an atomic hop through a covered connection point onto one of its
+    successor lanes.  Malformed occupancy is a scene-level finding.
+    """
+    lp = prev.occ_of(c)
+    rp, rn = n.road_of(lp), n.road_of(ln)
+    if rp is None or rn is None:
+        return True
+    if rp == rn:
+        return len(lp ^ ln) <= 1
+    if len(lp) != 1 or len(ln) != 1:
+        return False
+    (l1,), (l2,) = lp, ln
+    return any(prev.prel_of(c, p) is C and (p, l2) in n.succ_c for p in n.connections_on(l1))
+
+
+def prel_step_ok(prev: Scene, c: str, p: str, v: LonRel) -> bool:
+    """PR9 for vehicle ``c`` and point ``p``: whether ``lonpr(c, p)`` may step to ``v``."""
+    u = prev.prel_of(c, p)
+    return u is N or v is N or v in PREL_NEXT[u]
+
+
+def covered_connections(prev: Scene, c: str, n: RoadNetwork) -> list[tuple[str, str]]:
+    """The PR12 scopes of ``c``: each (lane, connection point on it) that ``c`` covers in ``prev``."""
+    return [
+        (l1, p) for l1 in sorted(prev.occ_of(c)) for p in n.connections_on(l1) if prev.prel_of(c, p) is C
+    ]
+
+
+def connection_step_ok(l1: str, p: str, ln: frozenset[str], v: LonRel, n: RoadNetwork) -> bool:
+    """PR12 for a vehicle that covers connection ``p`` on lane ``l1`` (see `covered_connections`).
+
+    With next occupancy ``ln`` and next relation ``v`` to ``p``, the vehicle
+    either still covers ``p`` on ``l1`` or is past it on a successor lane.
+    """
+    if v is C:
+        return l1 in ln
+    return v is A and any(l2 in ln for l2 in n.successor_lanes(p))
+
+
+def window_step_ok(
+    prev: Scene,
+    z: OverlapZone,
+    x: str,
+    y: str,
+    road_px: str,
+    road_py: str,
+    road_nx: str,
+    v: Optional[LonRel],
+) -> bool:
+    """PR14_CONT for ``x`` and ``y``, both inside window ``z`` in ``prev`` and in the next scene.
+
+    ``road_px`` and ``road_py`` are their roads in ``prev``, ``road_nx`` is
+    ``x``'s next road and ``v`` the next stored ``orel(x, y)``.  Opposed
+    traffic (by the previous roads) evolves monotonically in the window
+    frame: once two vehicles heading toward each other have met, they can
+    only separate.  Traffic the same way evolves as on one road (PR4's
+    table); on one road the copy rule (PR13) leaves this to PR4.
+    """
+    u = prev.orel.get((x, y))
+    if u is None or v is None:
+        return True
+    if z.orientation[road_px] != z.orientation[road_py]:
+        return z.frame(road_nx, v) in PREL_NEXT[z.frame(road_px, u)]
+    return road_px == road_py or v in VREL_NEXT[u]
+
+
 def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
-    """All violations of the one-step evolution rules between two scenes."""
+    """All violations of the one-step evolution rules between two scenes.
+
+    Each rule is judged once per scope, by the function the successor
+    generator also calls (`reasoner._gen_successors`):
+
+    * WF ``stutter``: the scene pair;
+    * PR4, `vrel_step_ok`: a vehicle pair;
+    * PR7, `occ_step_ok`: a vehicle and its next occupancy;
+    * PR9, `prel_step_ok`: a vehicle and a point;
+    * PR12, `connection_step_ok`: a vehicle, a connection it covers (see
+      `covered_connections`), its next occupancy and its next relation to
+      that point;
+    * PR14_CONT, `window_step_ok`: a vehicle pair inside one window at
+      both steps.
+    """
     found: set[tuple] = set()
     out: list[Violation] = []
 
@@ -291,59 +381,21 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
         add(RuleId.WF, "stutter")
 
     vehicles = sorted(set(prev.occ) | set(next_.occ))
-
-    for x_i in range(len(vehicles)):
-        for y_i in range(x_i + 1, len(vehicles)):
-            x, y = vehicles[x_i], vehicles[y_i]
-            u, v = prev.vrel_of(x, y), next_.vrel_of(x, y)
-            if u is not N and v is not N and v not in VREL_NEXT[u]:
-                add(RuleId.PR4, x, y)
-
-    road_p: dict[str, Optional[str]] = {}
-    road_n: dict[str, Optional[str]] = {}
+    for x, y in combinations(vehicles, 2):
+        if not vrel_step_ok(prev, x, y, next_.vrel_of(x, y)):
+            add(RuleId.PR4, x, y)
     for c in vehicles:
-        lp, ln = prev.occ_of(c), next_.occ_of(c)
-        rp = road_p[c] = n.road_of(lp)
-        rn = road_n[c] = n.road_of(ln)
-        if rp is None or rn is None:
-            continue  # malformed occupancy is a scene-level finding
-        if rp == rn:
-            if len(lp ^ ln) > 1:
-                add(RuleId.PR7, c)
-        else:
-            # A road change must be an atomic hop through a covered
-            # connection point onto one of its successor lanes.
-            licensed = False
-            if len(lp) == 1 and len(ln) == 1:
-                (l1,), (l2,) = lp, ln
-                for p in n.connections_on(l1):
-                    if prev.prel_of(c, p) is C and (p, l2) in n.succ_c:
-                        licensed = True
-                        break
-            if not licensed:
-                add(RuleId.PR7, c)
-
-    seen_pp = set(prev.prel) | set(next_.prel)
-    for c, p in sorted(seen_pp):
-        u, v = prev.prel_of(c, p), next_.prel_of(c, p)
-        if u is not N and v is not N and v not in PREL_NEXT[u]:
+        if not occ_step_ok(prev, c, next_.occ_of(c), n):
+            add(RuleId.PR7, c)
+    for c, p in sorted(set(prev.prel) | set(next_.prel)):
+        if not prel_step_ok(prev, c, p, next_.prel_of(c, p)):
             add(RuleId.PR9, c, p)
-
     for c in vehicles:
-        for l1 in sorted(prev.occ_of(c)):
-            for p in n.connections_on(l1):
-                if prev.prel_of(c, p) is not C:
-                    continue
-                stays = next_.prel_of(c, p) is C and l1 in next_.occ_of(c)
-                crosses = next_.prel_of(c, p) is A and any(
-                    l2 in next_.occ_of(c) for l2 in n.successor_lanes(p)
-                )
-                if not (stays or crosses):
-                    add(RuleId.PR12, c, p)
-
-    # window relations evolve monotonically for opposed traffic: once two
-    # vehicles heading toward each other have met, they can only separate;
-    # traffic the same way evolves as on one road (PR4's table)
+        for l1, p in covered_connections(prev, c, n):
+            if not connection_step_ok(l1, p, next_.occ_of(c), next_.prel_of(c, p), n):
+                add(RuleId.PR12, c, p)
+    road_p = {c: n.road_of(prev.occ_of(c)) for c in vehicles}
+    road_n = {c: n.road_of(next_.occ_of(c)) for c in vehicles}
     for z in n.zones:
         inside = [
             c
@@ -351,14 +403,7 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
             if z.holds_inside(road_p[c], c, prev.prel) and z.holds_inside(road_n[c], c, next_.prel)
         ]
         for x, y in combinations(inside, 2):
-            u, v = prev.orel.get((x, y)), next_.orel.get((x, y))
-            if u is None or v is None:
-                continue
-            if z.orientation[road_p[x]] != z.orientation[road_p[y]]:
-                ok = z.frame(road_n[x], v) in PREL_NEXT[z.frame(road_p[x], u)]
-            else:  # on one road the copy rule (PR13) leaves this to PR4
-                ok = road_p[x] == road_p[y] or v in VREL_NEXT[u]
-            if not ok:
+            if not window_step_ok(prev, z, x, y, road_p[x], road_p[y], road_n[x], next_.orel.get((x, y))):
                 add(RuleId.PR14_CONT, x, y)
     return out
 

@@ -3,19 +3,24 @@
 This is the engine's former successor loop: it builds the full product of
 every relation slot's candidate values, makes a ``Scene`` for each one and
 only then asks the rule checkers.  The engine now rejects partial
-assignments early; ``tests/test_successors.py`` asserts that both give the
-same successor tuple, order included.  Deliberately self-contained: nothing
-but the domain types and the rule checkers is shared with the engine.
+assignments early and judges the transition rules per scope before any
+candidate is built; ``tests/test_successors.py`` asserts that both give
+the same successor tuple, order included.  Deliberately self-contained:
+nothing but the domain types and ``rules.check_scene`` is shared with the
+engine, and transitions are judged by the whole-scene
+``tests/reference_transition.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from trafficlogic.domain import LonRel, RoadNetwork, Scene, invert
-from trafficlogic.rules import PREL_NEXT, check_scene, check_transition
+from trafficlogic.rules import PREL_NEXT, check_scene
+
+from reference_transition import reference_transition
 
 A, C, B, N = LonRel.AHEAD, LonRel.COVER, LonRel.BEHIND, LonRel.NONE
 
@@ -53,11 +58,28 @@ def reference_successors(
 
     Same arguments as ``reasoner._gen_successors``.
     """
+    results: dict = {}
+    order: list[Scene] = []
+    for cand in reference_candidates(scene, n, frozen, prel_pins):
+        if cand == scene or cand.key() in results:
+            continue
+        if check_scene(cand, n) or reference_transition(scene, cand, n):
+            continue
+        results[cand.key()] = cand
+        order.append(cand)
+    return tuple(order)
+
+
+def reference_candidates(
+    scene: Scene,
+    n: RoadNetwork,
+    frozen: frozenset[str],
+    prel_pins: Mapping[tuple[str, str], frozenset[LonRel]],
+) -> Iterator[Scene]:
+    """Every candidate next scene of the full product, in order, before any rule is checked."""
     vehicles = scene.vehicles
     prev_road = {c: _road(scene, n, c) for c in vehicles}
     occ_lists = [_occ_options(scene, n, c, frozen) for c in vehicles]
-    results: dict = {}
-    order: list[Scene] = []
     for occ_combo in product(*occ_lists):
         occ = dict(zip(vehicles, occ_combo))
         road = {}
@@ -106,14 +128,7 @@ def reference_successors(
                 prel = dict(zip(prel_slots, prel_combo))
                 pscene = _ProtoScene(occ, road, vrel, prel)
                 for orel in _orel_assignments(scene, n, pscene, prev_road):
-                    cand = Scene(occ, vrel, prel, orel)
-                    if cand == scene or cand.key() in results:
-                        continue
-                    if check_scene(cand, n) or check_transition(scene, cand, n):
-                        continue
-                    results[cand.key()] = cand
-                    order.append(cand)
-    return tuple(order)
+                    yield Scene(occ, vrel, prel, orel)
 
 
 @dataclass

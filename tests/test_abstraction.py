@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trafficlogic import facts
+from trafficlogic.cli import main
 from trafficlogic.abstraction import (
     AbstractionError,
     NetworkAbstraction,
@@ -147,6 +150,98 @@ class TestNetworkCompilation:
         net, _ = facts.parse_network(abst.facts_text())
         assert facts.render_network(net) == facts.render_network(abst.network)
         assert "% meta lane.l1=1:-1" in abst.facts_text().splitlines()
+
+
+def _lane(lane_id: int, kind: str = "driving", successor: int | None = None) -> str:
+    link = "" if successor is None else f'<link><successor id="{successor}"/></link>'
+    return (
+        f'<lane id="{lane_id}" type="{kind}" level="false">{link}'
+        '<width sOffset="0" a="4.0" b="0" c="0" d="0"/></lane>'
+    )
+
+
+def _road(
+    road_id: str, x: float, y: float, hdg: float, length: float, lanes: list[str], link: str = "", side: str = "right"
+) -> str:
+    """A straight road with ``lanes`` on one side."""
+    return f"""
+<road id="{road_id}" length="{length}" junction="-1">{link}
+  <planView><geometry s="0" x="{x}" y="{y}" hdg="{hdg}" length="{length}"><line/></geometry></planView>
+  <lanes><laneSection s="0">
+    <center><lane id="0" type="none" level="false"/></center>
+    <{side}>{"".join(lanes)}</{side}>
+  </laneSection></lanes>
+</road>"""
+
+
+def _map(*roads: str) -> str:
+    return '<?xml version="1.0"?>\n<OpenDRIVE>\n<header revMajor="1" revMinor="6"/>' + "".join(roads) + "\n</OpenDRIVE>\n"
+
+
+_TO_ROAD_2 = '<link><successor elementType="road" elementId="2" contactPoint="start"/></link>'
+#: map name -> (map text, the ``ingest`` error it exits 2 with)
+MAP_FAULTS = {
+    "junction-lane-not-at-contact-point": (
+        _map(
+            _road("1", 0, 0, 0, 100, [_lane(-1)]),
+            _road("2", 0, 0, 0, 100, [_lane(1)], side="left"),
+            '<junction id="10" name="j"><connection id="0" incomingRoad="1" connectingRoad="2" '
+            'contactPoint="start"><laneLink from="-1" to="1"/></connection></junction>',
+        ),
+        "junction 10 connection 0: lane 1 of road 2 does not begin at contact point 'start'",
+    ),
+    "dangling-lane-link": (
+        _map(
+            _road("1", 0, 0, 0, 50, [_lane(-1, successor=-5), _lane(-2, "sidewalk")], _TO_ROAD_2),
+            _road("2", 50, 0, 0, 50, [_lane(-1)]),
+        ),
+        "road 1 lane -1: dangling lane link to lane -5 of road 2",
+    ),
+    "same-direction-overlap": (
+        _map(_road("1", 0, 0, 0, 100, [_lane(-1)]), _road("2", 20, 0, 0, 50, [_lane(-1)])),
+        "lanes l1 and l2 overlap in the same direction; merging them into a single lane is not"
+        " supported - edit the map",
+    ),
+    "opposed-overlap-that-crosses": (
+        _map(_road("1", 0, 0, 0, 100, [_lane(-1)]), _road("2", 100, -4.5, math.pi - 0.01, 100, [_lane(-1)])),
+        "tolerance-ambiguous geometry: lanes l1 and l2 both overlap and cross near s=50.01 on l1",
+    ),
+}
+
+
+class TestMapFaults:
+    @pytest.mark.parametrize("name", sorted(MAP_FAULTS))
+    def test_ingest_rejects(self, name, tmp_path, capsys):
+        text, message = MAP_FAULTS[name]
+        path = tmp_path / f"{name}.xodr"
+        path.write_text(text)
+        assert main(["ingest", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_link_from_or_to_a_lane_that_is_not_driving_makes_no_connection(self, tmp_path, capsys):
+        lanes = {kind: _map(
+            _road("1", 0, 0, 0, 50, [_lane(-1, successor=-2), _lane(-2, "sidewalk", successor=-1)], _TO_ROAD_2),
+            _road("2", 50, 0, 0, 50, [_lane(-1), _lane(-2, kind)]),
+        ) for kind in ("driving", "sidewalk")}
+        out = {}
+        for kind, text in lanes.items():
+            (tmp_path / f"{kind}.xodr").write_text(text)
+            assert main(["ingest", str(tmp_path / f"{kind}.xodr")]) == 0
+            out[kind] = capsys.readouterr().out
+        assert "succl(pc1,l3)." in out["driving"]
+        assert "class(" not in out["sidewalk"]
+
+    def test_opposed_overlap_shorter_than_the_minimum_is_no_window(self, tmp_path, capsys):
+        out = {}
+        for length in (0.8, 5.0):
+            path = tmp_path / f"{length}.xodr"
+            path.write_text(
+                _map(_road("1", 0, 0, 0, 100, [_lane(-1)]), _road("2", 50.4, -4, math.pi, length, [_lane(-1)]))
+            )
+            assert main(["ingest", str(path)]) == 0
+            out[length] = capsys.readouterr().out
+        assert "overlap(" not in out[0.8]
+        assert "overlap(pos1,poe1)." in out[5.0]
 
 
 class TestTraceReading:
@@ -301,6 +396,20 @@ class TestTraceAbstraction:
         given = abstract_trace(samples, abstract_network(model), model)
         assert facts.render_scenario(own) == facts.render_scenario(given)
         assert facts.render_network(own.network) == facts.render_network(given.network)
+
+    def test_long_trace_projects_in_bounded_memory(self):
+        """2,000 samples on 200-segment lanes: projections are made in blocks, not all at once."""
+        rows = [f"{i * 0.05:.2f},c1,{1 + i * 0.045:.3f},-2.0,0.0,4.5" for i in range(2000)]
+        samples = read_trace_csv("t,vehicle,x,y,heading,length\n" + "\n".join(rows) + "\n")
+        model = parse_opendrive((DATA / "ex1_straight.xodr").read_bytes())
+        tracemalloc.start()
+        try:
+            abstract_trace(samples, None, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block is at most 2**16 pairs; all 2,000 x 200 pairs at once peaked near 27 MB
+        assert peak < 8e6
 
     def test_trace_abstraction_is_deterministic(self):
         model = parse_opendrive((DATA / "ex1_straight.xodr").read_bytes())

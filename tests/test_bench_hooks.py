@@ -38,13 +38,22 @@ def test_target_resolves_to_a_callable(owner, attr):
 
 
 def test_generate_records_scene_checks_under_successor_generation(tmp_path):
+    """Generation checks scenes, never whole transitions; `check` records both spans."""
+    result = str(tmp_path / "r.result")
     rec = tracer.Recorder()
     with tracer.Tracing(rec):
-        assert main(["generate", str(DATA / "ex1_overtake.req"), "--out", str(tmp_path / "r.result")]) == 0
+        assert main(["generate", str(DATA / "ex1_overtake.req"), "--out", result]) == 0
     counts = tracer.pass_counts(rec)
     assert counts["reasoner.successor_gen.calls"] > 0
     assert 0 < counts["reasoner.generator_checked"] <= counts["rules.check_scene.calls"]
-    assert counts["rules.check_transition.calls"] >= counts["reasoner.successors_out"] > 0
+    assert counts["reasoner.successors_out"] > 0
+    assert counts["rules.check_transition.calls"] == 0
+    rec = tracer.Recorder()
+    with tracer.Tracing(rec):
+        assert main(["check", result, str(DATA / "ex1_overtake.net")]) == 0
+    counts = tracer.pass_counts(rec)
+    assert counts["rules.check_scene.calls"] > 0
+    assert counts["rules.check_transition.calls"] > 0
 
 
 def test_ingest_and_abstract_record_map_and_trace_counts(tmp_path):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trafficlogic import geometry
 from trafficlogic.geometry import (
     FrenetPose,
     Polyline,
@@ -130,6 +131,20 @@ class TestFrenetProjection:
             pose = frenet_project(arc, arc.point_at(target))
             assert pose.s == pytest.approx(target, abs=1e-9)
             assert pose.d == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 199, 200, 201, 4000])
+    def test_blocked_projection_is_bit_identical(self, block_pairs, monkeypatch):
+        """Splitting a call into blocks of points changes no bit of its result."""
+        arc = arc_polyline(40.0, 0.0, math.pi, n=201)  # 200 segments
+        rng = np.random.default_rng(10)
+        pts = rng.uniform(-50.0, 50.0, size=(301, 2))
+        pts[::60] = arc.points[::40]  # six points exactly on vertices
+        whole = project_points(arc, pts)
+        monkeypatch.setattr(geometry, "PROJECT_BLOCK_PAIRS", block_pairs)
+        blocked = project_points(arc, pts)
+        for a, b in zip(whole, blocked):
+            assert a.dtype == b.dtype and a.shape == b.shape == (301,)
+            assert a.tobytes() == b.tobytes()
 
     def test_tie_breaks_toward_smaller_arclength(self):
         hairpin = Polyline([(0, 0), (10, 0), (10, 2), (0, 2)])

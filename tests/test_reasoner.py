@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from trafficlogic import facts, reasoner
-from trafficlogic.domain import LonRel
+from trafficlogic.domain import LonRel, OverlapZone, Scene
 from trafficlogic.facts import ParseError, render_scenario
 from trafficlogic.reasoner import (
     ExpansionRequest,
@@ -353,28 +353,55 @@ class TestFixtureRequests:
         + "#horizon 3\n#freeze c1, c2\n"
     )
 
+    #: the transition judgments `rules.check_transition` is made of, as the generator calls them
+    JUDGMENTS = ("vrel_step_ok", "occ_step_ok", "prel_step_ok", "connection_step_ok", "window_step_ok")
+
     @pytest.mark.parametrize(
-        "text", [(DATA / "ex5_opposing_pass.req").read_text(), DENSE], ids=["ex5_opposing_pass", "dense-4v-3l"]
+        "text,scopes",
+        [
+            ((DATA / "ex5_opposing_pass.req").read_text(), {"vrel", "occ", "prel", "window"}),
+            ((DATA / "ex3_branching.req").read_text(), {"occ", "prel", "connection"}),
+            (DENSE, {"vrel", "occ"}),
+        ],
+        ids=["ex5_opposing_pass", "ex3_branching", "dense-4v-3l"],
     )
-    def test_each_distinct_scene_is_judged_once(self, text, monkeypatch):
-        """`expand` shares scene verdicts across parents; every transition is still judged."""
+    def test_each_distinct_scene_is_judged_once(self, text, scopes, monkeypatch):
+        """`expand` shares scene verdicts across parents and never checks a whole transition.
+
+        Each transition judgment runs at most once per (parent, scope, value).
+        """
         plain = expand(parse_request(text)).texts
-        judged, transitions = [], []
-        check_scene, check_transition = reasoner.check_scene, reasoner.check_transition
+        judged, transitions, judgments = [], [], []
+        parent: list[Scene] = []
+        check_scene, gen_successors = reasoner.check_scene, reasoner._gen_successors
 
         def counting_scene(scene, n, step=1):
             judged.append(scene)
             return check_scene(scene, n, step)
 
-        def counting_transition(prev, next_, n, step=1):
-            transitions.append((prev, next_))
-            return check_transition(prev, next_, n, step)
+        def generating(scene, *args, **kwargs):
+            parent[:] = [scene]
+            return gen_successors(scene, *args, **kwargs)
+
+        def counting(name, judge):
+            def wrapper(*args):
+                # windows are unhashable dataclasses; one network's zones are told apart by identity
+                key = tuple(id(a) if isinstance(a, OverlapZone) else a for a in args)
+                judgments.append((parent[0], name, key))
+                return judge(*args)
+
+            return wrapper
 
         monkeypatch.setattr(reasoner, "check_scene", counting_scene)
-        monkeypatch.setattr(reasoner, "check_transition", counting_transition)
+        monkeypatch.setattr(reasoner, "check_transition", lambda *args: transitions.append(args))
+        monkeypatch.setattr(reasoner, "_gen_successors", generating)
+        for name in self.JUDGMENTS:
+            monkeypatch.setattr(reasoner, name, counting(name, getattr(reasoner, name)))
         assert expand(parse_request(text)).texts == plain
         assert len(judged) == len(set(judged))
-        assert len(transitions) == len(set(transitions)) > len(judged)
+        assert transitions == []
+        assert len(judgments) == len(set(judgments))
+        assert {name.removesuffix("_step_ok") for _, name, _ in judgments} == scopes
 
     def test_result_rendering_roundtrips(self):
         res = expand(load_request("ex3_branching.req"))

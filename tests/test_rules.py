@@ -8,7 +8,14 @@ under- nor over-fire.
 
 from __future__ import annotations
 
+from itertools import product
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import stepwise_violations
+from reference_transition import reference_transition
 
 from trafficlogic import facts
 from trafficlogic.domain import LonRel, Scenario, Scene, invert
@@ -419,6 +426,96 @@ class TestTransitionRules:
         s = scene({"c1": ["l1"]})
         vs = check_transition(s, scene({"c1": ["l1"]}), ROAD2)
         assert any(v.rule is RuleId.WF and "stutter" in v.witnesses for v in vs)
+
+
+_REL = st.sampled_from((A, C, B, None))  # None: the atom is absent (NONE)
+_MOSTLY = st.integers(0, 3).map(bool)  # True three times in four
+
+
+@st.composite
+def scene_pairs(draw, net):
+    """Two scenes on ``net``, arbitrary or malformed.
+
+    The second scene keeps each of the first's entries three times in
+    four (window relations: one in two), so most pairs differ in a few
+    slots; it may also be the first scene again (a stutter).  Vehicles are
+    mostly put inside every window their road carries.  NONE relations,
+    occupancies on two roads, road hops and same-way window pairs on two
+    roads (``SAME_WAY``) all occur.
+    """
+    vehicles = ("c1", "c2", "c3")[: draw(st.integers(2, 3))]
+    lanes, points = net.lanes, sorted(net.points)
+    pairs = [(x, y) for x in vehicles for y in vehicles if x != y]
+
+    def draw_scene(base: Optional[Scene]) -> Scene:
+        keep = base is not None
+        base = base or Scene({}, {}, {}, {})
+
+        def pick(old, strategy, kept=_MOSTLY):
+            return old if keep and draw(kept) else draw(strategy)
+
+        def rels(keys, old: dict, kept=_MOSTLY) -> dict:
+            drawn = {k: pick(old.get(k), _REL, kept) for k in keys}
+            return {k: v for k, v in drawn.items() if v is not None}
+
+        lane = st.sampled_from(lanes)
+        lane_sets = st.one_of(lane.map(lambda l: frozenset((l,))), st.frozensets(lane, max_size=2))
+        occ = {c: pick(base.occ_of(c), lane_sets) for c in vehicles}
+        vrel = rels(pairs, base.vrel)
+        prel = rels([(c, p) for c in vehicles for p in points], base.prel)
+        for c in vehicles:
+            if draw(_MOSTLY):
+                for z in net.zones:
+                    ee = z.entry_exit_for(net.road_of(occ[c]))
+                    if ee is not None:
+                        prel[c, ee[0]], prel[c, ee[1]] = A, B
+        return Scene(occ, vrel, prel, rels(pairs, base.orel, st.booleans()))
+
+    prev = draw_scene(None)
+    return prev, prev if not draw(_MOSTLY) and draw(st.booleans()) else draw_scene(prev)
+
+
+class TestScopedTransition:
+    """`check_transition`, composed of per-scope judgments, against the whole-scene reference."""
+
+    @pytest.mark.parametrize(
+        "net", [ROAD2, CROSSING, CONNECTION, OVERLAP, SAME_WAY],
+        ids=["road2", "crossing", "connection", "overlap", "same-way"],
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, net, data):
+        prev, next_ = data.draw(scene_pairs(net))
+        assert check_transition(prev, next_, net, 3) == reference_transition(prev, next_, net, 3)
+
+    @pytest.mark.parametrize("net", [OVERLAP, SAME_WAY], ids=["overlap", "same-way"])
+    def test_window_pairs_match_reference(self, net):
+        """Two vehicles inside the window at both steps: every lane each, road hops, every window value."""
+        z = net.zones[0]
+
+        def inside(lanes: tuple[str, str]) -> dict:
+            prel = {}
+            for c, l in zip(("c1", "c2"), lanes):
+                first, second = z.entry_exit_for(net.road_of_lane(l))
+                prel[c, first], prel[c, second] = A, B
+            return prel
+
+        found = set()
+        for before, after in product(product(net.lanes, repeat=2), repeat=2):
+            for u, v in product((A, C, B, None), repeat=2):
+                prev, next_ = (
+                    Scene(
+                        {"c1": frozenset({ls[0]}), "c2": frozenset({ls[1]})},
+                        {},
+                        inside(ls),
+                        {} if rel is None else {("c1", "c2"): rel},
+                    )
+                    for ls, rel in ((before, u), (after, v))
+                )
+                got = check_transition(prev, next_, net)
+                assert got == reference_transition(prev, next_, net)
+                found.update(x.rule for x in got)
+        assert RuleId.PR14_CONT in found
 
 
 class TestScenarioChecking:

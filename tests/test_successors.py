@@ -12,13 +12,21 @@ successor tuple, order included, on every scene of these families:
   initial scene (all of them for three vehicles on two lanes);
 * a chain of three single-lane roads joined by connection points, with two
   vehicles that change roads (PR7, PR12): every reachable scene;
+* a lane forking through two connection points onto two roads, with one
+  vehicle that can cover both at once (PR12), and a connection onto a lane
+  of its own road (PR7): every reachable scene;
 * two single-lane roads sharing an overlap window, opposed or running the
-  same way, with one vehicle on each: every reachable scene.
+  same way, with one vehicle on each; a same-way pair joined inside the
+  window by a connection; and two roads sharing a same-way and an opposed
+  window at once: every reachable scene.
 
 Each family is explored with one scene-verdict map shared across all its
 scenes, as `expand` shares it, so a candidate reached from several scenes
 is judged once and reused.  The checker must also never reject a candidate
 for a rule the generator prunes, so the pruning is complete for those rules.
+On every (scene, candidate) pair of the full product, `check_transition`
+must give the violation list of ``tests/reference_transition.py``, order
+included.
 """
 
 from __future__ import annotations
@@ -33,9 +41,10 @@ import pytest
 from trafficlogic import reasoner
 from trafficlogic.domain import RoadNetwork, Scene
 from trafficlogic.reasoner import _gen_successors, _goal_pins, parse_request
-from trafficlogic.rules import RuleId
+from trafficlogic.rules import RuleId, check_transition
 
-from reference_successors import reference_successors
+from reference_successors import reference_candidates, reference_successors
+from reference_transition import reference_transition
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -67,6 +76,57 @@ def chain_request() -> str:
     )
 
 
+def fork_request() -> str:
+    """Lane l1 carries connection pa onto l2 (road rb), then pb onto l3 (road rc).
+
+    A vehicle covering both may take neither: a hop through one would leave
+    the other covered point off its new road (PR12).
+    """
+    return (
+        "lane(l1, ra).\nlane(l2, rb).\nlane(l3, rc).\n"
+        "class(pa, c).\npon(pa, l1).\npon(pa, l2).\nsuccl(pa, l2).\n"
+        "class(pb, c).\npon(pb, l1).\npon(pb, l3).\nsuccl(pb, l3).\n"
+        "succp(l1, pa, pb).\n"
+        "#init\non(c1, l1).\nlonpr(c1, pa, behind).\nlonpr(c1, pb, behind).\n#horizon 2\n"
+    )
+
+
+#: roads ra and rb run the same way through one window, and connection pc
+#: inside it leads from ra onto rb; c1 on ra covers pc, c2 on rb is past it.
+#: When c1 hops onto rb, the copy rule (PR13) fixes their window relation to
+#: their new vehicle relation, which must still obey PR4's table (PR14_CONT).
+WINDOW_HOP = (
+    "lane(l1, ra).\nlane(l2, rb).\nclass(pos, os).\nclass(poe, oe).\nclass(pc, c).\n"
+    "pon(pos, l1).\npon(poe, l1).\npon(pos, l2).\npon(poe, l2).\noverlap(pos, poe).\n"
+    "pon(pc, l1).\npon(pc, l2).\nsuccl(pc, l2).\n"
+    "succp(l1, pos, pc).\nsuccp(l1, pc, poe).\nsuccp(l2, pos, pc).\nsuccp(l2, pc, poe).\n"
+    "#init\non(c1, l1).\non(c2, l2).\n"
+    "lonpr(c1, pos, ahead).\nlonpr(c1, pc, cover).\nlonpr(c1, poe, behind).\n"
+    "lonpr(c2, pos, ahead).\nlonpr(c2, pc, ahead).\nlonpr(c2, poe, behind).\n"
+    "lonro(c1, c2, behind).\nlonro(c2, c1, ahead).\n#horizon 2\n"
+)
+#: roads ra and rb share two interleaved windows: they run the same way
+#: through (p1s, p1e) and opposed through (p2s, p2e), and a vehicle can be
+#: inside both.  No cover between two such vehicles on the windows' lanes
+#: (PR13), although the first window does not oppose them.
+TWO_WINDOWS = (
+    "lane(l1, ra).\nlane(l2, rb).\n"
+    "class(p1s, os).\nclass(p1e, oe).\nclass(p2s, os).\nclass(p2e, oe).\n"
+    + "".join(f"pon({p}, {l}).\n" for p in ("p1s", "p1e", "p2s", "p2e") for l in ("l1", "l2"))
+    + "overlap(p1s, p1e).\noverlap(p2s, p2e).\n"
+    "succp(l1, p1s, p2s).\nsuccp(l1, p2s, p1e).\nsuccp(l1, p1e, p2e).\n"
+    "succp(l2, p1s, p2e).\nsuccp(l2, p2e, p1e).\nsuccp(l2, p1e, p2s).\n"
+    "#init\non(c1, l1).\non(c2, l2).\n"
+    + "".join(f"lonpr(c{i}, {p}, behind).\n" for i in (1, 2) for p in ("p1s", "p1e", "p2s", "p2e"))
+    + "#horizon 2\n"
+)
+#: connection p leads from l1 onto l2 of the same road: the hop jumps two lanes at once (PR7)
+SAME_ROAD_SUCCESSOR = (
+    "lane(l1, ra).\nlane(l2, ra).\nleft(l1, l2).\nclass(p, c).\npon(p, l1).\npon(p, l2).\nsuccl(p, l2).\n"
+    "#init\non(c1, l1).\nlonpr(c1, p, behind).\n#horizon 2\n"
+)
+
+
 def window_request(l2_first: str, l2_second: str) -> str:
     """Roads ra and rb, one lane each, sharing the window (pos, poe).
 
@@ -94,8 +154,12 @@ FAMILIES = [(p.stem, p.read_text(), None) for p in sorted(DATA.glob("*.req"))] +
     ("dense-4v-3l", dense_request(3, (1, 2, 2, 3)), 0),
     ("dense-4v-3l-shared", dense_request(3, (1, 1, 2, 3)), 0),
     ("chain-2v-3r", chain_request(), None),
+    ("fork-1v-3r", fork_request(), None),
+    ("same-road-successor", SAME_ROAD_SUCCESSOR, None),
     ("window-opposed", window_request("poe", "pos"), None),
     ("window-same-way", window_request("pos", "poe"), None),
+    ("window-hop", WINDOW_HOP, None),
+    ("two-windows", TWO_WINDOWS, None),
 ]
 
 
@@ -146,6 +210,16 @@ def explored(request) -> Explored:
 def test_successors_match_generate_and_test(explored):
     for s in explored.scenes:
         assert explored.successors[s] == reference_successors(s, explored.network, frozenset(), {})
+
+
+def test_transition_checker_matches_reference(explored):
+    """The scope-composed checker lists the whole-scene reference's violations, in order."""
+    pairs = 0
+    for s in explored.scenes:
+        for cand in reference_candidates(s, explored.network, frozenset(), {}):
+            assert check_transition(s, cand, explored.network) == reference_transition(s, cand, explored.network)
+            pairs += 1
+    assert pairs
 
 
 def test_checker_rejects_nothing_the_generator_prunes(explored):
