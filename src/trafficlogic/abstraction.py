@@ -642,6 +642,7 @@ def abstract_trace(
     cross = ((b, lane, ti) for ti, step in enumerate(steps) for _, b, _, lane in step[-1] if lane)
     ranges.update(_ranges(abst, tracks, cross))
     collapsed: list[Scene] = []
+    last = None  # the raw relations of the last sample a scene was built for
     for ti, (placement, road_of, vrel, prel, pairs) in enumerate(steps):
         orel: dict[tuple[str, str], LonRel] = {}
         for a, b, z, lane in pairs:
@@ -651,7 +652,11 @@ def abstract_trace(
                 val = lon_rel_of_ranges(placement[a][2], ranges[b, lane, ti])
             orel[(a, b)] = val
             orel[(b, a)] = z.mirror(road_of[a], road_of[b], val)
-        scene = Scene.build({v: placement[v][1] for v in vehicles}, vrel, prel, orel)
+        raw = ({v: placement[v][1] for v in vehicles}, vrel, prel, orel)
+        if raw == last:  # the same scene as the last one kept
+            continue
+        last = raw
+        scene = Scene.build(*raw)
         if not collapsed or scene != collapsed[-1]:
             collapsed.append(scene)
     return Scenario(frozenset(vehicles), n, tuple(collapsed))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -205,6 +206,7 @@ def _timeline_dot(scenarios) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every `main` call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trafficlogic",

@@ -27,9 +27,14 @@ consistency over the qualitative point algebra, applied to each partial
 assignment; window relations are tested the same way once a window map is
 complete, and opposed vehicles on a window's carrying lanes get no cover
 (PR13).  Only complete survivors become scenes, and `check_scene`, which
-stays authoritative, still judges each one.  Its verdicts are shared
-across one `expand`: a candidate reached from several parents is judged
-once.
+stays authoritative, still judges each one.
+
+Scenes are hash-consed.  A complete survivor is keyed by its occupancy
+tuple, its relation-slot values and its window values; the occupancy
+fixes which slots exist, so for one network and one vehicle set the key
+determines the scene.  One map per `expand` holds every key seen, and a
+scene is built and judged only the first time its key comes up: a
+candidate reached from several parents is one object, judged once.
 
 The transition rules are judged before any candidate is built, once per
 parent and scope value, by the same judgments `check_transition` is made
@@ -104,6 +109,8 @@ _ALL3 = (A, C, B)
 #: PR4 and PR9 then drop the values the parent's value cannot step to
 _VREL_ORDER = {B: (B, C, A)}
 _PREL_ORDER = {B: (B, C, A), C: (C, A, B)}
+#: `_gen_successors`'s marker for a key not seen yet
+_UNSEEN = object()
 
 
 class RequestError(ValueError):
@@ -259,7 +266,7 @@ def _gen_successors(
     n: RoadNetwork,
     frozen: frozenset[str],
     prel_pins: Mapping[tuple[str, str], frozenset[LonRel]],
-    verdicts: Optional[dict[Scene, bool]] = None,
+    interned: Optional[dict] = None,
 ) -> tuple[Scene, ...]:
     """Every valid, non-stuttering successor of ``scene``, in a fixed order.
 
@@ -277,21 +284,30 @@ def _gen_successors(
     values, and `check_scene` decides the remaining scene rules.
     ``scene`` must pass `check_scene` on ``n``, so that every vehicle is on
     one road in it and in each of its candidates.  ``prel_pins`` narrows
-    vehicle-point slots to the values it lists (see `_goal_pins`).
+    vehicle-point slot values to those it lists (see `_goal_pins`).
 
-    ``verdicts`` maps each candidate scene already judged by `check_scene` on
-    ``n`` to whether it broke a rule; `expand` shares one map across every
-    call of a request, so each distinct candidate is judged once.  Without
-    it, the call starts a fresh map.
+    A candidate's key is its occupancy tuple (in vehicle order), its
+    relation-slot values and its window values.  The occupancy fixes the
+    slot layout: same-road vehicle pairs, then each vehicle's road points,
+    then the window pairs, which also read the point values.  So for one
+    network and one vehicle set, equal keys mean equal scenes, whatever the
+    parent, ``frozen`` or ``prel_pins``.  ``interned`` maps each key seen so
+    far to its scene, or to None when `check_scene` rejected it, and each
+    parent and each valid candidate to itself; a candidate is built and
+    judged only the first time its key is seen, and equal successors of
+    different parents are one object.  `expand` shares one map across
+    every call of a request; a map must not be shared across networks or
+    vehicle sets.  Without it, the call starts a fresh map.
     """
-    if verdicts is None:
-        verdicts = {}
+    if interned is None:
+        interned = {}
+    # a candidate equal to the parent maps to this object: it is no successor
+    scene = interned.setdefault(scene, scene)
     vehicles = scene.vehicles
     occ_lists = [_occ_moves(scene, n, c, frozen, prel_pins) for c in vehicles]
     vrel_moves: dict[tuple[str, str], tuple[LonRel, ...]] = {}
     window_ok = _window_judge(scene, n)
     order_pairs: dict[str, frozenset[tuple[str, str]]] = {}
-    results: dict = {}
     order: list[Scene] = []
     for moves in product(*occ_lists):
         occ = {c: ls for c, (ls, _, _) in zip(vehicles, moves)}
@@ -346,25 +362,29 @@ def _gen_successors(
                     _add_check(checks, (vslot[x, y], j, k), _MIXED_OK)
                 if occ[x] & plane and occ[y] & plane:
                     _add_check(checks, (j, k), _NOT_BOTH_COVER)
+        occ_key = tuple(ls for ls, _, _ in moves)
         vrel_slots = list(vslot)
         prel_slots = list(pslot)
         for combo in _consistent(cands, checks):
-            vrel: dict[tuple[str, str], LonRel] = {}
-            for (x, y), v in zip(vrel_slots, combo):
-                vrel[x, y] = v
-                vrel[y, x] = invert(v)
             prel = dict(zip(prel_slots, combo[n_vrel:]))
-            for orel in _orel_assignments(n, occ, road, vrel, prel, window_ok):
-                cand = Scene(occ, vrel, prel, orel)
-                if cand == scene or cand.key() in results:
-                    continue
-                bad = verdicts.get(cand)
-                if bad is None:
-                    bad = verdicts[cand] = bool(check_scene(cand, n))
-                if bad:
-                    continue
-                results[cand.key()] = cand
-                order.append(cand)
+            for window, orel in _orel_assignments(n, occ, road, dict(zip(vrel_slots, combo)), prel, window_ok):
+                key = (occ_key, combo, window)
+                cand = interned.get(key, _UNSEEN)
+                if cand is _UNSEEN:
+                    vrel: dict[tuple[str, str], LonRel] = {}
+                    for (x, y), v in zip(vrel_slots, combo):
+                        vrel[x, y] = v
+                        vrel[y, x] = invert(v)
+                    cand = Scene(occ, vrel, prel, orel)
+                    if cand in interned:  # a parent, valid by contract
+                        cand = interned[cand]
+                    elif check_scene(cand, n):
+                        cand = None
+                    else:
+                        interned[cand] = cand
+                    interned[key] = cand
+                if cand is not None and cand is not scene:
+                    order.append(cand)
     return tuple(order)
 
 
@@ -436,9 +456,12 @@ def _window_judge(scene: Scene, n: RoadNetwork):
 
 
 def _orel_assignments(n, occ, road, vrel, prel, window_ok):
-    """Yield every admissible window-relation map for a candidate scene.
+    """Yield every admissible window-relation map for a candidate scene, with its window values.
 
-    ``occ``, ``road``, ``vrel`` and ``prel`` describe the candidate.  Maps
+    ``occ``, ``road``, ``vrel`` and ``prel`` describe the candidate;
+    ``vrel`` needs only the pairs ``x < y``.  Each map comes as ``(values,
+    orel)``: its window-pair values, one per pair ``x < y`` in sorted pair
+    order, and the map itself with both orientations.  Maps
     whose relations inside a window do not compose are left out, and so is
     cover between opposed vehicles on a window's carrying lanes (PR13).  A
     pair's values are those ``window_ok`` (see `_window_judge`) allows in
@@ -481,7 +504,7 @@ def _orel_assignments(n, occ, road, vrel, prel, window_ok):
             orel[(y, x)] = z0.mirror(road[x], road[y], v)
         # relation triangles inside each window (PR14_TRANS)
         if all(_window_closed(z, road, tri, orel) for z, tri in triangles):
-            yield orel
+            yield combo, orel
 
 
 def _window_closed(z, road, tri, orel) -> bool:
@@ -564,10 +587,8 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
     final_stable = req.final_stable
     if final_stable is None:
         final_stable = req.mode == "shortest"
-    verdicts = {req.initial: False}  # checked above
-    gen = partial(
-        _gen_successors, n=net, frozen=req.frozen, prel_pins=_goal_pins(req.goal, net), verdicts=verdicts
-    )
+    # the initial scene, checked above, enters the map as the first parent
+    gen = partial(_gen_successors, n=net, frozen=req.frozen, prel_pins=_goal_pins(req.goal, net), interned={})
 
     def accept(scene: Scene) -> bool:
         if req.goal is not None and not req.goal.holds(scene):

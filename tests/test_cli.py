@@ -15,7 +15,7 @@ import pytest
 from oracle import stepwise_violations
 
 import trafficlogic
-from trafficlogic import abstraction, domain, reasoner, rules
+from trafficlogic import abstraction, cli, domain, reasoner, rules
 from trafficlogic.cli import main
 from trafficlogic.rules import render_report
 
@@ -217,6 +217,36 @@ class TestGenerate:
         out = afile / "x.result"
         assert main(["generate", data("ex3_branching.req"), "--out", str(out)]) == INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_calls_in_one_process_behave_as_in_fresh_ones(self, tmp_path, capsys):
+        """`main` builds its parser once; no option or config of one call reaches the next."""
+        request = data("ex3_branching.req")
+        fresh = subprocess.run(
+            [sys.executable, "-m", "trafficlogic", "generate", request],
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(trafficlogic.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        stats = fresh.stderr.split(" wall=")[0]
+        out = tmp_path / "r.result"
+        assert main(["generate", request, "--out", str(out)]) == OK
+        assert out.read_text() == fresh.stdout
+        assert capsys.readouterr().err.split(" wall=")[0] == stats
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", request, "--horizon", "2", "--bogus"])
+        assert exc.value.code == INPUT
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"outdir={tmp_path / 'od'}\n")
+        assert main(["--config", str(cfg), "generate", request]) == OK
+        assert (tmp_path / "od" / "ex3_branching.result").read_text() == fresh.stdout
+        assert capsys.readouterr().out == ""
+        assert main(["generate", request]) == OK
+        captured = capsys.readouterr()
+        assert captured.out == fresh.stdout
+        assert captured.err.split(" wall=")[0] == stats
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestCheck:

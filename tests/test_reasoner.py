@@ -8,6 +8,7 @@ minimal length instead.
 
 from __future__ import annotations
 
+import collections
 import pathlib
 import sys
 
@@ -24,7 +25,7 @@ from trafficlogic.reasoner import (
     parse_request,
     successors,
 )
-from trafficlogic.rules import check_scenario
+from trafficlogic.rules import RuleId, Violation, check_scenario
 
 from oracle import oracle_expand
 
@@ -402,6 +403,86 @@ class TestFixtureRequests:
         assert transitions == []
         assert len(judgments) == len(set(judgments))
         assert {name.removesuffix("_step_ok") for _, name, _ in judgments} == scopes
+
+    #: requests with windows, with connections and with four vehicles on one
+    #: road, and whether some scene in them is a successor of several parents
+    INTERNED = {
+        "ex5_opposing_pass": ((DATA / "ex5_opposing_pass.req").read_text(), True),
+        "ex3_branching": ((DATA / "ex3_branching.req").read_text(), False),
+        "dense-4v-3l": (DENSE, True),
+    }
+
+    @staticmethod
+    def _generate(text, monkeypatch, fresh=False):
+        """``expand(parse_request(text))``, recording every scene built and every successor tuple.
+
+        Returns the result, the scenes the parse built, the scenes `expand`
+        built and the ``(parent, successors)`` of each `_gen_successors`
+        call.  With ``fresh``, each call gets a map of its own.
+        """
+        built, calls = [], []
+        init, gen_successors = Scene.__init__, reasoner._gen_successors
+
+        def building(self, *args):
+            init(self, *args)
+            built.append(self)
+
+        def generating(scene, *args, interned=None, **kwargs):
+            out = gen_successors(scene, *args, interned=None if fresh else interned, **kwargs)
+            calls.append((scene, out))
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Scene, "__init__", building)
+            mp.setattr(reasoner, "_gen_successors", generating)
+            req = parse_request(text)
+            own = len(built)
+            res = expand(req)
+        return res, built[:own], built[own:], calls
+
+    @pytest.mark.parametrize("name", INTERNED)
+    def test_each_distinct_candidate_is_built_once(self, name, monkeypatch):
+        """One map per `expand` interns every candidate; a map per call gives the same result."""
+        text, merges = self.INTERNED[name]
+        res, own, built, calls = self._generate(text, monkeypatch)
+        fresh, _, fresh_built, _ = self._generate(text, monkeypatch, fresh=True)
+        assert res.texts == fresh.texts
+        assert len(own) == 1
+        # a map per call builds a candidate again for every parent that reaches it
+        assert len(fresh_built) > len(built) == len(set(built))
+        assert set(built) == set(fresh_built)
+        first: dict[Scene, Scene] = {}
+        shared = 0
+        for _, out in calls:
+            for t in out:
+                shared += t in first
+                assert first.setdefault(t, t) is t
+        assert bool(shared) == merges
+
+    def test_rejected_candidate_is_judged_once_and_never_a_successor(self, monkeypatch):
+        """`check_scene` stays authoritative: what it rejects is dropped for every parent."""
+        res, _, _, calls = self._generate(self.DENSE, monkeypatch)
+        initial = res.scenarios[0].scenes[0]
+        reached = collections.Counter(t for _, out in calls for t in out)
+        chosen = next(t for t, k in reached.items() if k >= 2 and t != initial)
+        judged = []
+        check_scene = reasoner.check_scene
+
+        def rejecting(scene, n, step=1):
+            judged.append(scene)
+            if scene == chosen:
+                return [Violation(RuleId.PR2, step, tuple(scene.vehicles))]
+            return check_scene(scene, n, step)
+
+        monkeypatch.setattr(reasoner, "check_scene", rejecting)
+        rejected, _, _, calls = self._generate(self.DENSE, monkeypatch)
+        assert judged.count(chosen) == 1
+        assert not any(chosen in out for _, out in calls)
+        # exact mode without a goal: exactly the scenarios through the chosen scene are gone
+        assert rejected.texts == tuple(
+            text for text, sc in zip(res.texts, res.scenarios) if chosen not in sc.scenes
+        )
+        assert len(rejected.texts) < len(res.texts)
 
     def test_result_rendering_roundtrips(self):
         res = expand(load_request("ex3_branching.req"))

@@ -186,15 +186,15 @@ def _explore(text: str, bound: Optional[int]) -> Explored:
     depth = {req.initial: 0}
     todo = [req.initial]
     succ: dict[Scene, tuple[Scene, ...]] = {}
-    verdicts: dict[Scene, bool] = {}
+    interned: dict = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reasoner, "check_scene", counting)
         while todo:
             s = todo.pop()
-            succ[s] = _gen_successors(s, net, frozenset(), {}, verdicts)
+            succ[s] = _gen_successors(s, net, frozenset(), {}, interned)
             if bound is not None and depth[s] == bound:
                 continue
-            for t in _gen_successors(s, net, req.frozen, {}, verdicts) if req.frozen else succ[s]:
+            for t in _gen_successors(s, net, req.frozen, {}, interned) if req.frozen else succ[s]:
                 if t not in depth:
                     depth[t] = depth[s] + 1
                     todo.append(t)
