@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from trafficlogic.geometry import (
     Polyline,
     angle_difference,
     frenet_project,
+    near_lines,
     polyline_intersections,
     project_points,
 )
@@ -71,7 +72,11 @@ class TraceError(AbstractionError):
 
 @dataclass
 class AbstractLane:
-    """A drivable lane in travel-direction coordinates."""
+    """A drivable lane in travel-direction coordinates.
+
+    ``turn``, the largest heading change between consecutive segments, and
+    ``vertex_headings``, the heading at each vertex, are computed once, here.
+    """
 
     id: str
     road: str
@@ -79,6 +84,13 @@ class AbstractLane:
     source_lane: int
     line: Polyline  # vertices ordered along travel
     widths: np.ndarray  # lane width at each vertex
+    turn: float = field(init=False)
+    vertex_headings: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        h = self.line.headings
+        self.turn = float(np.max(angle_difference(h[1:], h[:-1]), initial=0.0))
+        self.vertex_headings = self.line.heading_at(self.line.arclength)
 
     @property
     def length(self) -> float:
@@ -215,8 +227,12 @@ class NetworkAbstraction:
             if src in by_source and dst in by_source
         ]
         self._add_connections(builder, edges)
-        crossings = self._detect_crossings({frozenset(e) for e in edges})
-        windows = self._detect_overlaps(crossings)
+        lanes = list(self.lanes.values())
+        width = max((float(lane.widths.max()) for lane in lanes), default=0.0)
+        reach = [_corridor_reach(width, lane, params) for lane in lanes]
+        near, meet = near_lines([lane.line for lane in lanes], reach)
+        crossings = self._detect_crossings({frozenset(e) for e in edges}, meet)
+        windows = self._detect_overlaps(crossings, near)
         for pid, (a, b, s_a, s_b, xy) in crossings.items():
             builder.add("class", (pid, "x"))
             builder.add("pon", (pid, a))
@@ -268,21 +284,27 @@ class NetworkAbstraction:
     def _lane_seq(self, lid: str) -> int:
         return int(lid[1:])
 
-    def _lane_pairs(self):
-        """Unordered lane pairs from different xodr roads, creation order."""
+    def _lane_pairs(self, near: set[tuple[int, int]]):
+        """The pairs of lanes from different xodr roads whose creation indices ``i < j`` are in ``near``.
+
+        They come in creation order.
+        """
         ids = list(self.lanes)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                if self.lanes[a].source_road != self.lanes[b].source_road:
-                    yield a, b
+        for i, j in sorted(near):
+            a, b = ids[i], ids[j]
+            if i < j and self.lanes[a].source_road != self.lanes[b].source_road:
+                yield a, b
 
     def _detect_crossings(
-        self, connected: set[frozenset[str]]
+        self, connected: set[frozenset[str]], meet: set[tuple[int, int]]
     ) -> dict[str, tuple[str, str, float, float, tuple[float, float]]]:
-        """Transversal centerline crossings of lane pairs not in ``connected``."""
+        """Transversal centerline crossings of lane pairs not in ``connected``.
+
+        Only the pairs in ``meet``, whose segment boxes meet, can cross.
+        """
         margin = 2.0 * self.params.sampling_step
         found: list[tuple[str, str, float, float, tuple[float, float]]] = []
-        for a, b in self._lane_pairs():
+        for a, b in self._lane_pairs(meet):
             if frozenset((a, b)) in connected:
                 continue
             la, lb = self.lanes[a], self.lanes[b]
@@ -298,15 +320,29 @@ class NetworkAbstraction:
                 found.append((a, b, s_a, s_b, xy))
         return {f"px{i + 1}": rec for i, rec in enumerate(found)}
 
-    def _detect_overlaps(self, crossings) -> list[tuple[str, str, str, str, tuple, tuple]]:
-        """Opposite-direction shared-pavement windows; same-direction is an error."""
+    def _detect_overlaps(
+        self, crossings, near: set[tuple[int, int]]
+    ) -> list[tuple[str, str, str, str, tuple, tuple]]:
+        """Opposite-direction shared-pavement windows; same-direction is an error.
+
+        Only the pairs ``(a, b)`` in ``near``, where some vertex of ``a`` is
+        within corridor reach of ``b``, can have one.
+        """
         p = self.params
         tol = math.radians(p.overlap_heading_tolerance_deg)
+        pairs = list(self._lane_pairs(near))
+        sources: dict[str, list[str]] = {}
+        for a, b in pairs:
+            sources.setdefault(b, []).append(a)
+        corridors = {}
+        for b, ids in sources.items():
+            found = _corridors([self.lanes[a] for a in ids], self.lanes[b], p)
+            corridors.update(((a, b), res) for a, res in zip(ids, found))
         out = []
         seq = 0
-        for a, b in self._lane_pairs():
+        for a, b in pairs:
             la, lb = self.lanes[a], self.lanes[b]
-            s_b, diff, corridor = overlap_corridor(la, lb, p)
+            s_b, diff, corridor = corridors[a, b]
             if not corridor.any():
                 continue
             anti = corridor & (diff >= math.pi - tol)
@@ -383,48 +419,60 @@ def overlap_corridor(
     A vertex is in the corridor when its lateral offset from ``lb`` is at most
     ``overlap_corridor_factor`` times the narrower lane width, and, if its
     projection is clamped to an end of ``lb``, it lies within
-    ``intersection_tolerance`` of that end.  Only the vertices within
-    :func:`_corridor_reach` of ``lb``'s bounding box are projected; the others
-    cannot be in the corridor, and their arclength and heading difference
-    carry no meaning.
+    ``intersection_tolerance`` of that end.  The arclength and heading
+    difference of a vertex outside the corridor carry no meaning; see
+    :func:`_corridors`.
     """
-    pts = la.line.points
-    s_b = np.zeros(len(pts))
-    near = np.flatnonzero(lb.line.near_box(pts, _corridor_reach(la, lb, params)))
-    if not near.size:
-        return s_b, np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
-    dist = np.full(len(pts), np.inf)
-    e_b = np.full(len(pts), np.inf)
-    s_near, d_near, e_near = project_points(lb.line, pts[near])
-    s_b[near] = s_near
-    dist[near] = np.abs(d_near)
-    e_b[near] = e_near
-    diff = angle_difference(la.line.heading_at(la.line.arclength), lb.line.heading_at(s_b))
-    wmin = np.minimum(la.widths, np.interp(s_b, lb.line.arclength, lb.widths))
-    corridor = dist <= params.overlap_corridor_factor * wmin
-    # a projection clamped to an end of b says nothing about lateral
-    # closeness: without this, corridors bleed past the shared stretch and
-    # continuations read as fake same-direction overlaps
-    clamped = (s_b <= 1e-9) | (s_b >= lb.length - 1e-9)
-    corridor &= ~clamped | (e_b <= params.intersection_tolerance)
-    return s_b, diff, corridor
+    return _corridors([la], lb, params)[0]
 
 
-def _corridor_reach(la: AbstractLane, lb: AbstractLane, params: Config) -> float:
-    """Largest distance from ``lb`` at which a vertex of ``la`` can be in the corridor.
+def _corridors(sources: list[AbstractLane], lb: AbstractLane, params: Config):
+    """`overlap_corridor` of each lane in ``sources`` onto ``lb``, from one projection call.
+
+    No vertex farther than :func:`_corridor_reach` from ``lb`` can be in the
+    corridor.  A source whose bounding box is farther than that from
+    ``lb``'s is not projected; the vertices of the others are projected
+    together, with the largest of their reaches.  A vertex out of that reach
+    has no arclength on ``lb`` (nan).
+    """
+    reach = [_corridor_reach(float(la.widths.max()), lb, params) for la in sources]
+    near = [la.line.box_near(lb.line, r) for la, r in zip(sources, reach)]
+    if any(near):
+        kept = [la for la, hit in zip(sources, near) if hit]
+        pts = np.concatenate([la.line.points for la in kept])
+        s_b, d_b, e_b = project_points(lb.line, pts, max(r for r, hit in zip(reach, near) if hit))
+        widths = np.concatenate([la.widths for la in kept])
+        headings = np.concatenate([la.vertex_headings for la in kept])
+        diff = angle_difference(headings, lb.line.heading_at(s_b))
+        wmin = np.minimum(widths, np.interp(s_b, lb.line.arclength, lb.widths))
+        corridor = np.abs(d_b) <= params.overlap_corridor_factor * wmin
+        # a projection clamped to an end of b says nothing about lateral
+        # closeness: without this, corridors bleed past the shared stretch and
+        # continuations read as fake same-direction overlaps
+        clamped = (s_b <= 1e-9) | (s_b >= lb.length - 1e-9)
+        corridor &= ~clamped | (e_b <= params.intersection_tolerance)
+        cuts = np.cumsum([len(la.line) for la in kept[:-1]])
+        parts = iter(zip(np.split(s_b, cuts), np.split(diff, cuts), np.split(corridor, cuts)))
+    out = []
+    for la, hit in zip(sources, near):
+        n = len(la.line)
+        out.append(next(parts) if hit else (np.full(n, np.nan), np.zeros(n), np.zeros(n, dtype=bool)))
+    return out
+
+
+def _corridor_reach(width: float, lb: AbstractLane, params: Config) -> float:
+    """Largest distance from ``lb`` at which a vertex of a lane ``width`` wide can be in the corridor.
 
     Its distance e to ``lb`` is bounded by its lateral offset |d| <=
-    factor * max(w_a): e = |d| when it projects inside a segment, and
+    factor * width: e = |d| when it projects inside a segment, and
     e <= |d| / cos(theta) when it is clamped at an interior corner where
     ``lb`` turns by theta.  A vertex clamped at an end of ``lb`` needs
     e <= intersection_tolerance.  From a turn of 90 degrees on, the reach is
     unbounded.
     """
-    h = lb.line.headings
-    turn = float(np.max(angle_difference(h[1:], h[:-1]), initial=0.0))
-    if turn >= math.pi / 2:
+    if lb.turn >= math.pi / 2:
         return math.inf
-    lateral = params.overlap_corridor_factor * float(la.widths.max()) / math.cos(turn)
+    lateral = params.overlap_corridor_factor * width / math.cos(lb.turn)
     return max(lateral, params.intersection_tolerance)
 
 
@@ -541,16 +589,27 @@ def _tracks(samples: list[TraceSample]) -> tuple[list[float], dict[str, _Vehicle
     return times, tracks
 
 
+def _occupancy_radius(lane: AbstractLane, cfg: Config) -> float:
+    """Largest distance from ``lane`` at which a vehicle center can occupy it.
+
+    An occupying center has ``|d| <= width / 2 + occupancy_halfwidth`` and
+    runs at most 0.5 past an end of the lane, so its distance to the lane is
+    at most the hypotenuse of the two.
+    """
+    return math.hypot(float(lane.widths.max()) / 2.0 + cfg.occupancy_halfwidth, 0.5)
+
+
 def _lane_fit(abst: NetworkAbstraction, track: _VehicleTrack, cfg: Config):
     """Per sample: the lane that fits the center best, and the lanes of its road it occupies.
 
-    Every center is projected onto every lane, since occupancy needs them
-    all.  The best lane is the occupied one with the smallest lateral offset
-    ``|d|``, ties going to the smallest lane id; it is None for a sample that
-    occupies no lane.  A sample far off the map (a finite coordinate near the
-    float range) can overflow to inf or nan here; neither passes the
-    occupancy test, so the sample is off-road on that lane, and numpy is kept
-    from warning about it.
+    Every center is projected onto every lane within the lane's
+    :func:`_occupancy_radius`, since occupancy needs them all; a center out
+    of that reach occupies no lane.  The best lane is the occupied one with
+    the smallest lateral offset ``|d|``, ties going to the smallest lane id;
+    it is None for a sample that occupies no lane.  A sample far off the map
+    (a finite coordinate near the float range) can overflow to inf or nan
+    here; neither passes the occupancy test, so the sample is off-road on
+    that lane, and numpy is kept from warning about it.
     """
     lids = sorted(abst.lanes)
     if not lids:
@@ -559,7 +618,7 @@ def _lane_fit(abst: NetworkAbstraction, track: _VehicleTrack, cfg: Config):
     with np.errstate(over="ignore", invalid="ignore"):
         for i, lid in enumerate(lids):
             line, widths = abst.lanes[lid].line, abst.lanes[lid].widths
-            s_c, d_c, e_c = project_points(line, track.centers)
+            s_c, d_c, e_c = project_points(line, track.centers, _occupancy_radius(abst.lanes[lid], cfg))
             width = np.interp(s_c, line.arclength, widths)
             overrun = np.sqrt(np.maximum(e_c * e_c - d_c * d_c, 0.0))
             ok = (np.abs(d_c) <= width / 2.0 + cfg.occupancy_halfwidth) & (overrun <= 0.5)
@@ -576,12 +635,16 @@ def _lane_fit(abst: NetworkAbstraction, track: _VehicleTrack, cfg: Config):
 
 
 def _ranges(
-    abst: NetworkAbstraction, tracks: dict[str, _VehicleTrack], wanted
+    abst: NetworkAbstraction, tracks: dict[str, _VehicleTrack], wanted, cfg: Config | None = None
 ) -> dict[tuple[str, str, int], SRange]:
     """The range from rear to front of each wanted ``(vehicle, lane, sample)``.
 
-    The fronts of one (vehicle, lane) go to one projection call, and its
-    rears to another: one call for both would double the call's peak memory.
+    With ``cfg``, every wanted sample occupies its lane: its center is within
+    the lane's :func:`_occupancy_radius`, so its front and rear are within
+    that radius plus half the vehicle length, which is the reach they are
+    projected with.  Without, they are projected onto all segments.  The
+    fronts of one (vehicle, lane) go to one projection call, and its rears
+    to another: one call for both would double the call's peak memory.
     """
     by_lane: dict[tuple[str, str], dict[int, None]] = {}
     for v, lid, ti in wanted:
@@ -589,9 +652,13 @@ def _ranges(
     out = {}
     for (v, lid), tis in by_lane.items():
         idx, line = list(tis), abst.lanes[lid].line
+        reach = math.inf
+        if cfg is not None:
+            half = max(tracks[v].samples[ti].length for ti in idx) / 2.0
+            reach = _occupancy_radius(abst.lanes[lid], cfg) + half
         with np.errstate(over="ignore", invalid="ignore"):
-            fronts, _, _ = project_points(line, tracks[v].fronts[idx])
-            rears, _, _ = project_points(line, tracks[v].rears[idx])
+            fronts, _, _ = project_points(line, tracks[v].fronts[idx], reach)
+            rears, _, _ = project_points(line, tracks[v].rears[idx], reach)
         for ti, s_f, s_r in zip(idx, fronts.tolist(), rears.tolist()):
             out[v, lid, ti] = SRange(min(s_r, s_f), max(s_r, s_f))
     return out
@@ -632,7 +699,7 @@ def abstract_trace(
                 raise TraceError(
                     f"trace row {tracks[v].samples[ti].row}: vehicle {v} is off-road at t={t}"
                 )
-    ranges = _ranges(abst, tracks, ((v, best[v][ti], ti) for v in vehicles for ti in range(len(times))))
+    ranges = _ranges(abst, tracks, ((v, best[v][ti], ti) for v in vehicles for ti in range(len(times))), cfg)
     projected: dict[tuple[str, str], float] = {}
     steps = []
     for ti in range(len(times)):

@@ -465,10 +465,14 @@ def _orel_assignments(n, occ, road, vrel, prel, window_ok):
     whose relations inside a window do not compose are left out, and so is
     cover between opposed vehicles on a window's carrying lanes (PR13).  A
     pair's values are those ``window_ok`` (see `_window_judge`) allows in
-    every window holding both vehicles (PR14_CONT).
+    every window holding both vehicles (PR14_CONT).  A network without
+    windows has the one empty map.
     """
-    vehicles = sorted(occ)
     zones = n.zones
+    if not zones:
+        yield (), {}
+        return
+    vehicles = sorted(occ)
     pair_zones: dict[tuple[str, str], list[int]] = {}
     triangles = []
     for k, z in enumerate(zones):

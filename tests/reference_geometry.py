@@ -4,10 +4,11 @@
   is tested against every segment of the other for a crossing, and every
   vertex of one lane is projected onto every segment of the other before the
   overlap-corridor test, with headings and angle differences taken one
-  scalar at a time.  The compiler culls by bounding boxes and works on
-  arrays; ``tests/test_culling.py`` asserts that both give the same results,
-  bit for bit.  Only the vertices, arclengths and widths of the lanes are
-  read.
+  scalar at a time.  The compiler culls by a grid over segment boxes and
+  works on arrays; ``tests/test_culling.py`` asserts that both give the same
+  results, bit for bit, pair by pair and as compiled facts and coordinates
+  (`reference_network_texts`).  Only the vertices, arclengths and widths of
+  the lanes are read.
 * The scalar centerline sampler: the reference line, the lane widths and the
   center offset evaluated one arclength at a time.  It reads only the fields
   of the parsed map records.
@@ -22,9 +23,11 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 
+from trafficlogic import abstraction
 from trafficlogic.abstraction import AbstractionError, NetworkAbstraction, TraceError, _tracks
 from trafficlogic.config import Config
 from trafficlogic.domain import LonRel, Scenario, Scene, SRange, lon_rel_of_ranges
@@ -113,6 +116,28 @@ def reference_corridor(la, lb, params) -> tuple[np.ndarray, np.ndarray, np.ndarr
     clamped = (s_b <= 1e-9) | (s_b >= float(lb.line.arclength[-1]) - 1e-9)
     corridor &= ~clamped | (e_b <= params.intersection_tolerance)
     return s_b, diff, corridor
+
+
+def _every_pair(lines, reach):
+    n = range(len(lines))
+    return {(i, j) for i in n for j in n if i != j}, {(i, j) for i in n for j in n if i < j}
+
+
+def reference_network_texts(model, params) -> tuple[str, str]:
+    """``facts_text()`` and ``coords_text()`` of ``model`` compiled with the all-pairs routines.
+
+    Every lane pair is a candidate, its crossings come from
+    `reference_intersections` and its corridors from `reference_corridor`.
+    """
+    with (
+        mock.patch.object(abstraction, "near_lines", _every_pair),
+        mock.patch.object(abstraction, "polyline_intersections", reference_intersections),
+        mock.patch.object(
+            abstraction, "_corridors", lambda sources, lb, p: [reference_corridor(la, lb, p) for la in sources]
+        ),
+    ):
+        abst = NetworkAbstraction(model, params)
+    return abst.facts_text(), abst.coords_text()
 
 
 # -- the scalar centerline sampler -------------------------------------------

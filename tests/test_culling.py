@@ -1,11 +1,13 @@
-"""Bounding-box culling in the map compiler gives the all-pairs results, bit for bit.
+"""Grid culling in the map compiler gives the all-pairs results, bit for bit.
 
-``polyline_intersections`` tests only segment pairs whose boxes meet, and
-``overlap_corridor`` projects only the vertices within reach of the other
-lane's box.  Both are compared with the all-pairs routines kept in
+``polyline_intersections`` tests only the segment pairs the grid pairs up,
+``overlap_corridor`` projects each vertex only onto the segments within
+reach, and the compiler skips the lane pairs the map-wide grid finds far
+apart.  All are compared with the all-pairs routines kept in
 ``tests/reference_geometry.py``: on random polylines (hairpins, sharp corners,
-near-parallel, touching and just-meeting pairs) and on every lane pair of the
-fixture maps.
+near-parallel, touching and just-meeting pairs), on every lane pair of the
+fixture maps and seeded crossing grids, and on the facts and coordinates
+compiled from them.
 """
 
 from __future__ import annotations
@@ -13,16 +15,19 @@ from __future__ import annotations
 import itertools
 import math
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from reference_geometry import reference_corridor, reference_intersections
+from reference_geometry import reference_corridor, reference_intersections, reference_network_texts
+from test_arrays import crossing_grid
 
 from trafficlogic.abstraction import AbstractLane, NetworkAbstraction, overlap_corridor
 from trafficlogic.config import Config
-from trafficlogic.geometry import Polyline, polyline_intersections
+from trafficlogic import geometry
+from trafficlogic.geometry import Polyline, near_lines, polyline_intersections, project_points
 from trafficlogic.opendrive import parse_opendrive
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -193,12 +198,49 @@ class TestCrossings:
         assert_same_crossings(a, Polyline(b.points + offset))
 
 
-@pytest.mark.parametrize("step", [0.5, 0.1])
-@pytest.mark.parametrize("name", ["ex1_straight", "ex5_overlap", "tee_junction"])
+class TestNearLines:
+    """The map-wide grid leaves out no lane pair that a projection or a crossing test would find."""
+
+    @pytest.mark.parametrize("run", [1, 2, geometry.NEAR_RUN])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(turning_lines(), min_size=2, max_size=5), st.data())
+    def test_no_near_pair_is_left_out(self, run, lines, data):
+        """A pair left out has every vertex out of reach and no crossing.
+
+        A reach is drawn, infinite, or the distance of a vertex of another
+        line, so that some vertex lies exactly at the reach.
+        """
+        reach = []
+        for j, b in enumerate(lines):
+            a = lines[data.draw(st.sampled_from([i for i in range(len(lines)) if i != j]))]
+            exact = float(project_points(b, a.points)[2][data.draw(st.integers(0, len(a) - 1))])
+            reach.append(data.draw(st.sampled_from([exact, math.inf]) | st.floats(0.0, 6.0)))
+        with mock.patch.object(geometry, "NEAR_RUN", run):
+            near, meet = near_lines(lines, reach)
+        for i, j in itertools.permutations(range(len(lines)), 2):
+            if (i, j) not in near:
+                assert np.isinf(project_points(lines[j], lines[i].points, reach[j])[2]).all()
+            if i < j and (i, j) not in meet:
+                assert reference_intersections(lines[i], lines[j]) == []
+
+
+FIXTURES = ("ex1_straight", "ex5_overlap", "tee_junction")
+MAPS = {name: (DATA / f"{name}.xodr").read_text() for name in FIXTURES}
+MAPS.update({f"grid{n}x{n}-{seed}": crossing_grid(n, seed) for n in (3, 5) for seed in (13, 29)})
+#: the crossing grids' 24 and 40 lanes make hundreds of lane pairs, so they
+#: are sampled coarsely enough for the all-pairs references to stay quick
+CASES = [(name, step) for name in FIXTURES for step in (0.5, 0.2, 0.1)] + [
+    (f"grid{n}x{n}-{seed}", step) for n, step in ((3, 1.0), (5, 2.0)) for seed in (13, 29)
+]
+
+
+@pytest.mark.parametrize(("name", "step"), CASES)
 def test_fixture_lane_pairs_match_the_reference(name, step):
     cfg = Config(sampling_step=step)
-    abst = NetworkAbstraction(parse_opendrive((DATA / f"{name}.xodr").read_bytes()), cfg)
+    model = parse_opendrive(MAPS[name])
+    abst = NetworkAbstraction(model, cfg)
     for la, lb in itertools.combinations(abst.lanes.values(), 2):
         assert_same_crossings(la.line, lb.line)
         assert_same_corridor(la, lb, cfg)
         assert_same_corridor(lb, la, cfg)
+    assert (abst.facts_text(), abst.coords_text()) == reference_network_texts(model, cfg)

@@ -8,10 +8,12 @@ well inside the acceptance budget.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from reference_geometry import reference_project as all_segments_project
 
 from trafficlogic import geometry
 from trafficlogic.geometry import (
@@ -161,6 +163,83 @@ class TestFrenetProjection:
         foot = X_AXIS.point_at(float(s[0]))
         assert e[0] == pytest.approx(math.hypot(x - foot[0], y - foot[1]), abs=1e-9)
         assert abs(d[0]) <= e[0] + 1e-9
+
+
+GENTLE_TURN = st.floats(-0.1, 0.1)
+HAIRPIN = st.floats(0.9 * math.pi, math.pi) | st.floats(-math.pi, -0.9 * math.pi)
+AXIS_TURN = st.sampled_from([0.0, math.pi / 2, -math.pi / 2])
+
+
+@st.composite
+def kernel_cases(draw):
+    """A polyline, points around it, and how to pick the reach.
+
+    The polyline has gentle curves, hairpins or axis-aligned corners, steps
+    of 0.05-2 m and lies up to 1e3 m from the origin.  A point sits on a
+    vertex (equidistant from two segments) or 0.01-50 m from a vertex or a
+    segment, in any direction or along an axis, so that its nearest box
+    edge is as far as its nearest segment.
+    """
+    turns = draw(st.sampled_from([GENTLE_TURN, HAIRPIN, AXIS_TURN, GENTLE_TURN | HAIRPIN | AXIS_TURN]))
+    h = draw(st.sampled_from([0.0, math.pi / 2]) | st.floats(-math.pi, math.pi))
+    step = draw(st.floats(0.05, 2.0))
+    xy = np.array([draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))])
+    pts = [xy]
+    for k in range(draw(st.integers(1, 40))):
+        if k:
+            h += draw(turns)
+        if draw(st.integers(0, 3)) == 0:
+            step = draw(st.floats(0.05, 2.0))
+        xy = xy + step * np.array([math.cos(h), math.sin(h)])
+        pts.append(xy)
+    try:
+        line = Polyline(pts)
+    except ValueError:  # two vertices rounded onto each other
+        line = Polyline([pts[0], pts[0] + np.array([1.0, 0.0])])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 150))
+    k = rng.integers(0, len(line) - 1, n)
+    base = line.points[k] + rng.uniform(0.0, 1.0, n)[:, None] * rng.integers(0, 2, n)[:, None] * (
+        line.points[k + 1] - line.points[k]
+    )
+    axis = rng.integers(0, 2, n) == 1
+    phi = np.where(axis, rng.integers(0, 4, n) * (math.pi / 2), rng.uniform(-math.pi, math.pi, n))
+    r = rng.uniform(0.01, 50.0, n) * (rng.integers(0, 4, n) > 0)
+    points = base + r[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+    mode = draw(st.sampled_from(["inf", "drawn", "a distance", "just below a distance"]))
+    return line, points, mode, draw(st.floats(0.0, 60.0)), int(rng.integers(0, n))
+
+
+class TestGridProjection:
+    """`project_points` projects each point only onto the segments the grid pairs it with.
+
+    It must give the all-segments projection of ``tests/reference_geometry.py``
+    bit for bit, for every point within reach, and report every other point
+    out of reach; with the grid forced on, and with small calls tested pair
+    by pair.
+    """
+
+    @pytest.mark.parametrize("grid_min_pairs", [0, geometry.GRID_MIN_PAIRS])
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_equals_the_all_segments_projection(self, grid_min_pairs, case):
+        line, pts, mode, drawn, pick = case
+        ref = all_segments_project(line, pts)
+        slack = geometry._slack(line.bbox, pts)
+        reach = {
+            "inf": math.inf,
+            "drawn": drawn,
+            "a distance": float(ref[2][pick]),
+            "just below a distance": max(float(ref[2][pick]) - slack / 2.0, 0.0),
+        }[mode]
+        with mock.patch.object(geometry, "GRID_MIN_PAIRS", grid_min_pairs):
+            got = project_points(line, pts, reach)
+        within = ref[2] <= reach + slack
+        for a, b in zip(ref, got):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a[within].tobytes() == b[within].tobytes()
+        assert np.isnan(got[0][~within]).all() and np.isnan(got[1][~within]).all()
+        assert np.isinf(got[2][~within]).all()
 
 
 class TestIntersections:
