@@ -430,34 +430,25 @@ def _corridors(sources: list[AbstractLane], lb: AbstractLane, params: Config):
     """`overlap_corridor` of each lane in ``sources`` onto ``lb``, from one projection call.
 
     No vertex farther than :func:`_corridor_reach` from ``lb`` can be in the
-    corridor.  A source whose bounding box is farther than that from
-    ``lb``'s is not projected; the vertices of the others are projected
-    together, with the largest of their reaches.  A vertex out of that reach
-    has no arclength on ``lb`` (nan).
+    corridor, so the vertices of all sources are projected together, with
+    the largest of their reaches.  A vertex out of that reach has no
+    arclength on ``lb`` (nan).  `geometry.near_lines` has already picked
+    the lane pairs worth this call.
     """
-    reach = [_corridor_reach(float(la.widths.max()), lb, params) for la in sources]
-    near = [la.line.box_near(lb.line, r) for la, r in zip(sources, reach)]
-    if any(near):
-        kept = [la for la, hit in zip(sources, near) if hit]
-        pts = np.concatenate([la.line.points for la in kept])
-        s_b, d_b, e_b = project_points(lb.line, pts, max(r for r, hit in zip(reach, near) if hit))
-        widths = np.concatenate([la.widths for la in kept])
-        headings = np.concatenate([la.vertex_headings for la in kept])
-        diff = angle_difference(headings, lb.line.heading_at(s_b))
-        wmin = np.minimum(widths, np.interp(s_b, lb.line.arclength, lb.widths))
-        corridor = np.abs(d_b) <= params.overlap_corridor_factor * wmin
-        # a projection clamped to an end of b says nothing about lateral
-        # closeness: without this, corridors bleed past the shared stretch and
-        # continuations read as fake same-direction overlaps
-        clamped = (s_b <= 1e-9) | (s_b >= lb.length - 1e-9)
-        corridor &= ~clamped | (e_b <= params.intersection_tolerance)
-        cuts = np.cumsum([len(la.line) for la in kept[:-1]])
-        parts = iter(zip(np.split(s_b, cuts), np.split(diff, cuts), np.split(corridor, cuts)))
-    out = []
-    for la, hit in zip(sources, near):
-        n = len(la.line)
-        out.append(next(parts) if hit else (np.full(n, np.nan), np.zeros(n), np.zeros(n, dtype=bool)))
-    return out
+    reach = max(_corridor_reach(float(la.widths.max()), lb, params) for la in sources)
+    s_b, d_b, e_b = project_points(lb.line, np.concatenate([la.line.points for la in sources]), reach)
+    widths = np.concatenate([la.widths for la in sources])
+    headings = np.concatenate([la.vertex_headings for la in sources])
+    diff = angle_difference(headings, lb.line.heading_at(s_b))
+    wmin = np.minimum(widths, np.interp(s_b, lb.line.arclength, lb.widths))
+    corridor = np.abs(d_b) <= params.overlap_corridor_factor * wmin
+    # a projection clamped to an end of b says nothing about lateral
+    # closeness: without this, corridors bleed past the shared stretch and
+    # continuations read as fake same-direction overlaps
+    clamped = (s_b <= 1e-9) | (s_b >= lb.length - 1e-9)
+    corridor &= ~clamped | (e_b <= params.intersection_tolerance)
+    cuts = np.cumsum([len(la.line) for la in sources[:-1]])
+    return list(zip(np.split(s_b, cuts), np.split(diff, cuts), np.split(corridor, cuts)))
 
 
 def _corridor_reach(width: float, lb: AbstractLane, params: Config) -> float:
@@ -768,11 +759,8 @@ def _relations(
             s_p = _point_s_on(abst, pid, ref, projected)
             prel[(v, pid)] = lon_rel_of_ranges(rng, SRange(s_p, s_p))
 
-    inside = [(z, {v for v in vehicles if z.holds_inside(road_of[v], v, prel)}) for z in n.zones]
-    pairs = []
-    for i, a in enumerate(vehicles):
-        for b in vehicles[i + 1 :]:
-            z = next((z for z, members in inside if a in members and b in members), None)
-            if z is not None:
-                pairs.append((a, b, z, None if road_of[a] == road_of[b] else placement[a][0]))
+    pairs = [
+        (a, b, zs[0], None if road_of[a] == road_of[b] else placement[a][0])
+        for (a, b), zs in sorted(n.window_members(road_of, prel)[1].items())
+    ]
     return road_of, vrel, prel, pairs

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from typing import Iterable, Mapping, Optional
 
 ID_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -33,9 +34,6 @@ class LonRel(Enum):
     #: members are singletons compared by identity; Enum's own hash runs in
     #: Python and dominated lookups in the relation tables
     __hash__ = object.__hash__
-
-    def __repr__(self) -> str:  # noqa: D105 - compact debugging output
-        return f"LonRel.{self.name}"
 
 
 _INVERT = {
@@ -339,6 +337,24 @@ class RoadNetwork:
     def lane_order_pairs(self, lane: str) -> frozenset[tuple[str, str]]:
         return self._order_by_lane.get(lane, frozenset())
 
+    def window_members(
+        self, road_of: Mapping[str, Optional[str]], prel: Mapping[tuple[str, str], LonRel]
+    ) -> tuple[list[tuple[OverlapZone, list[str]]], dict[tuple[str, str], list[OverlapZone]]]:
+        """The vehicles inside each window, and the windows that hold each vehicle pair.
+
+        ``road_of`` maps every vehicle to its road or None, and ``prel``
+        holds the vehicle-point relations (`OverlapZone.holds_inside`).
+        Gives ``(window, members)`` per window, members in ``road_of``'s
+        order, and per pair ``(x, y)``, ``x`` first in that order, the
+        windows holding both; the first relates the pair (`OverlapZone.mirror`).
+        """
+        inside = [(z, [c for c, rid in road_of.items() if z.holds_inside(rid, c, prel)]) for z in self._zones]
+        held: dict[tuple[str, str], list[OverlapZone]] = {}
+        for z, members in inside:
+            for pair in combinations(members, 2):
+                held.setdefault(pair, []).append(z)
+        return inside, held
+
 
 def validate_network(n: RoadNetwork) -> list[str]:
     """Structural defects of a candidate network; empty iff well-formed.
@@ -504,10 +520,6 @@ class Scene:
     def __reduce__(self):
         # rebuild on unpickling: string hashes differ between processes
         return (Scene, (self.occ, self.vrel, self.prel, self.orel))
-
-    def __repr__(self) -> str:
-        occ = ", ".join(f"{c}:{{{','.join(sorted(ls))}}}" for c, ls in sorted(self.occ.items()))
-        return f"<Scene {occ} |vrel|={len(self.vrel)} |prel|={len(self.prel)} |orel|={len(self.orel)}>"
 
 
 @dataclass(frozen=True)

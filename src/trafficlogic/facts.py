@@ -254,9 +254,10 @@ def scene_from_atoms(
     The atoms are `parse_scene_atom` results, so names, arities and
     relation values are already checked.  Vehicles listed in ``vehicles``
     receive (possibly empty) occupancy entries even without ``on`` atoms.
-    Missing ``lonr`` mirrors are filled by inversion; with a network,
-    missing ``lonro`` mirrors are filled by `OverlapZone.mirror` of the
-    first window carrying both roads.
+    Missing ``lonr`` mirrors are filled by inversion; with a network, a
+    missing ``lonro`` mirror by `OverlapZone.mirror` of the first window
+    holding both vehicles (`RoadNetwork.window_members`), which `rules`
+    reads it in, or else of the first window carrying both roads.
     """
     occ: dict[str, set[str]] = {c: set() for c in vehicles}
     vrel: dict[tuple[str, str], LonRel] = {}
@@ -271,14 +272,17 @@ def scene_from_atoms(
             x, y, d = args
             relations[name][(x, y)] = _REL[d]
     orel = {k: v for k, v in orel.items() if v is not LonRel.NONE}
-    if net is not None:
-        for (x, y), v in list(orel.items()):
-            if (y, x) in orel:
-                continue
-            road_x, road_y = net.road_of(occ.get(x, ())), net.road_of(occ.get(y, ()))
-            zones = [z for z in net.zones if road_x in z.orientation and road_y in z.orientation]
+    one_sided = [(x, y) for x, y in orel if (y, x) not in orel] if net is not None and net.zones else ()
+    if one_sided:
+        road_of = {c: net.road_of(occ[c]) for c in sorted(occ)}
+        held = net.window_members(road_of, prel)[1]
+        for x, y in one_sided:
+            rx, ry = road_of.get(x), road_of.get(y)
+            zones = held.get((x, y) if x < y else (y, x)) or [
+                z for z in net.zones if rx in z.orientation and ry in z.orientation
+            ]
             if zones:
-                orel[(y, x)] = zones[0].mirror(road_x, road_y, v)
+                orel[(y, x)] = zones[0].mirror(rx, ry, orel[x, y])
     return Scene.build(occ, vrel, prel, orel)
 
 

@@ -93,13 +93,6 @@ class Polyline:
         i = np.searchsorted(self.arclength, s, side="right") - 1
         return self.headings[np.clip(i, 0, len(self.headings) - 1)]
 
-    def box_near(self, other: "Polyline", reach: float) -> bool:
-        """Does the bounding box come within ``reach`` of ``other``'s, plus the rounding slack?"""
-        grow = reach + 2.0 * _slack(self.bbox, other.bbox)
-        (ax0, ay0), (ax1, ay1) = self.bbox.tolist()
-        (bx0, by0), (bx1, by1) = other.bbox.tolist()
-        return ax0 <= bx1 + grow and bx0 <= ax1 + grow and ay0 <= by1 + grow and by0 <= ay1 + grow
-
     def reversed(self) -> "Polyline":
         return Polyline(self.points[::-1].copy())
 

@@ -42,9 +42,6 @@ class OscDocument:
 
     text: str
 
-    def __str__(self) -> str:
-        return self.text
-
 
 def parse_coords(text: str) -> dict[str, tuple[float, float, float]]:
     """Read a coordinate sidecar: one ``point x y z`` line per point.
@@ -78,13 +75,6 @@ def emit_osc(
     violations = check_scenario(sc)
     if violations:
         raise ValueError("scenario is invalid:\n" + render_report(violations))
-    for k, scene in enumerate(sc.scenes, start=1):
-        for c in sorted(sc.vehicles):
-            if not scene.occ_of(c):
-                raise ValueError(
-                    f"vehicle {c} occupies no lane at step {k}; "
-                    "cannot derive a lateral modifier"
-                )
 
     lines: list[str] = ["scenario traffic_scenario:"]
     points = sorted(n.points)

@@ -24,9 +24,10 @@ already decide: cover on a shared lane (TR2), composition of three vehicle
 relations (PR2, PR3), point-cover exclusivity (PR11), and point order and
 mixed transitivity (PR14_TRANS).  These are the triangle tests of path
 consistency over the qualitative point algebra, applied to each partial
-assignment; window relations are tested the same way once a window map is
-complete, and opposed vehicles on a window's carrying lanes get no cover
-(PR13).  Only complete survivors become scenes, and `check_scene`, which
+assignment.  Window relations take the values and pass the triangles of
+`check_scene`'s own window judgments, `rules.window_values` (PR13) and
+`rules.window_breaks` (PR14_TRANS), over the members `RoadNetwork.window_members`
+gives.  Only complete survivors become scenes, and `check_scene`, which
 stays authoritative, still judges each one.
 
 Scenes are hash-consed.  A complete survivor is keyed by its occupancy
@@ -65,7 +66,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from operator import itemgetter
 from typing import Mapping, Optional
 
@@ -97,8 +98,9 @@ from trafficlogic.rules import (  # noqa: F401 - check_transition: the benchmark
     occ_step_ok,
     prel_step_ok,
     vrel_step_ok,
-    window_composes,
+    window_breaks,
     window_step_ok,
+    window_values,
 )
 
 A, C, B, N = LonRel.AHEAD, LonRel.COVER, LonRel.BEHIND, LonRel.NONE
@@ -306,7 +308,7 @@ def _gen_successors(
     vehicles = scene.vehicles
     occ_lists = [_occ_moves(scene, n, c, frozen, prel_pins) for c in vehicles]
     vrel_moves: dict[tuple[str, str], tuple[LonRel, ...]] = {}
-    window_ok = _window_judge(scene, n)
+    window_ok = _window_judge(scene, n) if n.zones else None
     order_pairs: dict[str, frozenset[tuple[str, str]]] = {}
     order: list[Scene] = []
     for moves in product(*occ_lists):
@@ -432,24 +434,22 @@ def _occ_moves(
 def _window_judge(scene: Scene, n: RoadNetwork):
     """PR14_CONT for the window pairs of ``scene``'s candidates, each instance judged once.
 
-    The returned ``ok(k, x, y, road_x, v)`` tells whether the pair ``x <
-    y``, inside window ``n.zones[k]`` in the candidate, may take the stored
+    The returned ``ok(z, x, y, road_x, v)`` tells whether the pair ``x <
+    y``, inside window ``z`` in the candidate, may take the stored
     ``orel(x, y) = v`` there with ``x`` on ``road_x`` (`window_step_ok`).  A
     pair not inside that window in ``scene`` is not bound by the rule.
     """
-    prev_road = {c: n.road_of(ls) for c, ls in scene.occ.items()}
-    inside = [{c for c in prev_road if z.holds_inside(prev_road[c], c, scene.prel)} for z in n.zones]
+    prev_road = {c: n.road_of(scene.occ_of(c)) for c in scene.vehicles}
+    held = n.window_members(prev_road, scene.prel)[1]
     memo: dict[tuple, bool] = {}
 
-    def ok(k: int, x: str, y: str, road_x: str, v: LonRel) -> bool:
-        if x not in inside[k] or y not in inside[k]:
+    def ok(z: OverlapZone, x: str, y: str, road_x: str, v: LonRel) -> bool:
+        if z not in held.get((x, y), ()):
             return True
-        key = (k, x, y, road_x, v)
+        key = (z.start, z.end, x, y, road_x, v)
         found = memo.get(key)
         if found is None:
-            found = memo[key] = window_step_ok(
-                scene, n.zones[k], x, y, prev_road[x], prev_road[y], road_x, v
-            )
+            found = memo[key] = window_step_ok(scene, z, x, y, prev_road[x], prev_road[y], road_x, v)
         return found
 
     return ok
@@ -461,62 +461,33 @@ def _orel_assignments(n, occ, road, vrel, prel, window_ok):
     ``occ``, ``road``, ``vrel`` and ``prel`` describe the candidate;
     ``vrel`` needs only the pairs ``x < y``.  Each map comes as ``(values,
     orel)``: its window-pair values, one per pair ``x < y`` in sorted pair
-    order, and the map itself with both orientations.  Maps
-    whose relations inside a window do not compose are left out, and so is
-    cover between opposed vehicles on a window's carrying lanes (PR13).  A
-    pair's values are those ``window_ok`` (see `_window_judge`) allows in
-    every window holding both vehicles (PR14_CONT).  A network without
+    order, and the map itself with both orientations.  A pair takes the
+    values `window_values` allows in every window holding both vehicles
+    (PR13), in the first one's frame order, that ``window_ok`` (see
+    `_window_judge`) allows there too (PR14_CONT); maps with a triple that
+    `window_breaks` reports are left out (PR14_TRANS).  A network without
     windows has the one empty map.
     """
-    zones = n.zones
-    if not zones:
+    if not n.zones:
         yield (), {}
         return
-    vehicles = sorted(occ)
-    pair_zones: dict[tuple[str, str], list[int]] = {}
-    triangles = []
-    for k, z in enumerate(zones):
-        members = [c for c in vehicles if z.holds_inside(road[c], c, prel)]
-        triangles.extend((z, tri) for tri in combinations(members, 3))
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                pair_zones.setdefault((x, y), []).append(k)
+    inside, held = n.window_members(road, prel)
     slots: list[tuple[str, str, OverlapZone]] = []  # (x, y, first window holding both)
     cand_lists: list[tuple[LonRel, ...]] = []
-    for (x, y), ks in sorted(pair_zones.items()):
-        z0 = zones[ks[0]]
-        if z0.orientation[road[x]] == z0.orientation[road[y]]:
-            # the same way; on one road the copy rule (PR13) fixes the value
-            cands: tuple[LonRel, ...] = (vrel[x, y],) if road[x] == road[y] else _ALL3
-        else:  # opposed traffic, read along the window
-            cands = tuple(z0.frame(road[x], v) for v in _ALL3)
-        # no cover while both are on the carrying lanes of a window that
-        # opposes them, which need not be the first one (PR13)
-        if any(
-            zones[k].orientation[road[x]] != zones[k].orientation[road[y]]
-            and occ[x] & zones[k].carrying
-            and occ[y] & zones[k].carrying
-            for k in ks
-        ):
-            cands = tuple(v for v in cands if v is not C)
-        slots.append((x, y, z0))
-        cand_lists.append(tuple(v for v in cands if all(window_ok(k, x, y, road[x], v) for k in ks)))
+    for (x, y), zs in sorted(held.items()):
+        carried = [bool(occ[x] & z.carrying and occ[y] & z.carrying) for z in zs]
+        allowed = [window_values(z, road[x], road[y], c, vrel.get((x, y))) for z, c in zip(zs, carried)]
+        vals = [v for v in allowed[0] if all(v in a for a in allowed[1:])]
+        slots.append((x, y, zs[0]))
+        cand_lists.append(tuple(v for v in vals if all(window_ok(z, x, y, road[x], v) for z in zs)))
+    crowded = [(z, members) for z, members in inside if len(members) > 2]
     for combo in product(*cand_lists):
         orel = {}
         for (x, y, z0), v in zip(slots, combo):
             orel[(x, y)] = v
             orel[(y, x)] = z0.mirror(road[x], road[y], v)
-        # relation triangles inside each window (PR14_TRANS)
-        if all(_window_closed(z, road, tri, orel) for z, tri in triangles):
+        if not any(any(window_breaks(z, road, members, orel)) for z, members in crowded):
             yield combo, orel
-
-
-def _window_closed(z, road, tri, orel) -> bool:
-    """Whether the window relations of three members of ``z`` compose in every order."""
-    return all(
-        window_composes(z, road[x], road[y], orel[x, y], orel[y, w], orel[x, w])
-        for x, y, w in permutations(tri)
-    )
 
 
 def successors(scene: Scene, n: RoadNetwork, frozen: frozenset[str] = frozenset()) -> tuple[Scene, ...]:

@@ -10,6 +10,11 @@ scene pair passes.
 Scene rules never reason about absent relations beyond the dedicated
 support rules (PR10/PR13/WF): value rules skip NONE so that one modelling
 mistake yields one violation, not a cascade.
+
+Overlap windows have one owner per decision: `RoadNetwork.window_members`
+says which vehicles each window holds, and `window_values` (PR13) and
+`window_breaks` (the window triangles of PR14_TRANS) judge one window;
+`check_scene` and the successor generator both call them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations, permutations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from trafficlogic.domain import LonRel, OverlapZone, RoadNetwork, Scenario, Scene, invert
 
@@ -106,15 +111,32 @@ MIXED_FORBIDDEN = frozenset(
 # -- scene-level checking ------------------------------------------------------
 
 
-def window_composes(
-    z: OverlapZone, road_x: str, road_y: str, r_xy: LonRel, r_yw: LonRel, r_xw: LonRel
-) -> bool:
-    """Whether window relations of ``x, y, w`` in ``z`` compose along the window axis.
+def window_values(
+    z: OverlapZone, road_x: str, road_y: str, carried: bool, v_xy: Optional[LonRel]
+) -> tuple[LonRel, ...]:
+    """PR13: the stored values ``orel(x, y)`` may take in window ``z``, in the window's frame order.
 
-    ``road_x`` and ``road_y`` are the roads of ``x`` and ``y``; a triple
-    that does not compose breaks PR14_TRANS.
+    ``x`` and ``y`` are on ``road_x`` and ``road_y``, ``v_xy`` is their
+    ``vrel(x, y)`` and ``carried`` whether both occupy carrying lanes of
+    ``z``: on one road the value copies ``v_xy``, opposed it is no cover.
     """
-    return z.frame(road_x, r_xw) in COMPOSITION[(z.frame(road_x, r_xy), z.frame(road_y, r_yw))]
+    if z.orientation[road_x] == z.orientation[road_y]:
+        return (v_xy,) if road_x == road_y else (A, C, B)
+    return tuple(z.frame(road_x, v) for v in ((A, B) if carried else (A, C, B)))
+
+
+def window_breaks(z: OverlapZone, road_of, members, orel) -> Iterator[tuple[str, str, str]]:
+    """PR14_TRANS in window ``z``: each ordered triple of ``members`` whose relations do not compose.
+
+    They are read along the window axis, ``road_of`` giving the roads; a
+    triple with a relation missing from ``orel`` is PR13's finding.
+    """
+    for x, y, w in permutations(members, 3):
+        r_xy, r_yw, r_xw = orel.get((x, y)), orel.get((y, w)), orel.get((x, w))
+        if None not in (r_xy, r_yw, r_xw) and z.frame(road_of[x], r_xw) not in COMPOSITION[
+            z.frame(road_of[x], r_xy), z.frame(road_of[y], r_yw)
+        ]:
+            yield x, y, w
 
 
 def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
@@ -230,32 +252,21 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
             if (vxy, py, px) in MIXED_FORBIDDEN:
                 add(RuleId.PR14_TRANS, x, y, p)
 
-    # overlap windows: support, copy/symmetry, head-on exclusion,
-    # cross-vehicle consistency inside one window
-    inside: list[tuple[OverlapZone, list[str]]] = []
-    for z in n.zones:
-        members = [c for c in vehicles if z.holds_inside(road_of[c], c, scene.prel)]
-        inside.append((z, members))
+    # overlap windows, per window: support, copy and head-on exclusion
+    # (PR13), and relation triangles (PR14_TRANS); the generator makes the
+    # same two judgments, `window_values` and `window_breaks`
+    inside, held = n.window_members(road_of, scene.prel) if n.zones else ((), {})
+    for z, members in inside:
         for x, y in combinations(members, 2):
             rx, ry = road_of[x], road_of[y]
-            oxy, oyx = scene.orel.get((x, y)), scene.orel.get((y, x))
-            if oxy is None or oyx is None:
+            carried = bool(scene.occ_of(x) & z.carrying and scene.occ_of(y) & z.carrying)
+            # cover is judged on orel(x, y); PR14_SYM ties orel(y, x) to it
+            if scene.orel.get((x, y)) not in window_values(z, rx, ry, carried, scene.vrel_of(x, y)) or (
+                scene.orel.get((y, x)) not in window_values(z, ry, rx, False, scene.vrel_of(y, x))
+            ):
                 add(RuleId.PR13, x, y)
-                continue
-            if z.orientation[rx] == z.orientation[ry]:
-                if rx == ry and (oxy is not scene.vrel_of(x, y) or oyx is not scene.vrel_of(y, x)):
-                    add(RuleId.PR13, x, y)
-            elif oxy is C and (scene.occ_of(x) & z.carrying) and (scene.occ_of(y) & z.carrying):
-                add(RuleId.PR13, x, y)
-        # relation triangle inside the window, judged along the window axis
-        for x, y, w in permutations(members, 3):
-            r1 = scene.orel.get((x, y))
-            r2 = scene.orel.get((y, w))
-            r3 = scene.orel.get((x, w))
-            if r1 is None or r2 is None or r3 is None:
-                continue
-            if not window_composes(z, road_of[x], road_of[y], r1, r2, r3):
-                add(RuleId.PR14_TRANS, x, y, w)
+        for tri in window_breaks(z, road_of, members, scene.orel):
+            add(RuleId.PR14_TRANS, *tri)
 
     for (x, y), v in scene.orel.items():
         if x == y:
@@ -264,11 +275,11 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
         if x not in vset or y not in vset:
             add(RuleId.WF, "unknown_vehicle", x if x not in vset else y)
             continue
-        z = next((z for z, members in inside if x in members and y in members), None)
-        if z is None:
+        zs = held.get((x, y) if x < y else (y, x))
+        if zs is None:
             add(RuleId.WF, "unsupported_lonro", x, y)
             continue
-        if scene.orel.get((y, x)) is not z.mirror(road_of[x], road_of[y], v):
+        if scene.orel.get((y, x)) is not zs[0].mirror(road_of[x], road_of[y], v):
             add(RuleId.PR14_SYM, *sorted((x, y)))
     return out
 
@@ -394,17 +405,14 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
         for l1, p in covered_connections(prev, c, n):
             if not connection_step_ok(l1, p, next_.occ_of(c), next_.prel_of(c, p), n):
                 add(RuleId.PR12, c, p)
-    road_p = {c: n.road_of(prev.occ_of(c)) for c in vehicles}
-    road_n = {c: n.road_of(next_.occ_of(c)) for c in vehicles}
-    for z in n.zones:
-        inside = [
-            c
-            for c in vehicles
-            if z.holds_inside(road_p[c], c, prev.prel) and z.holds_inside(road_n[c], c, next_.prel)
-        ]
-        for x, y in combinations(inside, 2):
-            if not window_step_ok(prev, z, x, y, road_p[x], road_p[y], road_n[x], next_.orel.get((x, y))):
-                add(RuleId.PR14_CONT, x, y)
+    if n.zones:
+        road_p = {c: n.road_of(prev.occ_of(c)) for c in vehicles}
+        road_n = {c: n.road_of(next_.occ_of(c)) for c in vehicles}
+        before, after = n.window_members(road_p, prev.prel)[0], n.window_members(road_n, next_.prel)[0]
+        for (z, inside_p), (_, inside_n) in zip(before, after):
+            for x, y in combinations([c for c in inside_p if c in inside_n], 2):
+                if not window_step_ok(prev, z, x, y, road_p[x], road_p[y], road_n[x], next_.orel.get((x, y))):
+                    add(RuleId.PR14_CONT, x, y)
     return out
 
 

@@ -177,6 +177,9 @@ class TestRoadNetwork:
         assert n.adjacent_lanes("l2") == ("l1",)
         assert n.adjacent_lanes("l3") == ()
 
+    def test_adjacency_of_an_unknown_lane_is_empty(self):
+        assert _tee_network().adjacent_lanes("nope") == ()
+
     def test_point_incidence(self):
         n = _tee_network()
         assert n.points_of_lane("l3") == {"px", "pc"}
@@ -212,6 +215,26 @@ class TestRoadNetwork:
         (zone,) = n.zones
         assert zone.orientation == {"ra": 1, "rb": -1}
 
+    def test_window_members_and_the_windows_holding_each_pair(self):
+        # l1 carries p1s, p2s, p1e, p2e in order: (p1s, p1e) and (p2s, p2e) interleave
+        n = RoadNetwork(
+            roads=[Road("ra", ("l1",)), Road("rb", ("l2",))],
+            points={"p1s": PointKind.OVERLAP_START, "p1e": PointKind.OVERLAP_END,
+                    "p2s": PointKind.OVERLAP_START, "p2e": PointKind.OVERLAP_END},
+            succ_p=[("l1", "p1s", "p2s"), ("l1", "p2s", "p1e"), ("l1", "p1e", "p2e")],
+            overlaps=[("p1s", "p1e"), ("p2s", "p2e")],
+            affiliation=[(p, "l1") for p in ("p1s", "p1e", "p2s", "p2e")],
+        )
+        first, second = n.zones
+        rel = {"p1s": A, "p2s": A, "p1e": B, "p2e": B}  # between p2s and p1e: in both windows
+        prel = {(c, p): v for c in ("c1", "c2") for p, v in rel.items()}
+        prel.update({("c3", "p1e"): A, ("c3", "p2s"): A, ("c3", "p2e"): B})  # in the second only
+        road_of = {"c1": "ra", "c2": "ra", "c3": "ra", "c4": None}
+        inside, held = n.window_members(road_of, prel)
+        assert inside == [(first, ["c1", "c2"]), (second, ["c1", "c2", "c3"])]
+        assert held == {("c1", "c2"): [first, second], ("c1", "c3"): [second], ("c2", "c3"): [second]}
+        assert RoadNetwork([Road("ra", ("l1",))]).window_members(road_of, prel) == ([], {})
+
 
 class TestValidateNetwork:
     def test_well_formed_network_is_clean(self):
@@ -220,6 +243,15 @@ class TestValidateNetwork:
     def test_lane_on_two_roads(self):
         n = RoadNetwork(roads=[Road("ra", ("l1",)), Road("rb", ("l1",))])
         assert any("two roads" in d for d in validate_network(n))
+
+    def test_bad_ids(self):
+        n = RoadNetwork(
+            roads=[Road("Ra", ("L1",))], points={"P1": PointKind.CONNECTION}, affiliation=[("P1", "L1")]
+        )
+        defects = validate_network(n)
+        assert "bad road id: 'Ra'" in defects
+        assert "bad lane id: 'L1'" in defects
+        assert "bad point id: 'P1'" in defects
 
     def test_dangling_point_reference(self):
         n = RoadNetwork(roads=[Road("ra", ("l1",))], affiliation=[("ghost", "l1")])

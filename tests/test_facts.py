@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_facts import reference_parse_scenarios
+from test_successors import FAMILIES, _explore
 
 from trafficlogic import facts
 from trafficlogic.domain import LonRel, Scenario, Scene
 from trafficlogic.reasoner import expand, parse_request
+from trafficlogic.rules import check_scene
 
 A, C, B, N = LonRel.AHEAD, LonRel.COVER, LonRel.BEHIND, LonRel.NONE
 
@@ -118,6 +120,34 @@ class TestScenes:
         )
         # opposite directions share the window axis: the relation is mutual
         assert s.orel_of("c3", "c1") is B
+
+    #: roads ra and rb share two windows, the same way through (p1s, p1e) and
+    #: opposed through (p2s, p2e); x on ra and y on rb are past p1e and inside
+    #: the opposed window only
+    TWO_WINDOWS = (
+        "lane(l1, ra).\nlane(l2, rb).\n"
+        "class(p1s, os).\nclass(p1e, oe).\nclass(p2s, os).\nclass(p2e, oe).\n"
+        + "".join(f"pon({p}, {l}).\n" for p in ("p1s", "p1e", "p2s", "p2e") for l in ("l1", "l2"))
+        + "overlap(p1s, p1e).\noverlap(p2s, p2e).\n"
+        "succp(l1, p1s, p2s).\nsuccp(l1, p2s, p1e).\nsuccp(l1, p1e, p2e).\n"
+        "succp(l2, p1s, p2e).\nsuccp(l2, p2e, p1e).\nsuccp(l2, p1e, p2s).\n"
+    )
+    INSIDE_OPPOSED = [("on", ("x", "l1")), ("on", ("y", "l2"))] + [
+        ("lonpr", (c, p, "behind" if p == last else "ahead"))
+        for c, last in (("x", "p2e"), ("y", "p2s"))
+        for p in ("p1s", "p1e", "p2s", "p2e")
+    ]
+
+    @pytest.mark.parametrize("stated", [("x", "y"), ("y", "x")], ids=["x-y", "y-x"])
+    def test_a_one_sided_window_relation_is_mirrored_by_the_window_holding_the_pair(self, stated):
+        net, _ = facts.parse_network(self.TWO_WINDOWS)
+        both = facts.scene_from_atoms(
+            self.INSIDE_OPPOSED + [("lonro", ("x", "y", "ahead")), ("lonro", ("y", "x", "ahead"))], net=net
+        )
+        assert check_scene(both, net) == []
+        one = facts.scene_from_atoms(self.INSIDE_OPPOSED + [("lonro", (*stated, "ahead"))], net=net)
+        assert one == both
+        assert check_scene(one, net) == []
 
     def test_declared_vehicles_get_empty_occupancy(self):
         s = facts.scene_from_atoms([("on", ("c1", "l1"))], vehicles=("c1", "c2"))
@@ -286,3 +316,35 @@ def _outcome(parse, text: str):
 @given(edited_results())
 def test_parse_scenarios_matches_the_line_by_line_reference(text):
     assert _outcome(facts.parse_scenarios, text) == _outcome(reference_parse_scenarios, text)
+
+
+# -- one-sided window relations round-trip ----------------------------------------
+
+
+def _one_sided(scene: Scene) -> str:
+    """``scene``'s atom lines without the ``lonro(y, x, ...)`` of each pair ``x < y``."""
+    lines = []
+    for line in facts.scene_atom_lines(scene):
+        name, args = facts.parse_atom(line)
+        if not (name == "lonro" and args[0] > args[1]):
+            lines.append(line)
+    return "\n".join(lines)
+
+
+def _window_scenes(name: str):
+    """The network and scenes of a window family of `test_successors`, or of ex5's result."""
+    if name == "ex5_opposing_pass":
+        return OPPOSING_NET, {s for sc in _opposing.scenarios for s in sc.scenes}
+    _, text, bound = next(f for f in FAMILIES if f[0] == name)
+    explored = _explore(text, bound)
+    return explored.network, explored.scenes
+
+
+@pytest.mark.parametrize("name", ["window-opposed", "window-same-way", "window-hop", "two-windows", "ex5_opposing_pass"])
+def test_scenes_parse_back_from_one_sided_window_relations(name):
+    """Each window relation's mirror comes from the window the checker reads it in."""
+    net, scenes = _window_scenes(name)
+    assert any(s.orel for s in scenes)
+    for scene in scenes:
+        (back,) = facts.parse_scenarios(f"#step 1\n{_one_sided(scene)}\n", net)
+        assert back.scenes == (scene,)

@@ -2,7 +2,9 @@
 
 A name with a leading underscore belongs to its module.  When a second
 module needs it, the name is made public or the decision it encodes moves
-to one owner; this test keeps such imports from coming back.
+to one owner; this test keeps such imports from coming back.  Window
+membership has one owner too: only `domain` asks a window whether it holds
+a vehicle, and every other module reads `RoadNetwork.window_members`.
 """
 
 from __future__ import annotations
@@ -42,3 +44,24 @@ def test_the_check_sees_a_private_import(tmp_path):
         "probe.py:1: from trafficlogic.facts import _REL",
         "probe.py:2: from . import _x",
     ]
+
+
+def _holds_inside_calls(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "holds_inside"
+    ]
+
+
+def test_only_domain_asks_a_window_whether_it_holds_a_vehicle():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert _holds_inside_calls(PACKAGE / "domain.py")
+    assert [hit for path in modules if path.name != "domain.py" for hit in _holds_inside_calls(path)] == []
+
+
+def test_the_check_sees_a_holds_inside_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("inside = [c for c in cars if z.holds_inside(road[c], c, prel)]\nz.holds_inside\n")
+    assert _holds_inside_calls(probe) == ["probe.py:1"]
