@@ -237,10 +237,8 @@ class RoadNetwork:
         for l, pairs in lane_pairs.items():
             closure = set(pairs)
             changed = True
-            guard = 0
-            while changed and guard <= len(closure) + len(pairs) + 4:
+            while changed:
                 changed = False
-                guard += 1
                 for a, b in list(closure):
                     for c, d in pairs:
                         if b == c and (a, d) not in closure:

@@ -27,15 +27,15 @@ consistency over the qualitative point algebra, applied to each partial
 assignment.  Window relations take the values and pass the triangles of
 `check_scene`'s own window judgments, `rules.window_values` (PR13) and
 `rules.window_breaks` (PR14_TRANS), over the members `RoadNetwork.window_members`
-gives.  Only complete survivors become scenes, and `check_scene`, which
-stays authoritative, still judges each one.
+gives.  Only complete survivors become scenes, and nothing judges them
+again: `check_scene` checks the request's initial scene only.
 
 Scenes are hash-consed.  A complete survivor is keyed by its occupancy
 tuple, its relation-slot values and its window values; the occupancy
 fixes which slots exist, so for one network and one vehicle set the key
 determines the scene.  One map per `expand` holds every key seen, and a
-scene is built and judged only the first time its key comes up: a
-candidate reached from several parents is one object, judged once.
+scene is built only the first time its key comes up: a candidate reached
+from several parents is one object.
 
 The transition rules are judged before any candidate is built, once per
 parent and scope value, by the same judgments `check_transition` is made
@@ -111,8 +111,6 @@ _ALL3 = (A, C, B)
 #: PR4 and PR9 then drop the values the parent's value cannot step to
 _VREL_ORDER = {B: (B, C, A)}
 _PREL_ORDER = {B: (B, C, A), C: (C, A, B)}
-#: `_gen_successors`'s marker for a key not seen yet
-_UNSEEN = object()
 
 
 class RequestError(ValueError):
@@ -197,9 +195,8 @@ def _occ_options(scene: Scene, n: RoadNetwork, c: str, frozen: frozenset[str]):
         for adj in n.adjacent_lanes(l):
             opts.append(frozenset((l, adj)))
         for p in n.connections_on(l):
-            if scene.prel_of(c, p) is C:
-                for l2 in n.successor_lanes(p):
-                    opts.append(frozenset((l2,)))
+            for l2 in n.successor_lanes(p):
+                opts.append(frozenset((l2,)))
     elif len(cur) == 2:
         for l in sorted(cur):
             opts.append(frozenset((l,)))
@@ -283,10 +280,11 @@ def _gen_successors(
     assignment is dropped as soon as it breaks TR2, PR2, PR3, PR11 or
     PR14_TRANS; window maps that break PR13 or PR14_TRANS are dropped too.
     The survivors come out in the order of the full product of candidate
-    values, and `check_scene` decides the remaining scene rules.
-    ``scene`` must pass `check_scene` on ``n``, so that every vehicle is on
-    one road in it and in each of its candidates.  ``prel_pins`` narrows
-    vehicle-point slot values to those it lists (see `_goal_pins`).
+    values; the other scene rules hold by construction, so `check_scene`
+    is not called here either.  ``scene`` must pass `check_scene` on ``n``,
+    so that every vehicle is on one road in it and in each of its
+    candidates.  ``prel_pins`` narrows vehicle-point slot values to those
+    it lists (see `_goal_pins`).
 
     A candidate's key is its occupancy tuple (in vehicle order), its
     relation-slot values and its window values.  The occupancy fixes the
@@ -294,12 +292,11 @@ def _gen_successors(
     then the window pairs, which also read the point values.  So for one
     network and one vehicle set, equal keys mean equal scenes, whatever the
     parent, ``frozen`` or ``prel_pins``.  ``interned`` maps each key seen so
-    far to its scene, or to None when `check_scene` rejected it, and each
-    parent and each valid candidate to itself; a candidate is built and
-    judged only the first time its key is seen, and equal successors of
-    different parents are one object.  `expand` shares one map across
-    every call of a request; a map must not be shared across networks or
-    vehicle sets.  Without it, the call starts a fresh map.
+    far to its scene, and each parent and each candidate to itself; a
+    candidate is built only the first time its key is seen, and equal
+    successors of different parents are one object.  `expand` shares one
+    map across every call of a request; a map must not be shared across
+    networks or vehicle sets.  Without it, the call starts a fresh map.
     """
     if interned is None:
         interned = {}
@@ -371,21 +368,16 @@ def _gen_successors(
             prel = dict(zip(prel_slots, combo[n_vrel:]))
             for window, orel in _orel_assignments(n, occ, road, dict(zip(vrel_slots, combo)), prel, window_ok):
                 key = (occ_key, combo, window)
-                cand = interned.get(key, _UNSEEN)
-                if cand is _UNSEEN:
+                cand = interned.get(key)
+                if cand is None:
                     vrel: dict[tuple[str, str], LonRel] = {}
                     for (x, y), v in zip(vrel_slots, combo):
                         vrel[x, y] = v
                         vrel[y, x] = invert(v)
                     cand = Scene(occ, vrel, prel, orel)
-                    if cand in interned:  # a parent, valid by contract
-                        cand = interned[cand]
-                    elif check_scene(cand, n):
-                        cand = None
-                    else:
-                        interned[cand] = cand
-                    interned[key] = cand
-                if cand is not None and cand is not scene:
+                    # a candidate equal to a parent resolves to the parent's object
+                    cand = interned[key] = interned.setdefault(cand, cand)
+                if cand is not scene:
                     order.append(cand)
     return tuple(order)
 

@@ -260,9 +260,8 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
         for x, y in combinations(members, 2):
             rx, ry = road_of[x], road_of[y]
             carried = bool(scene.occ_of(x) & z.carrying and scene.occ_of(y) & z.carrying)
-            # cover is judged on orel(x, y); PR14_SYM ties orel(y, x) to it
             if scene.orel.get((x, y)) not in window_values(z, rx, ry, carried, scene.vrel_of(x, y)) or (
-                scene.orel.get((y, x)) not in window_values(z, ry, rx, False, scene.vrel_of(y, x))
+                scene.orel.get((y, x)) not in window_values(z, ry, rx, carried, scene.vrel_of(y, x))
             ):
                 add(RuleId.PR13, x, y)
         for tri in window_breaks(z, road_of, members, scene.orel):

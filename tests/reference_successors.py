@@ -39,9 +39,8 @@ def _occ_options(scene: Scene, n: RoadNetwork, c: str, frozen: frozenset[str]):
         for adj in n.adjacent_lanes(l):
             opts.append(frozenset((l, adj)))
         for p in n.connections_on(l):
-            if scene.prel_of(c, p) is C:
-                for l2 in n.successor_lanes(p):
-                    opts.append(frozenset((l2,)))
+            for l2 in n.successor_lanes(p):
+                opts.append(frozenset((l2,)))
     elif len(cur) == 2:
         for l in sorted(cur):
             opts.append(frozenset((l,)))

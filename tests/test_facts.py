@@ -13,7 +13,7 @@ from test_successors import FAMILIES, _explore
 from trafficlogic import facts
 from trafficlogic.domain import LonRel, Scenario, Scene
 from trafficlogic.reasoner import expand, parse_request
-from trafficlogic.rules import check_scene
+from trafficlogic.rules import check_scene, render_report
 
 A, C, B, N = LonRel.AHEAD, LonRel.COVER, LonRel.BEHIND, LonRel.NONE
 
@@ -148,6 +148,15 @@ class TestScenes:
         one = facts.scene_from_atoms(self.INSIDE_OPPOSED + [("lonro", (*stated, "ahead"))], net=net)
         assert one == both
         assert check_scene(one, net) == []
+
+    @pytest.mark.parametrize("xy,yx", [("ahead", "cover"), ("cover", "ahead")])
+    def test_head_on_cover_is_judged_on_both_stored_orientations(self, xy, yx):
+        """PR13 reads ``orel(y, x)`` as it reads ``orel(x, y)``: cover on either side is reported."""
+        net, _ = facts.parse_network(self.TWO_WINDOWS)
+        scene = facts.scene_from_atoms(
+            self.INSIDE_OPPOSED + [("lonro", ("x", "y", xy)), ("lonro", ("y", "x", yx))], net=net
+        )
+        assert render_report(check_scene(scene, net)) == "PR13 @step 1 [x, y]\nPR14_SYM @step 1 [x, y]"
 
     def test_declared_vehicles_get_empty_occupancy(self):
         s = facts.scene_from_atoms([("on", ("c1", "l1"))], vehicles=("c1", "c2"))

@@ -8,7 +8,6 @@ minimal length instead.
 
 from __future__ import annotations
 
-import collections
 import pathlib
 import sys
 
@@ -25,7 +24,7 @@ from trafficlogic.reasoner import (
     parse_request,
     successors,
 )
-from trafficlogic.rules import RuleId, Violation, check_scenario
+from trafficlogic.rules import check_scenario
 
 from oracle import oracle_expand
 
@@ -367,9 +366,10 @@ class TestFixtureRequests:
         ids=["ex5_opposing_pass", "ex3_branching", "dense-4v-3l"],
     )
     def test_each_distinct_scene_is_judged_once(self, text, scopes, monkeypatch):
-        """`expand` shares scene verdicts across parents and never checks a whole transition.
+        """`expand` checks only the initial scene and never a whole transition.
 
-        Each transition judgment runs at most once per (parent, scope, value).
+        The generator judges its candidates itself: each transition judgment
+        runs at most once per (parent, scope, value).
         """
         plain = expand(parse_request(text)).texts
         judged, transitions, judgments = [], [], []
@@ -398,8 +398,9 @@ class TestFixtureRequests:
         monkeypatch.setattr(reasoner, "_gen_successors", generating)
         for name in self.JUDGMENTS:
             monkeypatch.setattr(reasoner, name, counting(name, getattr(reasoner, name)))
-        assert expand(parse_request(text)).texts == plain
-        assert len(judged) == len(set(judged))
+        req = parse_request(text)
+        assert expand(req).texts == plain
+        assert judged == [req.initial]
         assert transitions == []
         assert len(judgments) == len(set(judgments))
         assert {name.removesuffix("_step_ok") for _, name, _ in judgments} == scopes
@@ -458,31 +459,6 @@ class TestFixtureRequests:
                 shared += t in first
                 assert first.setdefault(t, t) is t
         assert bool(shared) == merges
-
-    def test_rejected_candidate_is_judged_once_and_never_a_successor(self, monkeypatch):
-        """`check_scene` stays authoritative: what it rejects is dropped for every parent."""
-        res, _, _, calls = self._generate(self.DENSE, monkeypatch)
-        initial = res.scenarios[0].scenes[0]
-        reached = collections.Counter(t for _, out in calls for t in out)
-        chosen = next(t for t, k in reached.items() if k >= 2 and t != initial)
-        judged = []
-        check_scene = reasoner.check_scene
-
-        def rejecting(scene, n, step=1):
-            judged.append(scene)
-            if scene == chosen:
-                return [Violation(RuleId.PR2, step, tuple(scene.vehicles))]
-            return check_scene(scene, n, step)
-
-        monkeypatch.setattr(reasoner, "check_scene", rejecting)
-        rejected, _, _, calls = self._generate(self.DENSE, monkeypatch)
-        assert judged.count(chosen) == 1
-        assert not any(chosen in out for _, out in calls)
-        # exact mode without a goal: exactly the scenarios through the chosen scene are gone
-        assert rejected.texts == tuple(
-            text for text, sc in zip(res.texts, res.scenarios) if chosen not in sc.scenes
-        )
-        assert len(rejected.texts) < len(res.texts)
 
     def test_result_rendering_roundtrips(self):
         res = expand(load_request("ex3_branching.req"))
