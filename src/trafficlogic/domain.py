@@ -44,10 +44,6 @@ _INVERT = {
 }
 
 
-#: small-int code of each relation, for scene keys (equality and hashing only)
-_CODE = {rel: i for i, rel in enumerate(LonRel)}
-
-
 def invert(d: LonRel) -> LonRel:
     """Mirror a relation: ahead<->behind, cover and none are self-mirrored."""
     return _INVERT[d]
@@ -180,7 +176,6 @@ class RoadNetwork:
         "_order_by_lane",
         "_connections_by_lane",
         "_zones",
-        "_road_of_set",
     )
 
     def __init__(
@@ -250,8 +245,6 @@ class RoadNetwork:
             for l, ps in self._points_of_lane.items()
         }
         self._zones = tuple(self._build_zone(a, b) for a, b in sorted(self.overlaps))
-        #: `road_of` answers by lane set, filled as they are asked
-        self._road_of_set: dict[frozenset[str], Optional[str]] = {}
 
     def _build_zone(self, start: str, end: str) -> OverlapZone:
         orientation: dict[str, int] = {}
@@ -283,15 +276,10 @@ class RoadNetwork:
         return self._lane_road.get(lane)
 
     def road_of(self, lanes: Iterable[str]) -> Optional[str]:
-        """The one road the known ``lanes`` lie on; None for no road or several."""
-        lanes = frozenset(lanes)  # the argument itself when it is a frozenset
-        try:
-            return self._road_of_set[lanes]
-        except KeyError:
-            roads = set(map(self._lane_road.get, lanes))
-            roads.discard(None)
-            rid = self._road_of_set[lanes] = roads.pop() if len(roads) == 1 else None
-            return rid
+        """The one road the known ``lanes`` lie on, None for none or several: a vehicle's road (PR8)."""
+        roads = set(map(self._lane_road.get, lanes))
+        roads.discard(None)
+        return roads.pop() if len(roads) == 1 else None
 
     def road(self, road_id: str) -> Road:
         return self._road_by_id[road_id]
@@ -440,8 +428,9 @@ class Scene:
     Sparse storage: ``occ`` maps every vehicle to its occupied lane set;
     the three relation maps hold only non-NONE entries.  Pair relations
     (vehicle-vehicle) are stored for both orientations.  Instances are
-    immutable and hashable on a canonical tuple, so scenes can be used
-    as search-space states directly.
+    immutable and hashable on a canonical tuple of their entries, so
+    scenes can be used as search-space states directly.  Relations hash by
+    identity, so a hash holds within one process (see ``__reduce__``).
     """
 
     __slots__ = ("occ", "vrel", "prel", "orel", "_key", "_hash")
@@ -459,9 +448,9 @@ class Scene:
         self.orel: dict[tuple[str, str], LonRel] = dict(orel)
         self._key = (
             tuple(sorted((c, tuple(sorted(ls))) for c, ls in self.occ.items())),
-            tuple(sorted((k, _CODE[v]) for k, v in self.vrel.items())),
-            tuple(sorted((k, _CODE[v]) for k, v in self.prel.items())),
-            tuple(sorted((k, _CODE[v]) for k, v in self.orel.items())),
+            tuple(sorted(self.vrel.items())),
+            tuple(sorted(self.prel.items())),
+            tuple(sorted(self.orel.items())),
         )
         self._hash = hash(self._key)
 
@@ -516,7 +505,7 @@ class Scene:
         return self._hash
 
     def __reduce__(self):
-        # rebuild on unpickling: string hashes differ between processes
+        # rebuild on unpickling: string and relation hashes differ between processes
         return (Scene, (self.occ, self.vrel, self.prel, self.orel))
 
 

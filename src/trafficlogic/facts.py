@@ -124,11 +124,7 @@ def _check_arity(name: str, args: Sequence[str], arity: int, lineno: Optional[in
 
 
 def parse_scene_atom(text: str, lineno: Optional[int] = None) -> tuple[str, tuple[str, ...]]:
-    """Parse one scene atom line, checking its name, arity and relation value.
-
-    A relation value that passes is a key of ``_REL``, the one lookup from
-    relation names to relations.
-    """
+    """Parse one scene atom line, checking its name, arity and relation value (a `LonRel` value)."""
     name, args = parse_atom(text, lineno)
     if name not in _SCENE_ARITY:
         raise ParseError(f"unknown scene atom {name!r}", lineno)
@@ -272,7 +268,7 @@ def scene_from_atoms(
             x, y, d = args
             relations[name][(x, y)] = _REL[d]
     orel = {k: v for k, v in orel.items() if v is not LonRel.NONE}
-    one_sided = [(x, y) for x, y in orel if (y, x) not in orel] if net is not None and net.zones else ()
+    one_sided = [(x, y) for x, y in orel if (y, x) not in orel] if net is not None else ()
     if one_sided:
         road_of = {c: net.road_of(occ[c]) for c in sorted(occ)}
         held = net.window_members(road_of, prel)[1]

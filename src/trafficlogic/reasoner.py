@@ -20,12 +20,13 @@ Successor scenes are generated constructively: each relation slot gets
 its candidate one-step moves, and the slots are assigned in a fixed order
 (vehicle pairs, vehicle-point pairs, window pairs).  A partial assignment
 is dropped as soon as the slots set so far break a scene rule it can
-already decide: cover on a shared lane (TR2), composition of three vehicle
-relations (PR2, PR3), point-cover exclusivity (PR11), and point order and
-mixed transitivity (PR14_TRANS).  These are the triangle tests of path
+already decide: cover on a shared lane (TR2), three vehicle relations
+that `check_scene`'s own `rules.triangle_rule` rejects in some order (PR2,
+PR3), point-cover exclusivity (PR11), and point order and mixed
+transitivity (PR14_TRANS).  These are the triangle tests of path
 consistency over the qualitative point algebra, applied to each partial
 assignment.  Window relations take the values and pass the triangles of
-`check_scene`'s own window judgments, `rules.window_values` (PR13) and
+the checker's window judgments, `rules.window_values` (PR13) and
 `rules.window_breaks` (PR14_TRANS), over the members `RoadNetwork.window_members`
 gives.  Only complete survivors become scenes, and nothing judges them
 again: `check_scene` checks the request's initial scene only.
@@ -88,7 +89,6 @@ from trafficlogic.facts import (
     strip_comment,
 )
 from trafficlogic.rules import (  # noqa: F401 - check_transition: the benchmark's tracer wraps it here
-    COMPOSITION,
     MIXED_FORBIDDEN,
     ORDER_FORBIDDEN,
     check_scene,
@@ -97,6 +97,7 @@ from trafficlogic.rules import (  # noqa: F401 - check_transition: the benchmark
     covered_connections,
     occ_step_ok,
     prel_step_ok,
+    triangle_rule,
     vrel_step_ok,
     window_breaks,
     window_step_ok,
@@ -241,11 +242,11 @@ def _add_check(checks: list[list], slots: tuple[int, ...], allowed) -> None:
 def _vrel_composes(xy: LonRel, xz: LonRel, yz: LonRel) -> bool:
     rel = {(0, 1): xy, (0, 2): xz, (1, 2): yz}
     rel.update({(b, a): invert(v) for (a, b), v in rel.items()})
-    return all(rel[a, c] in COMPOSITION[rel[a, b], rel[b, c]] for a, b, c in permutations(range(3)))
+    return not any(triangle_rule(rel[a, b], rel[b, c], rel[a, c], rel[c, a]) for a, b, c in permutations(range(3)))
 
 
 #: (rel(x,y), rel(x,z), rel(y,z)) for three vehicles on one road that pass
-#: PR2 and PR3 in every order
+#: PR2 and PR3 (`triangle_rule`) in every order
 _VREL_TRIPLES = frozenset(t for t in product(_ALL3, repeat=3) if _vrel_composes(*t))
 #: (rel(x,y), rel(x,p), rel(y,p)) for two vehicles on one road and one of
 #: its points that pass mixed transitivity both ways round (PR14_TRANS)
@@ -277,9 +278,10 @@ def _gen_successors(
     no candidate breaks a transition rule, and `check_transition` is never
     called here.  Per occupancy choice, the relation slots (vehicle pairs,
     then vehicle-point pairs) are assigned in order, and a partial
-    assignment is dropped as soon as it breaks TR2, PR2, PR3, PR11 or
-    PR14_TRANS; window maps that break PR13 or PR14_TRANS are dropped too.
-    The survivors come out in the order of the full product of candidate
+    assignment is dropped as soon as it breaks TR2, PR2 or PR3 (by
+    `_VREL_TRIPLES`, derived from `triangle_rule`), PR11 or PR14_TRANS;
+    window maps that break PR13 or PR14_TRANS are dropped too.  The
+    survivors come out in the order of the full product of candidate
     values; the other scene rules hold by construction, so `check_scene`
     is not called here either.  ``scene`` must pass `check_scene` on ``n``,
     so that every vehicle is on one road in it and in each of its

@@ -14,7 +14,9 @@ mistake yields one violation, not a cascade.
 Overlap windows have one owner per decision: `RoadNetwork.window_members`
 says which vehicles each window holds, and `window_values` (PR13) and
 `window_breaks` (the window triangles of PR14_TRANS) judge one window;
-`check_scene` and the successor generator both call them.
+`check_scene` and the successor generator both call them.  So do vehicle
+triangles: `triangle_rule` (PR2, PR3) judges one, and the generator's
+table of admissible triples is derived from it.
 """
 
 from __future__ import annotations
@@ -111,6 +113,20 @@ MIXED_FORBIDDEN = frozenset(
 # -- scene-level checking ------------------------------------------------------
 
 
+def triangle_rule(xy: LonRel, yz: LonRel, xz: LonRel, zx: LonRel) -> Optional[RuleId]:
+    """The rule the vehicle triple ``(x, y, z)`` breaks, PR2 or PR3, given its ``lonr`` values or NONE.
+
+    PR2: ahead twice (or behind twice) fixes a present ``lonr(x, z)``.  PR3:
+    ``x`` ahead of ``y`` covering ``z`` forbids ``lonr(z, x) = ahead``.  The
+    two read different orientations, which differ where PR1 breaks.
+    """
+    if xy is yz and xy in (A, B) and xz not in (N, xy):
+        return RuleId.PR2
+    if xy is A and yz is C and zx is A:
+        return RuleId.PR3
+    return None
+
+
 def window_values(
     z: OverlapZone, road_x: str, road_y: str, carried: bool, v_xy: Optional[LonRel]
 ) -> tuple[LonRel, ...]:
@@ -164,10 +180,9 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
             add(RuleId.PR6, c)
         if len(occ) > 2:
             add(RuleId.TR1, c)
-        roads = {n.road_of_lane(l) for l in lanes}
-        if len(roads) > 1:
+        road_of[c] = n.road_of(occ)
+        if lanes and road_of[c] is None:
             add(RuleId.PR8, c)
-        road_of[c] = next(iter(roads)) if len(roads) == 1 else None
         if road_of[c] is not None and len(lanes) > 1:
             idx = sorted(n.lane_index(l) for l in lanes)
             if idx[-1] - idx[0] != len(idx) - 1:
@@ -193,14 +208,11 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
         for z in (x, y):
             if z not in vset:
                 add(RuleId.WF, "unknown_vehicle", z)
+    vrel_of = scene.vrel_of
     for x, y, z in permutations(vehicles, 3):
-        vxy, vyz, vxz = scene.vrel_of(x, y), scene.vrel_of(y, z), scene.vrel_of(x, z)
-        if vxy is A and vyz is A and vxz is not N and vxz is not A:
-            add(RuleId.PR2, x, y, z)
-        if vxy is B and vyz is B and vxz is not N and vxz is not B:
-            add(RuleId.PR2, x, y, z)
-        if vxy is A and vyz is C and scene.vrel_of(z, x) is A:
-            add(RuleId.PR3, x, y, z)
+        rule = triangle_rule(vrel_of(x, y), vrel_of(y, z), vrel_of(x, z), vrel_of(z, x))
+        if rule is not None:
+            add(rule, x, y, z)
 
     # vehicle-point relations: totality on the own road, no strays
     for c in vehicles:
@@ -255,7 +267,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
     # overlap windows, per window: support, copy and head-on exclusion
     # (PR13), and relation triangles (PR14_TRANS); the generator makes the
     # same two judgments, `window_values` and `window_breaks`
-    inside, held = n.window_members(road_of, scene.prel) if n.zones else ((), {})
+    inside, held = n.window_members(road_of, scene.prel)
     for z, members in inside:
         for x, y in combinations(members, 2):
             rx, ry = road_of[x], road_of[y]
@@ -404,14 +416,13 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
         for l1, p in covered_connections(prev, c, n):
             if not connection_step_ok(l1, p, next_.occ_of(c), next_.prel_of(c, p), n):
                 add(RuleId.PR12, c, p)
-    if n.zones:
-        road_p = {c: n.road_of(prev.occ_of(c)) for c in vehicles}
-        road_n = {c: n.road_of(next_.occ_of(c)) for c in vehicles}
-        before, after = n.window_members(road_p, prev.prel)[0], n.window_members(road_n, next_.prel)[0]
-        for (z, inside_p), (_, inside_n) in zip(before, after):
-            for x, y in combinations([c for c in inside_p if c in inside_n], 2):
-                if not window_step_ok(prev, z, x, y, road_p[x], road_p[y], road_n[x], next_.orel.get((x, y))):
-                    add(RuleId.PR14_CONT, x, y)
+    road_p = {c: n.road_of(prev.occ_of(c)) for c in vehicles}
+    road_n = {c: n.road_of(next_.occ_of(c)) for c in vehicles}
+    before, after = n.window_members(road_p, prev.prel)[0], n.window_members(road_n, next_.prel)[0]
+    for (z, inside_p), (_, inside_n) in zip(before, after):
+        for x, y in combinations([c for c in inside_p if c in inside_n], 2):
+            if not window_step_ok(prev, z, x, y, road_p[x], road_p[y], road_n[x], next_.orel.get((x, y))):
+                add(RuleId.PR14_CONT, x, y)
     return out
 
 

@@ -4,7 +4,9 @@ A name with a leading underscore belongs to its module.  When a second
 module needs it, the name is made public or the decision it encodes moves
 to one owner; this test keeps such imports from coming back.  Window
 membership has one owner too: only `domain` asks a window whether it holds
-a vehicle, and every other module reads `RoadNetwork.window_members`.
+a vehicle, and every other module reads `RoadNetwork.window_members`.  So
+does the composition table: only `rules` reads `COMPOSITION`, and the
+generator's vehicle triangles come from `rules.triangle_rule`.
 """
 
 from __future__ import annotations
@@ -65,3 +67,29 @@ def test_the_check_sees_a_holds_inside_call(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("inside = [c for c in cars if z.holds_inside(road[c], c, prel)]\nz.holds_inside\n")
     assert _holds_inside_calls(probe) == ["probe.py:1"]
+
+
+def _composition_reads(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "COMPOSITION")
+        or (isinstance(node, ast.Attribute) and node.attr == "COMPOSITION")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "COMPOSITION" for a in node.names))
+    ]
+
+
+def test_only_rules_reads_the_composition_table():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert _composition_reads(PACKAGE / "rules.py")
+    assert [hit for path in modules if path.name != "rules.py" for hit in _composition_reads(path)] == []
+
+
+def test_the_check_sees_a_composition_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from trafficlogic.rules import (\n    COMPOSITION,\n)\n"
+        "ok = v in rules.COMPOSITION[a, b]\nCOMPOSITIONS = {}\n"
+    )
+    assert _composition_reads(probe) == ["probe.py:1", "probe.py:4"]

@@ -8,17 +8,20 @@ under- nor over-fire.
 
 from __future__ import annotations
 
-from itertools import product
+import pathlib
+from itertools import combinations, permutations, product
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import stepwise_violations
+from reference_rules import reference_check_scene
 from reference_transition import reference_transition
 
 from trafficlogic import facts
 from trafficlogic.domain import LonRel, Scenario, Scene, invert
+from trafficlogic.reasoner import _VREL_TRIPLES
 from trafficlogic.rules import (
     COMPOSITION,
     PREL_NEXT,
@@ -99,6 +102,22 @@ class TestTransitionTables:
         assert COMPOSITION[(B, B)] == {B}
         assert COMPOSITION[(A, B)] == {A, C, B}
         assert COMPOSITION[(C, C)] == {A, C, B}
+
+    def test_vehicle_triangles_are_the_composition_closure(self):
+        """The generator's vehicle triangles (PR2, PR3) are the triples `COMPOSITION` admits in every order.
+
+        `window_breaks` judges window triangles by that table, so the two
+        cannot drift apart unseen.
+        """
+
+        def composes(xy: LonRel, xz: LonRel, yz: LonRel) -> bool:
+            rel = {(0, 1): xy, (0, 2): xz, (1, 2): yz}
+            rel.update({(b, a): invert(v) for (a, b), v in rel.items()})
+            return all(rel[a, c] in COMPOSITION[rel[a, b], rel[b, c]] for a, b, c in permutations(range(3)))
+
+        closure = {t for t in product((A, C, B), repeat=3) if composes(*t)}
+        assert len(closure) == 19
+        assert _VREL_TRIPLES == closure
 
 
 class TestSceneRules:
@@ -516,6 +535,85 @@ class TestScopedTransition:
                 assert got == reference_transition(prev, next_, net)
                 found.update(x.rule for x in got)
         assert RuleId.PR14_CONT in found
+
+
+EX5 = _net((pathlib.Path(__file__).parent / "data" / "ex5_opposing_pass.net").read_text())
+_VEHICLES = ("c1", "c2", "c3", "c4")
+
+
+@st.composite
+def odd_scenes(draw, net):
+    """A scene on ``net`` with 2 to 4 vehicles, valid or malformed in the ways `check_scene` reads.
+
+    Occupancies hold one lane, two (perhaps on two roads), three or none,
+    and perhaps a lane the network lacks.  ``lonr`` is mostly mirrored but
+    may be asymmetric, and self and unknown-vehicle relations occur.  Each
+    ``lonpr`` of a vehicle to a point of the network is drawn, plus stray
+    ones to an unknown point or from an unknown vehicle; vehicles are mostly
+    put inside every window their road carries.  Window relations are
+    mirrored by the window, one-sided, drawn both ways or to an unknown
+    vehicle.
+    """
+    vehicles = _VEHICLES[: draw(st.integers(2, 4))]
+    lane = st.sampled_from((*net.lanes, "lx"))
+    occ = {
+        c: draw(st.one_of(lane.map(lambda l: frozenset((l,))), st.frozensets(lane, max_size=3)))
+        for c in vehicles
+    }
+    vrel: dict = {}
+    for x, y in combinations(vehicles, 2):
+        v = draw(_REL)
+        if v is not None:
+            vrel[x, y] = v
+        back = draw(st.sampled_from(("mirror", "mirror", "mirror", "drawn")))
+        w = invert(v) if v is not None and back == "mirror" else draw(_REL)
+        if w is not None:
+            vrel[y, x] = w
+    odd = st.sampled_from(_VEHICLES[:2] + ("cz",))
+    for _ in range(draw(st.integers(0, 1))):
+        x = draw(odd)
+        vrel[x, draw(odd) if draw(st.booleans()) else x] = draw(st.sampled_from((A, C, B)))
+    prel = {}
+    for c in vehicles:
+        for p in sorted(net.points):
+            v = draw(_REL)
+            if v is not None:
+                prel[c, p] = v
+        if draw(_MOSTLY):
+            for z in net.zones:
+                ee = z.entry_exit_for(net.road_of(occ[c]))
+                if ee is not None:
+                    prel[c, ee[0]], prel[c, ee[1]] = A, B
+    if draw(st.booleans()):
+        prel[draw(odd), draw(st.sampled_from((*sorted(net.points), "pz")))] = draw(st.sampled_from((A, C, B)))
+    orel: dict = {}
+    for x, y in combinations(vehicles, 2):
+        v = draw(_REL)
+        if v is None:
+            continue
+        orel[x, y] = v
+        back = draw(st.sampled_from(("mirror", "none", "drawn")))
+        rx, ry = net.road_of(occ[x]), net.road_of(occ[y])
+        zs = [z for z in net.zones if rx in z.orientation and ry in z.orientation]
+        w = zs[0].mirror(rx, ry, v) if back == "mirror" and zs else None if back == "none" else draw(_REL)
+        if w is not None:
+            orel[y, x] = w
+    if draw(st.integers(0, 3)) == 0:
+        orel[draw(odd), draw(odd)] = draw(st.sampled_from((A, C, B)))
+    return Scene(occ, vrel, prel, orel)
+
+
+class TestSceneDifferential:
+    """`check_scene` against the reference checker with its own PR2/PR3 conditions and road derivation."""
+
+    @pytest.mark.parametrize(
+        "net", [ROAD2, CROSSING, CONNECTION, OVERLAP, EX5], ids=["road2", "crossing", "connection", "overlap", "ex5"]
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, net, data):
+        s = data.draw(odd_scenes(net))
+        assert check_scene(s, net, 2) == reference_check_scene(s, net, 2)
 
 
 class TestScenarioChecking:
