@@ -13,8 +13,11 @@ builds one layer of distinct scenes per step, sharing one successor memo
 across every depth, and stops at the last layer (``horizon`` scenes, or in
 shortest mode the first layer holding an acceptable final scene).  A
 backward pass keeps the (scene, depth) pairs that can still reach an
-acceptable final scene, and paths are enumerated iteratively through those
-pairs only, so the work is proportional to the output.
+acceptable final scene, and an iterative depth-first walk enumerates paths
+through those pairs only, so the work is proportional to the output.  The
+walk takes each live scene's live successors in the order of their scene
+texts, so the scenarios come out in canonical order (sorted by text)
+without a global sort, and each text is its parent's prefix plus one step.
 
 Successor scenes are generated constructively: each relation slot gets
 its candidate one-step moves, and the slots are assigned in a fixed order
@@ -36,7 +39,11 @@ tuple, its relation-slot values and its window values; the occupancy
 fixes which slots exist, so for one network and one vehicle set the key
 determines the scene.  One map per `expand` holds every key seen, and a
 scene is built only the first time its key comes up: a candidate reached
-from several parents is one object.
+from several parents is one object.  The same map holds each occupancy
+tuple's slot layout and checks, compiled once, with the survivors of every
+subproblem posed of it: its slot domains, and on a network with windows
+the parent, whose window verdicts they depend on.  A subproblem that
+another parent poses again is not solved again.
 
 The transition rules are judged before any candidate is built, once per
 parent and scope value, by the same judgments `check_transition` is made
@@ -68,7 +75,6 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations, product
-from operator import itemgetter
 from typing import Mapping, Optional
 
 from trafficlogic.domain import (
@@ -85,6 +91,7 @@ from trafficlogic.facts import (
     parse_atom,
     parse_scene_atom,
     render_scenario,
+    scene_atom_lines,
     scene_from_atoms,
     strip_comment,
 )
@@ -288,125 +295,157 @@ def _gen_successors(
     candidates.  ``prel_pins`` narrows vehicle-point slot values to those
     it lists (see `_goal_pins`).
 
-    A candidate's key is its occupancy tuple (in vehicle order), its
-    relation-slot values and its window values.  The occupancy fixes the
-    slot layout: same-road vehicle pairs, then each vehicle's road points,
-    then the window pairs, which also read the point values.  So for one
-    network and one vehicle set, equal keys mean equal scenes, whatever the
-    parent, ``frozen`` or ``prel_pins``.  ``interned`` maps each key seen so
-    far to its scene, and each parent and each candidate to itself; a
-    candidate is built only the first time its key is seen, and equal
-    successors of different parents are one object.  `expand` shares one
-    map across every call of a request; a map must not be shared across
-    networks or vehicle sets.  Without it, the call starts a fresh map.
+    An occupancy choice fixes the slot layout and its checks
+    (`_slot_problem`); the parent only narrows each slot's values.  So the
+    survivors of one occupancy tuple, slot domains and window verdicts are
+    the same whatever the parent, ``frozen`` or ``prel_pins``, and each
+    such subproblem is solved once.  The window verdicts are the parent's
+    own, so on a network with windows a subproblem is keyed by its parent
+    too.  A candidate's key is its occupancy tuple (in vehicle order), its
+    relation-slot values and its window values; for one network and one
+    vehicle set, equal keys mean equal scenes.  ``interned`` maps each
+    occupancy tuple to its slot problem with the subproblems solved so
+    far, each candidate key seen to its scene, and each parent and each
+    candidate to itself; a candidate is built only the first time its key
+    is seen, and equal successors of different parents are one object.
+    `expand` shares one map across every call of a request; a map must not
+    be shared across networks or vehicle sets.  Without it, the call starts
+    a fresh map.
     """
     if interned is None:
         interned = {}
     # a candidate equal to the parent maps to this object: it is no successor
     scene = interned.setdefault(scene, scene)
     vehicles = scene.vehicles
-    occ_lists = [_occ_moves(scene, n, c, frozen, prel_pins) for c in vehicles]
-    vrel_moves: dict[tuple[str, str], tuple[LonRel, ...]] = {}
-    window_ok = _window_judge(scene, n) if n.zones else None
-    order_pairs: dict[str, frozenset[tuple[str, str]]] = {}
+    road = {c: n.road_of(scene.occ_of(c)) for c in vehicles}
+    occ_lists = [_occ_moves(scene, n, c, road[c], frozen, prel_pins) for c in vehicles]
+    # PR4 per vehicle pair: its values, and those left when the pair shares a lane (TR2)
+    vrel_moves: dict[tuple[str, str], tuple[tuple[LonRel, ...], tuple[LonRel, ...]]] = {}
+    window_ok, judge = (_window_judge(scene, n, road), scene) if n.zones else (None, None)
+    own = tuple(map(scene.occ_of, vehicles))
     order: list[Scene] = []
     for moves in product(*occ_lists):
-        occ = {c: ls for c, (ls, _, _) in zip(vehicles, moves)}
-        road = {c: rid for c, (_, rid, _) in zip(vehicles, moves)}
-        cands: list[tuple[LonRel, ...]] = []
-        checks: list[list] = []
-        # vehicle-vehicle relation slots (same-road pairs only); vehicles
-        # sharing a lane cannot be in cover (TR2)
-        vslot: dict[tuple[str, str], int] = {}
-        for i, x in enumerate(vehicles):
-            for y in vehicles[i + 1 :]:
-                if road[x] is None or road[x] != road[y]:
-                    continue
-                vals = vrel_moves.get((x, y))
-                if vals is None:
-                    order_xy = _VREL_ORDER.get(scene.vrel_of(x, y), _ALL3)
-                    vals = vrel_moves[x, y] = tuple(v for v in order_xy if vrel_step_ok(scene, x, y, v))
-                if occ[x] & occ[y]:
-                    vals = tuple(v for v in vals if v is not C)
-                vslot[x, y] = len(cands)
-                cands.append(vals)
-                checks.append([])
-        for (x, y), xy in vslot.items():
-            for z in vehicles:
-                if (y, z) in vslot and (x, z) in vslot:
-                    _add_check(checks, (xy, vslot[x, z], vslot[y, z]), _VREL_TRIPLES)
-        n_vrel = len(cands)
-        # vehicle-point slots (points carried by the vehicle's road); each
-        # vehicle's slots follow the point order of its lanes (PR14_TRANS)
-        pslot: dict[tuple[str, str], int] = {}
-        for c, (_, rid, slots) in zip(vehicles, moves):
-            for p, vals in slots:
-                pslot[c, p] = len(cands)
-                cands.append(vals)
-                checks.append([])
-            if rid not in order_pairs:
-                order_pairs[rid] = frozenset().union(*map(n.lane_order_pairs, n.road(rid).lanes))
-            for p1, p2 in order_pairs[rid]:
-                if (c, p1) in pslot and (c, p2) in pslot:
-                    _add_check(checks, (pslot[c, p1], pslot[c, p2]), _ORDER_OK)
-        # two vehicles at one point: mixed transitivity (PR14_TRANS) and
-        # point-cover exclusivity (PR11)
-        for (y, p), k in pslot.items():
-            plane = n.lanes_of_point(p)
-            for x in vehicles:
-                if x == y:
-                    break
-                j = pslot.get((x, p))
-                if j is None:
-                    continue
-                if (x, y) in vslot:
-                    _add_check(checks, (vslot[x, y], j, k), _MIXED_OK)
-                if occ[x] & plane and occ[y] & plane:
-                    _add_check(checks, (j, k), _NOT_BOTH_COVER)
         occ_key = tuple(ls for ls, _, _ in moves)
-        vrel_slots = list(vslot)
-        prel_slots = list(pslot)
-        for combo in _consistent(cands, checks):
-            prel = dict(zip(prel_slots, combo[n_vrel:]))
-            for window, orel in _orel_assignments(n, occ, road, dict(zip(vrel_slots, combo)), prel, window_ok):
-                key = (occ_key, combo, window)
-                cand = interned.get(key)
-                if cand is None:
-                    vrel: dict[tuple[str, str], LonRel] = {}
-                    for (x, y), v in zip(vrel_slots, combo):
-                        vrel[x, y] = v
-                        vrel[y, x] = invert(v)
-                    cand = Scene(occ, vrel, prel, orel)
-                    # a candidate equal to a parent resolves to the parent's object
-                    cand = interned[key] = interned.setdefault(cand, cand)
-                if cand is not scene:
-                    order.append(cand)
+        problem = interned.get(occ_key)
+        if problem is None:
+            problem = interned[occ_key] = _slot_problem(vehicles, moves, n)
+        pairs, layout, solved = problem
+        doms = []
+        for (x, y), shared in pairs:
+            vals = vrel_moves.get((x, y))
+            if vals is None:
+                order_xy = _VREL_ORDER.get(scene.vrel_of(x, y), _ALL3)
+                free = tuple(v for v in order_xy if vrel_step_ok(scene, x, y, v))
+                vals = vrel_moves[x, y] = (free, tuple(v for v in free if v is not C))
+            doms.append(vals[shared])
+        for _, _, slots in moves:
+            doms.extend(vals for _, vals in slots)
+        key = (tuple(doms), judge)
+        found = solved.get(key)
+        if found is None:
+            found = solved[key] = _solve(occ_key, layout, doms, n, window_ok, interned)
+        order.extend(found if occ_key != own else (cand for cand in found if cand is not scene))
     return tuple(order)
+
+
+def _slot_problem(vehicles: tuple[str, ...], moves, n: RoadNetwork):
+    """The relation slots and checks of one occupancy choice, and a map for its solutions.
+
+    ``moves`` holds each vehicle's `_occ_moves` entry.  Returns ``(pairs,
+    layout, solved)``: ``pairs`` lists the same-road vehicle pairs ``x <
+    y``, each with whether they share a lane; ``layout`` is what `_solve`
+    reads; ``solved`` is `_gen_successors`' map from slot domains and
+    window verdicts to successors.  The slots are the pairs', then the
+    vehicle-point slots, each vehicle's in the point order of `_occ_moves`.
+    """
+    occ = {c: ls for c, (ls, _, _) in zip(vehicles, moves)}
+    road = {c: rid for c, (_, rid, _) in zip(vehicles, moves)}
+    checks: list[list] = []
+    # vehicle-vehicle relation slots (same-road pairs only)
+    vslot: dict[tuple[str, str], int] = {}
+    for i, x in enumerate(vehicles):
+        for y in vehicles[i + 1 :]:
+            if road[x] is not None and road[x] == road[y]:
+                vslot[x, y] = len(checks)
+                checks.append([])
+    for (x, y), xy in vslot.items():
+        for z in vehicles:
+            if (y, z) in vslot and (x, z) in vslot:
+                _add_check(checks, (xy, vslot[x, z], vslot[y, z]), _VREL_TRIPLES)
+    # vehicle-point slots (points carried by the vehicle's road); each
+    # vehicle's slots follow the point order of its lanes (PR14_TRANS)
+    pslot: dict[tuple[str, str], int] = {}
+    for c, (_, rid, slots) in zip(vehicles, moves):
+        for p, _ in slots:
+            pslot[c, p] = len(checks)
+            checks.append([])
+        for p1, p2 in frozenset().union(*map(n.lane_order_pairs, n.road(rid).lanes)):
+            if (c, p1) in pslot and (c, p2) in pslot:
+                _add_check(checks, (pslot[c, p1], pslot[c, p2]), _ORDER_OK)
+    # two vehicles at one point: mixed transitivity (PR14_TRANS) and
+    # point-cover exclusivity (PR11)
+    for (y, p), k in pslot.items():
+        plane = n.lanes_of_point(p)
+        for x in vehicles:
+            if x == y:
+                break
+            j = pslot.get((x, p))
+            if j is None:
+                continue
+            if (x, y) in vslot:
+                _add_check(checks, (vslot[x, y], j, k), _MIXED_OK)
+            if occ[x] & plane and occ[y] & plane:
+                _add_check(checks, (j, k), _NOT_BOTH_COVER)
+    pairs = [((x, y), bool(occ[x] & occ[y])) for x, y in vslot]
+    return pairs, (occ, road, list(vslot), list(pslot), checks), {}
+
+
+def _solve(occ_key, layout, doms, n: RoadNetwork, window_ok, interned: dict) -> tuple[Scene, ...]:
+    """The interned candidates of one `_slot_problem` whose slots take the values ``doms``."""
+    occ, road, vrel_slots, points, checks = layout
+    k = len(vrel_slots)
+    out = []
+    for combo in _consistent(doms, checks):
+        prel = dict(zip(points, combo[k:]))
+        for window, orel in _orel_assignments(n, occ, road, dict(zip(vrel_slots, combo)), prel, window_ok):
+            key = (occ_key, combo, window)
+            cand = interned.get(key)
+            if cand is None:
+                vrel: dict[tuple[str, str], LonRel] = {}
+                for (x, y), v in zip(vrel_slots, combo):
+                    vrel[x, y] = v
+                    vrel[y, x] = invert(v)
+                cand = Scene(occ, vrel, prel, orel)
+                # a candidate equal to a parent resolves to the parent's object
+                cand = interned[key] = interned.setdefault(cand, cand)
+            out.append(cand)
+    return tuple(out)
 
 
 def _occ_moves(
     scene: Scene,
     n: RoadNetwork,
     c: str,
+    road: Optional[str],
     frozen: frozenset[str],
     prel_pins: Mapping[tuple[str, str], frozenset[LonRel]],
 ):
     """Vehicle ``c``'s next occupancies, each with its vehicle-point slot values.
 
-    One ``(lanes, road, ((p, values), ...))`` per occupancy, over the points
-    of its road in sorted order.  An occupancy that breaks PR7 is dropped,
-    and so is one whose road does not carry a connection ``c`` covers (PR12
-    judged with NONE).  A slot keeps the values PR9 and PR12 allow, in
-    `_PREL_ORDER`, narrowed by ``prel_pins``; a slot left empty makes
-    `_consistent` yield nothing.
+    ``road`` is ``c``'s road in ``scene``.  One ``(lanes, road, ((p,
+    values), ...))`` per occupancy, over the points of its road in sorted
+    order.  An occupancy that breaks PR7 is dropped, and so is one whose
+    road does not carry a connection ``c`` covers (PR12 judged with NONE).
+    A slot keeps the values PR9 and PR12 allow, in `_PREL_ORDER`, narrowed
+    by ``prel_pins``; a slot left empty makes `_consistent` yield nothing.
     """
     covered = covered_connections(scene, c, n)
     prel_moves: dict[str, tuple[LonRel, ...]] = {}
     out = []
     for ls in dict.fromkeys(_occ_options(scene, n, c, frozen)):
-        if not occ_step_ok(scene, c, ls, n):
-            continue
         rid = n.road_of(ls)
+        if not occ_step_ok(scene, c, ls, road, rid, n):
+            continue
         slots: dict[str, tuple[LonRel, ...]] = {}
         for p in sorted(n.points_of_road(rid)):
             vals = prel_moves.get(p)
@@ -425,15 +464,15 @@ def _occ_moves(
     return out
 
 
-def _window_judge(scene: Scene, n: RoadNetwork):
+def _window_judge(scene: Scene, n: RoadNetwork, prev_road: dict[str, Optional[str]]):
     """PR14_CONT for the window pairs of ``scene``'s candidates, each instance judged once.
 
-    The returned ``ok(z, x, y, road_x, v)`` tells whether the pair ``x <
-    y``, inside window ``z`` in the candidate, may take the stored
-    ``orel(x, y) = v`` there with ``x`` on ``road_x`` (`window_step_ok`).  A
-    pair not inside that window in ``scene`` is not bound by the rule.
+    ``prev_road`` gives each vehicle's road in ``scene``.  The returned
+    ``ok(z, x, y, road_x, v)`` tells whether the pair ``x < y``, inside
+    window ``z`` in the candidate, may take the stored ``orel(x, y) = v``
+    there with ``x`` on ``road_x`` (`window_step_ok`).  A pair not inside
+    that window in ``scene`` is not bound by the rule.
     """
-    prev_road = {c: n.road_of(scene.occ_of(c)) for c in scene.vehicles}
     held = n.window_members(prev_road, scene.prel)[1]
     memo: dict[tuple, bool] = {}
 
@@ -509,29 +548,45 @@ def _goal_pins(goal: Optional[Goal], net: RoadNetwork) -> dict[tuple[str, str], 
 # -- search --------------------------------------------------------------------
 
 
-def _live_paths(root: Scene, memo, live) -> list[tuple[Scene, ...]]:
-    """Every path from ``root`` through live (scene, depth) pairs to the last layer."""
+def _live_scenarios(req: ExpansionRequest, memo, live) -> tuple[list[Scenario], list[str]]:
+    """Every scenario through live (scene, depth) pairs, and its text, in canonical order.
+
+    The canonical order sorts scenarios by text (`facts.render_scenario`).
+    Every scenario here has ``len(live)`` steps, and when one scene's text
+    is a prefix of another's, the longer goes on with a line break and an
+    atom where the shorter's scenario goes on with ``#step`` or ends.  So
+    two scenarios compare as the texts of their first differing scenes,
+    and a depth-first walk that takes each live scene's live successors in
+    text order meets the scenarios in canonical order.
+    """
+    blocks: dict[Scene, str] = {}
+
+    def block(s: Scene) -> str:
+        text = blocks.get(s)
+        if text is None:
+            text = blocks[s] = "".join(line + "\n" for line in scene_atom_lines(s))
+        return text
+
     last = len(live) - 1
-    if root not in live[0]:
-        return []
-    if last == 0:
-        return [(root,)]
-    paths = []
-    path = [root]
-    branches = [iter(memo[root])]
-    while branches:
-        nxt = next(branches[-1], None)
-        if nxt is None:
-            branches.pop()
-            path.pop()
-        elif nxt not in live[len(path)]:
-            continue
-        elif len(path) == last:
-            paths.append((*path, nxt))
+    # each live (scene, depth) pair's live successors in text order, each
+    # with its step block
+    kids = [
+        {s: [(t, f"#step {d + 2}\n{block(t)}") for t in sorted(live[d + 1].intersection(memo[s]), key=block)]
+         for s in live[d]}
+        for d in range(last)
+    ]
+    scenarios, texts = [], []
+    root = req.initial
+    todo = [((root,), f"#step 1\n{block(root)}")] if root in live[0] else []
+    while todo:
+        path, text = todo.pop()
+        if len(path) > last:
+            scenarios.append(Scenario(req.vehicles, req.network, path))
+            texts.append(text)
         else:
-            path.append(nxt)
-            branches.append(iter(memo[nxt]))
-    return paths
+            # pushed last to first, so popped in text order
+            todo.extend(((*path, t), text + step) for t, step in reversed(kids[len(path) - 1][path[-1]]))
+    return scenarios, texts
 
 
 def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
@@ -583,14 +638,9 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
     live.reverse()
 
     nodes = sum(map(len, layers))
-    paths = _live_paths(req.initial, memo, live)
-    scene_text: dict[Scene, str] = {}
-    ranked = sorted(
-        ((render_scenario(sc, scene_text), sc) for sc in (Scenario(req.vehicles, net, p) for p in paths)),
-        key=itemgetter(0),
-    )
+    scenarios, texts = _live_scenarios(req, memo, live)
     stats = Stats(nodes, nodes - sum(map(len, live)), time.monotonic() - t0)
-    return ExpansionResult(tuple(sc for _, sc in ranked), stats, tuple(text for text, _ in ranked))
+    return ExpansionResult(tuple(scenarios), stats, tuple(texts))
 
 
 # -- request files ---------------------------------------------------------------

@@ -304,15 +304,18 @@ def vrel_step_ok(prev: Scene, x: str, y: str, v: LonRel) -> bool:
     return u is N or v is N or v in VREL_NEXT[u]
 
 
-def occ_step_ok(prev: Scene, c: str, ln: frozenset[str], n: RoadNetwork) -> bool:
+def occ_step_ok(
+    prev: Scene, c: str, ln: frozenset[str], rp: Optional[str], rn: Optional[str], n: RoadNetwork
+) -> bool:
     """PR7 for vehicle ``c``: whether its occupancy may step to the lanes ``ln``.
 
-    On one road, at most one lane is gained or lost.  A road change must be
-    an atomic hop through a covered connection point onto one of its
-    successor lanes.  Malformed occupancy is a scene-level finding.
+    ``rp`` and ``rn`` are the roads (`RoadNetwork.road_of`) of ``c``'s
+    lanes in ``prev`` and of ``ln``.  On one road, at most one lane is
+    gained or lost.  A road change must be an atomic hop through a covered
+    connection point onto one of its successor lanes.  Malformed occupancy
+    is a scene-level finding.
     """
     lp = prev.occ_of(c)
-    rp, rn = n.road_of(lp), n.road_of(ln)
     if rp is None or rn is None:
         return True
     if rp == rn:
@@ -406,8 +409,10 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
     for x, y in combinations(vehicles, 2):
         if not vrel_step_ok(prev, x, y, next_.vrel_of(x, y)):
             add(RuleId.PR4, x, y)
+    road_p = {c: n.road_of(prev.occ_of(c)) for c in vehicles}
+    road_n = {c: n.road_of(next_.occ_of(c)) for c in vehicles}
     for c in vehicles:
-        if not occ_step_ok(prev, c, next_.occ_of(c), n):
+        if not occ_step_ok(prev, c, next_.occ_of(c), road_p[c], road_n[c], n):
             add(RuleId.PR7, c)
     for c, p in sorted(set(prev.prel) | set(next_.prel)):
         if not prel_step_ok(prev, c, p, next_.prel_of(c, p)):
@@ -416,8 +421,6 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
         for l1, p in covered_connections(prev, c, n):
             if not connection_step_ok(l1, p, next_.occ_of(c), next_.prel_of(c, p), n):
                 add(RuleId.PR12, c, p)
-    road_p = {c: n.road_of(prev.occ_of(c)) for c in vehicles}
-    road_n = {c: n.road_of(next_.occ_of(c)) for c in vehicles}
     before, after = n.window_members(road_p, prev.prel)[0], n.window_members(road_n, next_.prel)[0]
     for (z, inside_p), (_, inside_n) in zip(before, after):
         for x, y in combinations([c for c in inside_p if c in inside_n], 2):
