@@ -668,10 +668,11 @@ def abstract_trace(
     compiled network; otherwise ``n`` must equal it (same facts under the
     same parameters) and the scenario is built on ``n``.
 
-    Every sample's center is projected onto every lane.  Its front and rear
-    are projected only where its range is read: on its own best lane, and on
-    the best lane of a vehicle on another road that it shares an overlap
-    window with.
+    Every sample's center is projected onto each lane within that lane's
+    :func:`_occupancy_radius` (`_lane_fit`); a center farther away occupies
+    no lane.  Its front and rear are projected only where its range is read:
+    on its own best lane, and on the best lane of a vehicle on another road
+    that it shares an overlap window with.
     """
     cfg = params or Config()
     abst = NetworkAbstraction(model, cfg)

@@ -41,9 +41,9 @@ determines the scene.  One map per `expand` holds every key seen, and a
 scene is built only the first time its key comes up: a candidate reached
 from several parents is one object.  The same map holds each occupancy
 tuple's slot layout and checks, compiled once, with the survivors of every
-subproblem posed of it: its slot domains, and on a network with windows
-the parent, whose window verdicts they depend on.  A subproblem that
-another parent poses again is not solved again.
+subproblem posed of it: its slot domains and its window allowances, the
+values PR14_CONT leaves each window pair.  A subproblem that another
+parent poses again is not solved again, on every network.
 
 The transition rules are judged before any candidate is built, once per
 parent and scope value, by the same judgments `check_transition` is made
@@ -52,10 +52,10 @@ occupancy options; PR9 per (vehicle, point) and PR12 per (vehicle,
 covered connection, next occupancy) filter the vehicle-point slot values,
 and an occupancy whose road does not carry a covered connection is
 dropped; PR4 per vehicle pair filters the vehicle-pair slot values; and
-PR14_CONT per (window, vehicle pair) filters the window values.  So every
-candidate passes `check_transition`, which the generator never calls.
-Successors never stutter: consecutive scenes always differ, because steps
-carry order, not duration.
+PR14_CONT per (window, vehicle pair, next road) filters the window values.
+So every candidate passes `check_transition`, which the generator never
+calls.  Successors never stutter: consecutive scenes always differ,
+because steps carry order, not duration.
 
 A goal constrains the final scene only, with one exception: a positive
 ``lonpr(c, p, behind)`` goal atom pins slot (c, p) to ``behind`` at every
@@ -281,7 +281,8 @@ def _gen_successors(
     checker's own judgments, before any candidate is built: PR7 and PR12
     pick each vehicle's next occupancies (`_occ_moves`), PR9 and PR12 its
     vehicle-point slot values on each, PR4 the values of each vehicle-pair
-    slot, and PR14_CONT each window pair's values (`_window_judge`).  So
+    slot, and PR14_CONT the values of each pair a window holds in
+    ``scene``, per next road of its first vehicle (`window_step_ok`).  So
     no candidate breaks a transition rule, and `check_transition` is never
     called here.  Per occupancy choice, the relation slots (vehicle pairs,
     then vehicle-point pairs) are assigned in order, and a partial
@@ -296,18 +297,20 @@ def _gen_successors(
     it lists (see `_goal_pins`).
 
     An occupancy choice fixes the slot layout and its checks
-    (`_slot_problem`); the parent only narrows each slot's values.  So the
-    survivors of one occupancy tuple, slot domains and window verdicts are
-    the same whatever the parent, ``frozen`` or ``prel_pins``, and each
-    such subproblem is solved once.  The window verdicts are the parent's
-    own, so on a network with windows a subproblem is keyed by its parent
-    too.  A candidate's key is its occupancy tuple (in vehicle order), its
-    relation-slot values and its window values; for one network and one
-    vehicle set, equal keys mean equal scenes.  ``interned`` maps each
-    occupancy tuple to its slot problem with the subproblems solved so
-    far, each candidate key seen to its scene, and each parent and each
-    candidate to itself; a candidate is built only the first time its key
-    is seen, and equal successors of different parents are one object.
+    (`_slot_problem`); the parent only narrows each slot's values and each
+    window pair's values.  So the survivors of one occupancy tuple, slot
+    domains and window allowances are the same whatever the parent,
+    ``frozen`` or ``prel_pins``, and each such subproblem is solved once.
+    A window allowance names its window and pair, so parents that hold
+    different pairs pose different subproblems; a network without windows
+    has none.  A candidate's key is its occupancy tuple (in vehicle
+    order), its relation-slot values and its window values; for one
+    network and one vehicle set, equal keys mean equal scenes.
+    ``interned`` maps each occupancy tuple to its slot problem with the
+    subproblems solved so far, each candidate key seen to its scene, and
+    each parent and each candidate to itself; a candidate is built only
+    the first time its key is seen, and equal successors of different
+    parents are one object.
     `expand` shares one map across every call of a request; a map must not
     be shared across networks or vehicle sets.  Without it, the call starts
     a fresh map.
@@ -321,7 +324,9 @@ def _gen_successors(
     occ_lists = [_occ_moves(scene, n, c, road[c], frozen, prel_pins) for c in vehicles]
     # PR4 per vehicle pair: its values, and those left when the pair shares a lane (TR2)
     vrel_moves: dict[tuple[str, str], tuple[tuple[LonRel, ...], tuple[LonRel, ...]]] = {}
-    window_ok, judge = (_window_judge(scene, n, road), scene) if n.zones else (None, None)
+    # PR14_CONT per (window, pair it holds, next road of x): the next orel(x, y) values
+    held = n.window_members(road, scene.prel)[1]
+    orel_moves: dict[tuple, tuple[LonRel, ...]] = {}
     own = tuple(map(scene.occ_of, vehicles))
     order: list[Scene] = []
     for moves in product(*occ_lists):
@@ -330,6 +335,7 @@ def _gen_successors(
         if problem is None:
             problem = interned[occ_key] = _slot_problem(vehicles, moves, n)
         pairs, layout, solved = problem
+        next_road = layout[1]
         doms = []
         for (x, y), shared in pairs:
             vals = vrel_moves.get((x, y))
@@ -340,10 +346,21 @@ def _gen_successors(
             doms.append(vals[shared])
         for _, _, slots in moves:
             doms.extend(vals for _, vals in slots)
-        key = (tuple(doms), judge)
+        allow = []
+        for (x, y), zs in held.items():
+            rx = next_road[x]
+            for z in zs:
+                scope = (z.start, z.end, x, y)
+                vals = orel_moves.get((scope, rx))
+                if vals is None:
+                    vals = orel_moves[scope, rx] = tuple(
+                        v for v in _ALL3 if window_step_ok(scene, z, x, y, road[x], road[y], rx, v)
+                    )
+                allow.append((scope, vals))
+        key = (tuple(doms), tuple(allow))
         found = solved.get(key)
         if found is None:
-            found = solved[key] = _solve(occ_key, layout, doms, n, window_ok, interned)
+            found = solved[key] = _solve(occ_key, layout, doms, n, dict(allow), interned)
         order.extend(found if occ_key != own else (cand for cand in found if cand is not scene))
     return tuple(order)
 
@@ -355,7 +372,7 @@ def _slot_problem(vehicles: tuple[str, ...], moves, n: RoadNetwork):
     layout, solved)``: ``pairs`` lists the same-road vehicle pairs ``x <
     y``, each with whether they share a lane; ``layout`` is what `_solve`
     reads; ``solved`` is `_gen_successors`' map from slot domains and
-    window verdicts to successors.  The slots are the pairs', then the
+    window allowances to successors.  The slots are the pairs', then the
     vehicle-point slots, each vehicle's in the point order of `_occ_moves`.
     """
     occ = {c: ls for c, (ls, _, _) in zip(vehicles, moves)}
@@ -400,14 +417,18 @@ def _slot_problem(vehicles: tuple[str, ...], moves, n: RoadNetwork):
     return pairs, (occ, road, list(vslot), list(pslot), checks), {}
 
 
-def _solve(occ_key, layout, doms, n: RoadNetwork, window_ok, interned: dict) -> tuple[Scene, ...]:
-    """The interned candidates of one `_slot_problem` whose slots take the values ``doms``."""
+def _solve(occ_key, layout, doms, n: RoadNetwork, allow, interned: dict) -> tuple[Scene, ...]:
+    """The interned candidates of one `_slot_problem` whose slots take the values ``doms``.
+
+    ``allow`` maps ``(window start, window end, x, y)`` to the values
+    PR14_CONT leaves ``orel(x, y)`` in that window (see `_orel_assignments`).
+    """
     occ, road, vrel_slots, points, checks = layout
     k = len(vrel_slots)
     out = []
     for combo in _consistent(doms, checks):
         prel = dict(zip(points, combo[k:]))
-        for window, orel in _orel_assignments(n, occ, road, dict(zip(vrel_slots, combo)), prel, window_ok):
+        for window, orel in _orel_assignments(n, occ, road, dict(zip(vrel_slots, combo)), prel, allow):
             key = (occ_key, combo, window)
             cand = interned.get(key)
             if cand is None:
@@ -464,31 +485,7 @@ def _occ_moves(
     return out
 
 
-def _window_judge(scene: Scene, n: RoadNetwork, prev_road: dict[str, Optional[str]]):
-    """PR14_CONT for the window pairs of ``scene``'s candidates, each instance judged once.
-
-    ``prev_road`` gives each vehicle's road in ``scene``.  The returned
-    ``ok(z, x, y, road_x, v)`` tells whether the pair ``x < y``, inside
-    window ``z`` in the candidate, may take the stored ``orel(x, y) = v``
-    there with ``x`` on ``road_x`` (`window_step_ok`).  A pair not inside
-    that window in ``scene`` is not bound by the rule.
-    """
-    held = n.window_members(prev_road, scene.prel)[1]
-    memo: dict[tuple, bool] = {}
-
-    def ok(z: OverlapZone, x: str, y: str, road_x: str, v: LonRel) -> bool:
-        if z not in held.get((x, y), ()):
-            return True
-        key = (z.start, z.end, x, y, road_x, v)
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = window_step_ok(scene, z, x, y, prev_road[x], prev_road[y], road_x, v)
-        return found
-
-    return ok
-
-
-def _orel_assignments(n, occ, road, vrel, prel, window_ok):
+def _orel_assignments(n, occ, road, vrel, prel, allow):
     """Yield every admissible window-relation map for a candidate scene, with its window values.
 
     ``occ``, ``road``, ``vrel`` and ``prel`` describe the candidate;
@@ -496,8 +493,9 @@ def _orel_assignments(n, occ, road, vrel, prel, window_ok):
     orel)``: its window-pair values, one per pair ``x < y`` in sorted pair
     order, and the map itself with both orientations.  A pair takes the
     values `window_values` allows in every window holding both vehicles
-    (PR13), in the first one's frame order, that ``window_ok`` (see
-    `_window_judge`) allows there too (PR14_CONT); maps with a triple that
+    (PR13), in the first one's frame order, that ``allow`` lists for each
+    of those windows, keyed ``(start, end, x, y)`` (PR14_CONT; a window
+    not listed leaves the pair free); maps with a triple that
     `window_breaks` reports are left out (PR14_TRANS).  A network without
     windows has the one empty map.
     """
@@ -509,10 +507,11 @@ def _orel_assignments(n, occ, road, vrel, prel, window_ok):
     cand_lists: list[tuple[LonRel, ...]] = []
     for (x, y), zs in sorted(held.items()):
         carried = [bool(occ[x] & z.carrying and occ[y] & z.carrying) for z in zs]
+        # PR13 in each window, then PR14_CONT in each
         allowed = [window_values(z, road[x], road[y], c, vrel.get((x, y))) for z, c in zip(zs, carried)]
-        vals = [v for v in allowed[0] if all(v in a for a in allowed[1:])]
+        allowed += [allow.get((z.start, z.end, x, y), _ALL3) for z in zs]
         slots.append((x, y, zs[0]))
-        cand_lists.append(tuple(v for v in vals if all(window_ok(z, x, y, road[x], v) for z in zs)))
+        cand_lists.append(tuple(v for v in allowed[0] if all(v in a for a in allowed[1:])))
     crowded = [(z, members) for z, members in inside if len(members) > 2]
     for combo in product(*cand_lists):
         orel = {}

@@ -156,15 +156,11 @@ def window_breaks(z: OverlapZone, road_of, members, orel) -> Iterator[tuple[str,
 
 
 def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
-    """All per-scene rule violations, deduplicated."""
-    found: set[tuple] = set()
-    out: list[Violation] = []
+    """All per-scene rule violations, deduplicated, in the order first found."""
+    found: dict[tuple[RuleId, tuple[str, ...]], None] = {}
 
     def add(rule: RuleId, *witnesses: str) -> None:
-        key = (rule, witnesses)
-        if key not in found:
-            found.add(key)
-            out.append(Violation(rule, step, witnesses))
+        found.setdefault((rule, witnesses))
 
     vehicles = scene.vehicles
     vset = set(vehicles)
@@ -292,7 +288,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
             continue
         if scene.orel.get((y, x)) is not zs[0].mirror(road_of[x], road_of[y], v):
             add(RuleId.PR14_SYM, *sorted((x, y)))
-    return out
+    return [Violation(rule, step, witnesses) for rule, witnesses in found]
 
 
 # -- transition-level checking -------------------------------------------------
@@ -393,14 +389,10 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
     * PR14_CONT, `window_step_ok`: a vehicle pair inside one window at
       both steps.
     """
-    found: set[tuple] = set()
-    out: list[Violation] = []
+    found: dict[tuple[RuleId, tuple[str, ...]], None] = {}
 
     def add(rule: RuleId, *witnesses: str) -> None:
-        key = (rule, witnesses)
-        if key not in found:
-            found.add(key)
-            out.append(Violation(rule, step, witnesses, step2=step + 1))
+        found.setdefault((rule, witnesses))
 
     if prev == next_:
         add(RuleId.WF, "stutter")
@@ -426,7 +418,7 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
         for x, y in combinations([c for c in inside_p if c in inside_n], 2):
             if not window_step_ok(prev, z, x, y, road_p[x], road_p[y], road_n[x], next_.orel.get((x, y))):
                 add(RuleId.PR14_CONT, x, y)
-    return out
+    return [Violation(rule, step, witnesses, step2=step + 1) for rule, witnesses in found]
 
 
 def check_scenario(sc: Scenario, verdicts: Optional[dict] = None) -> list[Violation]:

@@ -339,6 +339,26 @@ class TestScene:
         assert hash(remote) == hash(local)
         assert len({remote, local}) == 1
 
+    def test_scene_pickled_here_finds_its_twin_in_another_process(self):
+        # the other way round: pickled in this process, loaded under another string-hash seed
+        scene = Scene.build(
+            {"c1": ["l1"], "c2": ["l1"]}, vrel={("c1", "c2"): B}, prel={("c1", "p"): C}, orel={("c1", "c2"): A}
+        )
+        code = (
+            "import pickle, sys\n"
+            "from trafficlogic.domain import LonRel as R, Scene\n"
+            "twin = Scene.build({'c1': ['l1'], 'c2': ['l1']}, vrel={('c1', 'c2'): R.BEHIND},\n"
+            "                   prel={('c1', 'p'): R.COVER}, orel={('c1', 'c2'): R.AHEAD})\n"
+            "s = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(s == twin, hash(s) == hash(twin), {twin: 'found'}.get(s))\n"
+        )
+        src = str(pathlib.Path(trafficlogic.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="54321")
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(scene), env=env, capture_output=True, check=True
+        )
+        assert out.stdout.split() == [b"True", b"True", b"found"]
+
 
 class TestScenario:
     def test_requires_scenes(self):

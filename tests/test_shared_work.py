@@ -1,13 +1,16 @@
 """Work that `expand` shares across parents and paths changes no result.
 
 * **Solved subproblems.**  `_gen_successors` solves each slot problem (an
-  occupancy tuple with its slot domains, and on a network with windows the
-  parent's window verdicts) once per scene map, and reuses the solution
-  for every later parent that poses it.  On every parent reached in the
-  ``tests/test_successors.py`` families and in drawn composite networks
-  (`test_generator_soundness.requests`), a call through one map shared by
-  all calls, whatever their ``frozen`` and ``prel_pins``, must return what
-  a call with a fresh map returns.
+  occupancy tuple with its slot domains and window allowances, the values
+  PR14_CONT leaves each window pair) once per scene map, and reuses the
+  solution for every later parent that poses it.  On every parent reached
+  in the ``tests/test_successors.py`` families and in drawn composite
+  networks (`test_generator_soundness.requests`), a call through one map
+  shared by all calls, whatever their ``frozen`` and ``prel_pins``, must
+  return what a call with a fresh map returns.  The parent is no part of a
+  subproblem, so parents share subproblems on a network with windows too:
+  `expand` of ``ex5_opposing_pass`` solves fewer subproblems than it has
+  (parent, occupancy) choices.
 * **Canonical order from the search.**  `expand` emits the scenarios in
   the order of their texts without sorting them: the depth-first walk
   takes each live scene's live successors in text order.  ``texts`` must be
@@ -18,13 +21,14 @@
 
 from __future__ import annotations
 
+import math
 import pathlib
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from trafficlogic import facts
+from trafficlogic import facts, reasoner
 from trafficlogic.domain import LonRel
 from trafficlogic.facts import ParseError
 from trafficlogic.reasoner import _gen_successors, _goal_pins, expand, parse_request
@@ -117,3 +121,46 @@ def test_scenarios_come_out_in_canonical_order(name):
     assert res.texts == tuple(sorted(res.texts))
     assert list(res.texts) == [facts.render_scenario(sc) for sc in res.scenarios]
     assert (len(res.texts), res.stats.nodes, res.stats.pruned) == (count, nodes, pruned)
+
+
+def _count_subproblems(monkeypatch, text):
+    """(subproblems solved, (parent, occupancy) choices) in one `expand` of ``text``."""
+    solves, groups = [], []
+    solve, occ_moves, gen = reasoner._solve, reasoner._occ_moves, reasoner._gen_successors
+
+    def counted_solve(*args):
+        solves.append(None)
+        return solve(*args)
+
+    def counted_occ_moves(*args):
+        found = occ_moves(*args)
+        groups[-1].append(len(found))
+        return found
+
+    def counted_gen(*args, **kwargs):
+        groups.append([])
+        return gen(*args, **kwargs)
+
+    monkeypatch.setattr(reasoner, "_solve", counted_solve)
+    monkeypatch.setattr(reasoner, "_occ_moves", counted_occ_moves)
+    monkeypatch.setattr(reasoner, "_gen_successors", counted_gen)
+    expand(parse_request(text))
+    return len(solves), sum(map(math.prod, groups))
+
+
+def test_parents_share_subproblems_on_a_network_with_windows(monkeypatch):
+    solves, choices = _count_subproblems(monkeypatch, (DATA / "ex5_opposing_pass.req").read_text())
+    assert choices == 54
+    assert solves < choices
+
+
+@pytest.mark.parametrize(
+    "text, counts",
+    [
+        (_horizon(dense_request(2, (1, 2, 1)), "#horizon 4\n"), (192, 893)),
+        (_horizon(chain_request(), "#horizon 4\n"), (15, 15)),
+    ],
+    ids=["dense-3v-2l-h4", "chain-2v-3r-h4"],
+)
+def test_window_free_subproblem_counts_are_unchanged(monkeypatch, text, counts):
+    assert _count_subproblems(monkeypatch, text) == counts
