@@ -42,8 +42,9 @@ scene is built only the first time its key comes up: a candidate reached
 from several parents is one object.  The same map holds each occupancy
 tuple's slot layout and checks, compiled once, with the survivors of every
 subproblem posed of it: its slot domains and its window allowances, the
-values PR14_CONT leaves each window pair.  A subproblem that another
-parent poses again is not solved again, on every network.
+values PR14_CONT leaves each window pair the candidate can hold, where it
+leaves out any.  A subproblem that another parent poses again is not
+solved again, on every network.
 
 The transition rules are judged before any candidate is built, once per
 parent and scope value, by the same judgments `check_transition` is made
@@ -301,9 +302,11 @@ def _gen_successors(
     window pair's values.  So the survivors of one occupancy tuple, slot
     domains and window allowances are the same whatever the parent,
     ``frozen`` or ``prel_pins``, and each such subproblem is solved once.
-    A window allowance names its window and pair, so parents that hold
-    different pairs pose different subproblems; a network without windows
-    has none.  A candidate's key is its occupancy tuple (in vehicle
+    A window allowance names its window and pair, and is posed only where
+    it leaves out a value and the occupancy puts both vehicles on roads the
+    window carries: elsewhere the candidate cannot hold the pair there, or
+    PR14_CONT allows every value.  A network without windows has no
+    allowances.  A candidate's key is its occupancy tuple (in vehicle
     order), its relation-slot values and its window values; for one
     network and one vehicle set, equal keys mean equal scenes.
     ``interned`` maps each occupancy tuple to its slot problem with the
@@ -350,14 +353,18 @@ def _gen_successors(
         for (x, y), zs in held.items():
             rx = next_road[x]
             for z in zs:
+                # the candidate can hold the pair in z only on roads z carries
+                if rx not in z.orientation or next_road[y] not in z.orientation:
+                    continue
                 scope = (z.start, z.end, x, y)
                 vals = orel_moves.get((scope, rx))
                 if vals is None:
                     vals = orel_moves[scope, rx] = tuple(
                         v for v in _ALL3 if window_step_ok(scene, z, x, y, road[x], road[y], rx, v)
                     )
-                allow.append((scope, vals))
-        key = (tuple(doms), tuple(allow))
+                if vals != _ALL3:
+                    allow.append((scope, vals))
+        key = (tuple(doms), frozenset(allow))
         found = solved.get(key)
         if found is None:
             found = solved[key] = _solve(occ_key, layout, doms, n, dict(allow), interned)

@@ -159,9 +159,6 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
     """All per-scene rule violations, deduplicated, in the order first found."""
     found: dict[tuple[RuleId, tuple[str, ...]], None] = {}
 
-    def add(rule: RuleId, *witnesses: str) -> None:
-        found.setdefault((rule, witnesses))
-
     vehicles = scene.vehicles
     vset = set(vehicles)
     road_of: dict[str, Optional[str]] = {}
@@ -171,44 +168,44 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
         lanes = frozenset(l for l in occ if n.road_of_lane(l) is not None)
         for l in occ:
             if l not in lanes:
-                add(RuleId.WF, "unknown_lane", c, l)
+                found.setdefault((RuleId.WF, ("unknown_lane", c, l)))
         if not occ:
-            add(RuleId.PR6, c)
+            found.setdefault((RuleId.PR6, (c,)))
         if len(occ) > 2:
-            add(RuleId.TR1, c)
+            found.setdefault((RuleId.TR1, (c,)))
         road_of[c] = n.road_of(occ)
         if lanes and road_of[c] is None:
-            add(RuleId.PR8, c)
+            found.setdefault((RuleId.PR8, (c,)))
         if road_of[c] is not None and len(lanes) > 1:
             idx = sorted(n.lane_index(l) for l in lanes)
             if idx[-1] - idx[0] != len(idx) - 1:
-                add(RuleId.PR5, c)
+                found.setdefault((RuleId.PR5, (c,)))
 
     # vehicle-vehicle relation: symmetry, support, transitivity, cycles
     for x, y in combinations(vehicles, 2):
         vxy, vyx = scene.vrel.get((x, y)), scene.vrel.get((y, x))
         if (vxy is None) != (vyx is None) or (vxy is not None and vyx is not invert(vxy)):
-            add(RuleId.PR1, x, y)
+            found.setdefault((RuleId.PR1, (x, y)))
         rx, ry = road_of[x], road_of[y]
         if rx is not None and ry is not None:
             if rx == ry and vxy is None and vyx is None:
-                add(RuleId.WF, "missing_lonr", x, y)
+                found.setdefault((RuleId.WF, ("missing_lonr", x, y)))
             if rx != ry and (vxy is not None or vyx is not None):
-                add(RuleId.WF, "crossroad_lonr", x, y)
+                found.setdefault((RuleId.WF, ("crossroad_lonr", x, y)))
         shared = scene.occ_of(x) & scene.occ_of(y)
         if shared and (vxy is C or vyx is C):
-            add(RuleId.TR2, x, y)
+            found.setdefault((RuleId.TR2, (x, y)))
     for (x, y), v in scene.vrel.items():
         if x == y:
-            add(RuleId.WF, "self_relation", x)
+            found.setdefault((RuleId.WF, ("self_relation", x)))
         for z in (x, y):
             if z not in vset:
-                add(RuleId.WF, "unknown_vehicle", z)
+                found.setdefault((RuleId.WF, ("unknown_vehicle", z)))
     vrel_of = scene.vrel_of
     for x, y, z in permutations(vehicles, 3):
         rule = triangle_rule(vrel_of(x, y), vrel_of(y, z), vrel_of(x, z), vrel_of(z, x))
         if rule is not None:
-            add(rule, x, y, z)
+            found.setdefault((rule, (x, y, z)))
 
     # vehicle-point relations: totality on the own road, no strays
     for c in vehicles:
@@ -217,17 +214,17 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
             continue
         for p in sorted(n.points_of_road(rid)):
             if scene.prel_of(c, p) is N:
-                add(RuleId.PR10, c, p)
+                found.setdefault((RuleId.PR10, (c, p)))
     for (c, p), v in scene.prel.items():
         if c not in vset:
-            add(RuleId.WF, "unknown_vehicle", c)
+            found.setdefault((RuleId.WF, ("unknown_vehicle", c)))
             continue
         if p not in n.points:
-            add(RuleId.WF, "unknown_point", c, p)
+            found.setdefault((RuleId.WF, ("unknown_point", c, p)))
             continue
         rid = road_of[c]
         if rid is not None and p not in n.points_of_road(rid):
-            add(RuleId.WF, "unsupported_lonpr", c, p)
+            found.setdefault((RuleId.WF, ("unsupported_lonpr", c, p)))
 
     # point-cover exclusivity: two vehicles may not cover the same point
     # while both occupy lanes the point lies on
@@ -237,7 +234,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
             c for c in vehicles if scene.prel_of(c, p) is C and (scene.occ_of(c) & plane)
         ]
         for x, y in combinations(coverers, 2):
-            add(RuleId.PR11, x, y, p)
+            found.setdefault((RuleId.PR11, (x, y, p)))
 
     # per-lane point order vs one vehicle's relations; mixed transitivity
     for c in vehicles:
@@ -247,7 +244,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
         for l in n.road(rid).lanes:
             for p1, p2 in sorted(n.lane_order_pairs(l)):
                 if (scene.prel_of(c, p1), scene.prel_of(c, p2)) in ORDER_FORBIDDEN:
-                    add(RuleId.PR14_TRANS, c, p1, p2)
+                    found.setdefault((RuleId.PR14_TRANS, (c, p1, p2)))
     for x, y in permutations(vehicles, 2):
         rx, ry = road_of[x], road_of[y]
         if rx is None or rx != ry:
@@ -258,7 +255,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
         for p in sorted(n.points_of_road(rx)):
             px, py = scene.prel_of(x, p), scene.prel_of(y, p)
             if (vxy, py, px) in MIXED_FORBIDDEN:
-                add(RuleId.PR14_TRANS, x, y, p)
+                found.setdefault((RuleId.PR14_TRANS, (x, y, p)))
 
     # overlap windows, per window: support, copy and head-on exclusion
     # (PR13), and relation triangles (PR14_TRANS); the generator makes the
@@ -271,23 +268,23 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
             if scene.orel.get((x, y)) not in window_values(z, rx, ry, carried, scene.vrel_of(x, y)) or (
                 scene.orel.get((y, x)) not in window_values(z, ry, rx, carried, scene.vrel_of(y, x))
             ):
-                add(RuleId.PR13, x, y)
+                found.setdefault((RuleId.PR13, (x, y)))
         for tri in window_breaks(z, road_of, members, scene.orel):
-            add(RuleId.PR14_TRANS, *tri)
+            found.setdefault((RuleId.PR14_TRANS, tri))
 
     for (x, y), v in scene.orel.items():
         if x == y:
-            add(RuleId.WF, "self_relation", x)
+            found.setdefault((RuleId.WF, ("self_relation", x)))
             continue
         if x not in vset or y not in vset:
-            add(RuleId.WF, "unknown_vehicle", x if x not in vset else y)
+            found.setdefault((RuleId.WF, ("unknown_vehicle", x if x not in vset else y)))
             continue
         zs = held.get((x, y) if x < y else (y, x))
         if zs is None:
-            add(RuleId.WF, "unsupported_lonro", x, y)
+            found.setdefault((RuleId.WF, ("unsupported_lonro", x, y)))
             continue
         if scene.orel.get((y, x)) is not zs[0].mirror(road_of[x], road_of[y], v):
-            add(RuleId.PR14_SYM, *sorted((x, y)))
+            found.setdefault((RuleId.PR14_SYM, tuple(sorted((x, y)))))
     return [Violation(rule, step, witnesses) for rule, witnesses in found]
 
 
@@ -391,33 +388,30 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
     """
     found: dict[tuple[RuleId, tuple[str, ...]], None] = {}
 
-    def add(rule: RuleId, *witnesses: str) -> None:
-        found.setdefault((rule, witnesses))
-
     if prev == next_:
-        add(RuleId.WF, "stutter")
+        found.setdefault((RuleId.WF, ("stutter",)))
 
     vehicles = sorted(set(prev.occ) | set(next_.occ))
     for x, y in combinations(vehicles, 2):
         if not vrel_step_ok(prev, x, y, next_.vrel_of(x, y)):
-            add(RuleId.PR4, x, y)
+            found.setdefault((RuleId.PR4, (x, y)))
     road_p = {c: n.road_of(prev.occ_of(c)) for c in vehicles}
     road_n = {c: n.road_of(next_.occ_of(c)) for c in vehicles}
     for c in vehicles:
         if not occ_step_ok(prev, c, next_.occ_of(c), road_p[c], road_n[c], n):
-            add(RuleId.PR7, c)
+            found.setdefault((RuleId.PR7, (c,)))
     for c, p in sorted(set(prev.prel) | set(next_.prel)):
         if not prel_step_ok(prev, c, p, next_.prel_of(c, p)):
-            add(RuleId.PR9, c, p)
+            found.setdefault((RuleId.PR9, (c, p)))
     for c in vehicles:
         for l1, p in covered_connections(prev, c, n):
             if not connection_step_ok(l1, p, next_.occ_of(c), next_.prel_of(c, p), n):
-                add(RuleId.PR12, c, p)
+                found.setdefault((RuleId.PR12, (c, p)))
     before, after = n.window_members(road_p, prev.prel)[0], n.window_members(road_n, next_.prel)[0]
     for (z, inside_p), (_, inside_n) in zip(before, after):
         for x, y in combinations([c for c in inside_p if c in inside_n], 2):
             if not window_step_ok(prev, z, x, y, road_p[x], road_p[y], road_n[x], next_.orel.get((x, y))):
-                add(RuleId.PR14_CONT, x, y)
+                found.setdefault((RuleId.PR14_CONT, (x, y)))
     return [Violation(rule, step, witnesses, step2=step + 1) for rule, witnesses in found]
 
 

@@ -323,25 +323,9 @@ class TestScene:
         assert s.vrel[("c2", "c1")] is A
 
     def test_unpickled_scene_hashes_like_a_local_one(self):
-        # a scene pickled by another process, under another string-hash seed
-        code = (
-            "import pickle, sys\n"
-            "from trafficlogic.domain import LonRel, Scene\n"
-            "s = Scene.build({'c1': ['l1'], 'c2': ['l1']}, vrel={('c1', 'c2'): LonRel.BEHIND})\n"
-            "sys.stdout.buffer.write(pickle.dumps(s))\n"
-        )
-        src = str(pathlib.Path(trafficlogic.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
-        local = Scene.build({"c1": ["l1"], "c2": ["l1"]}, vrel={("c1", "c2"): B})
-        remote = pickle.loads(out.stdout)
-        assert remote == local
-        assert hash(remote) == hash(local)
-        assert len({remote, local}) == 1
-
-    def test_scene_pickled_here_finds_its_twin_in_another_process(self):
-        # the other way round: pickled in this process, loaded under another string-hash seed
-        scene = Scene.build(
+        # a scene pickled in one process and loaded in another, under another
+        # string-hash seed, both ways: here to a child process and back
+        local = Scene.build(
             {"c1": ["l1"], "c2": ["l1"]}, vrel={("c1", "c2"): B}, prel={("c1", "p"): C}, orel={("c1", "c2"): A}
         )
         code = (
@@ -350,14 +334,19 @@ class TestScene:
             "twin = Scene.build({'c1': ['l1'], 'c2': ['l1']}, vrel={('c1', 'c2'): R.BEHIND},\n"
             "                   prel={('c1', 'p'): R.COVER}, orel={('c1', 'c2'): R.AHEAD})\n"
             "s = pickle.loads(sys.stdin.buffer.read())\n"
-            "print(s == twin, hash(s) == hash(twin), {twin: 'found'}.get(s))\n"
+            "print(s == twin, hash(s) == hash(twin), {twin: 'found'}.get(s), pickle.dumps(twin).hex())\n"
         )
         src = str(pathlib.Path(trafficlogic.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="54321")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
         out = subprocess.run(
-            [sys.executable, "-c", code], input=pickle.dumps(scene), env=env, capture_output=True, check=True
+            [sys.executable, "-c", code], input=pickle.dumps(local), env=env, capture_output=True, check=True
         )
-        assert out.stdout.split() == [b"True", b"True", b"found"]
+        *verdicts, sent = out.stdout.split()
+        assert verdicts == [b"True", b"True", b"found"]
+        remote = pickle.loads(bytes.fromhex(sent.decode()))
+        assert remote == local
+        assert hash(remote) == hash(local)
+        assert len({remote, local}) == 1
 
 
 class TestScenario:

@@ -34,7 +34,15 @@ from trafficlogic.facts import ParseError
 from trafficlogic.reasoner import _gen_successors, _goal_pins, expand, parse_request
 
 from test_generator_soundness import requests
-from test_successors import FAMILIES, TWO_WINDOWS, WINDOW_HOP, chain_request, dense_request, window_request
+from test_successors import (
+    FAMILIES,
+    TWO_WINDOWS,
+    WINDOW_EXIT,
+    WINDOW_HOP,
+    chain_request,
+    dense_request,
+    window_request,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 #: the values a goal ``lonpr`` atom pins its slot to (see `reasoner._goal_pins`)
@@ -111,6 +119,7 @@ ORDERED = {
     "window-opposed-h5": (_horizon(window_request("poe", "pos"), "#horizon 5\n"), 302, 68, 1),
     "two-windows-h4": (_horizon(TWO_WINDOWS, "#horizon 4\n"), 1934, 259, 0),
     "window-hop-h4": (_horizon(WINDOW_HOP, "#horizon 4\n"), 46, 36, 0),
+    "window-exit-h4": (_horizon(WINDOW_EXIT, "#horizon 4\n"), 15, 15, 2),
 }
 
 

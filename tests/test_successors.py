@@ -19,8 +19,9 @@ successor tuple, order included, on every scene of these families:
   reachable scene;
 * two single-lane roads sharing an overlap window, opposed or running the
   same way, with one vehicle on each; a same-way pair joined inside the
-  window by a connection; and two roads sharing a same-way and an opposed
-  window at once: every reachable scene.
+  window by a connection; an opposed pair, one of which leaves the window
+  through a connection onto a road that does not carry it; and two roads
+  sharing a same-way and an opposed window at once: every reachable scene.
 
 Each family is explored with one scene map shared across all its scenes,
 as `expand` shares it, so a candidate reached from several scenes is built
@@ -102,6 +103,20 @@ WINDOW_HOP = (
     "lonpr(c2, pos, ahead).\nlonpr(c2, pc, ahead).\nlonpr(c2, poe, behind).\n"
     "lonro(c1, c2, behind).\nlonro(c2, c1, ahead).\n#horizon 2\n"
 )
+#: roads ra and rb are opposed through one window, and connection pc inside
+#: it leads from ra onto rc, which does not carry the window; c1 on ra covers
+#: pc and c2 on rb is inside the window.  When c1 hops onto rc the pair
+#: leaves the window, so PR14_CONT has nothing to judge on that road.
+WINDOW_EXIT = (
+    "lane(l1, ra).\nlane(l2, rb).\nlane(l3, rc).\nclass(pos, os).\nclass(poe, oe).\nclass(pc, c).\n"
+    "pon(pos, l1).\npon(poe, l1).\npon(pos, l2).\npon(poe, l2).\noverlap(pos, poe).\n"
+    "pon(pc, l1).\npon(pc, l3).\nsuccl(pc, l3).\n"
+    "succp(l1, pos, pc).\nsuccp(l1, pc, poe).\nsuccp(l2, poe, pos).\n"
+    "#init\non(c1, l1).\non(c2, l2).\n"
+    "lonpr(c1, pos, ahead).\nlonpr(c1, pc, cover).\nlonpr(c1, poe, behind).\n"
+    "lonpr(c2, pos, behind).\nlonpr(c2, poe, ahead).\n"
+    "lonro(c1, c2, behind).\nlonro(c2, c1, behind).\n#horizon 2\n"
+)
 #: roads ra and rb share two interleaved windows: they run the same way
 #: through (p1s, p1e) and opposed through (p2s, p2e), and a vehicle can be
 #: inside both.  No cover between two such vehicles on the windows' lanes
@@ -166,6 +181,7 @@ FAMILIES = [(p.stem, p.read_text(), None) for p in sorted(DATA.glob("*.req"))] +
     ("window-opposed", window_request("poe", "pos"), None),
     ("window-same-way", window_request("pos", "poe"), None),
     ("window-hop", WINDOW_HOP, None),
+    ("window-exit", WINDOW_EXIT, None),
     ("two-windows", TWO_WINDOWS, None),
 ]
 
