@@ -756,7 +756,7 @@ def _relations(
 
     for v in vehicles:
         ref, _, rng = placement[v]
-        for pid in sorted(n.points_of_road(road_of[v])):
+        for pid in n.sorted_points_of_road(road_of[v]):
             s_p = _point_s_on(abst, pid, ref, projected)
             prel[(v, pid)] = lon_rel_of_ranges(rng, SRange(s_p, s_p))
 

@@ -171,6 +171,7 @@ class RoadNetwork:
         "_lane_index",
         "_points_of_lane",
         "_points_of_road",
+        "_sorted_points_of_road",
         "_lanes_of_point",
         "_succ_lanes",
         "_order_by_lane",
@@ -240,6 +241,7 @@ class RoadNetwork:
                             closure.add((a, d))
                             changed = True
             self._order_by_lane[l] = frozenset(closure)
+        self._sorted_points_of_road = {rid: tuple(sorted(ps)) for rid, ps in self._points_of_road.items()}
         self._connections_by_lane = {
             l: tuple(sorted(p for p in ps if self.points.get(p) is PointKind.CONNECTION))
             for l, ps in self._points_of_lane.items()
@@ -307,6 +309,10 @@ class RoadNetwork:
     def points_of_road(self, road_id: str) -> frozenset[str]:
         return self._points_of_road.get(road_id, frozenset())
 
+    def sorted_points_of_road(self, road_id: Optional[str]) -> tuple[str, ...]:
+        """`points_of_road` in sorted order; empty for None."""
+        return self._sorted_points_of_road.get(road_id, ())
+
     def lanes_of_point(self, p: str) -> frozenset[str]:
         return self._lanes_of_point.get(p, frozenset())
 
@@ -334,6 +340,8 @@ class RoadNetwork:
         order, and per pair ``(x, y)``, ``x`` first in that order, the
         windows holding both; the first relates the pair (`OverlapZone.mirror`).
         """
+        if not self._zones:
+            return [], {}
         inside = [(z, [c for c, rid in road_of.items() if z.holds_inside(rid, c, prel)]) for z in self._zones]
         held: dict[tuple[str, str], list[OverlapZone]] = {}
         for z, members in inside:

@@ -11,8 +11,11 @@ optionally filtered by a final-scene goal.  Two modes:
 The search is layered, as in bounded model checking: a forward pass
 builds one layer of distinct scenes per step, sharing one successor memo
 across every depth, and stops at the last layer (``horizon`` scenes, or in
-shortest mode the first layer holding an acceptable final scene).  A
-backward pass keeps the (scene, depth) pairs that can still reach an
+shortest mode the first layer holding an acceptable final scene).  In
+shortest mode a scene sits in one layer only, the first that reaches it,
+since no shortest scenario meets a scene later than that (see `expand`);
+so the forward pass is linear in the scenes, not in (scene, depth) pairs.
+A backward pass keeps the (scene, depth) pairs that can still reach an
 acceptable final scene, and an iterative depth-first walk enumerates paths
 through those pairs only, so the work is proportional to the output.  The
 walk takes each live scene's live successors in the order of their scene
@@ -169,7 +172,9 @@ class ExpansionRequest:
 
 @dataclass
 class Stats:
-    nodes: int = 0  # distinct (scene, depth) pairs the forward pass reached
+    #: the (scene, depth) pairs the forward pass reached; in shortest mode a
+    #: scene has one depth, the first it is reached at, so this counts scenes
+    nodes: int = 0
     pruned: int = 0  # of those, the pairs no acceptable final scene is reachable from
     wall_time_s: float = 0.0
 
@@ -475,7 +480,7 @@ def _occ_moves(
         if not occ_step_ok(scene, c, ls, road, rid, n):
             continue
         slots: dict[str, tuple[LonRel, ...]] = {}
-        for p in sorted(n.points_of_road(rid)):
+        for p in n.sorted_points_of_road(rid):
             vals = prel_moves.get(p)
             if vals is None:
                 pin = prel_pins.get((c, p), _ALL3)
@@ -600,6 +605,16 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
 
     Generation is sequential, in this process.  ``workers`` is accepted for
     callers that pass a worker count and changes nothing.
+
+    In shortest mode, layer d keeps only the scenes first reached in d
+    steps.  This loses no scenario: let T* steps be the shortest that reach
+    an acceptable final scene, and let a scenario of T* steps meet scene s
+    after d of them.  If some path reached s in d' < d steps, it would go on
+    along the scenario's last T* − d steps to an acceptable scene in
+    d' + T* − d < T* steps, and the forward pass would have stopped there.
+    So every scene of a shortest scenario sits at its first depth, and the
+    backward pass and the walk see the same live pairs as without the
+    filter.  Exact mode keeps every (scene, depth) pair.
     """
     t0 = time.monotonic()
     net = req.network
@@ -614,9 +629,8 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
         raise RequestError(
             "initial scene violates rules: " + "; ".join(sorted(v.render() for v in bad))
         )
-    final_stable = req.final_stable
-    if final_stable is None:
-        final_stable = req.mode == "shortest"
+    shortest = req.mode == "shortest"
+    final_stable = shortest if req.final_stable is None else req.final_stable
     # the initial scene, checked above, enters the map as the first parent
     gen = partial(_gen_successors, n=net, frozen=req.frozen, prel_pins=_goal_pins(req.goal, net), interned={})
 
@@ -625,16 +639,19 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
             return False
         return not final_stable or all(len(ls) == 1 for ls in scene.occ.values())
 
-    # forward: layer d holds the distinct scenes reachable in exactly d steps
+    # forward: layer d holds the distinct scenes reachable in exactly d steps;
+    # in shortest mode, only those not reachable in fewer (see above): the
+    # scenes not expanded yet
     memo: dict[Scene, tuple[Scene, ...]] = {}
     layers = [[req.initial]]
     while layers[-1] and len(layers) < req.horizon:
         layer = layers[-1]
-        if req.mode == "shortest" and any(accept(s) for s in layer):
+        if shortest and any(accept(s) for s in layer):
             break
         todo = [s for s in layer if s not in memo]
         memo.update(zip(todo, map(gen, todo)))
-        layers.append(list(dict.fromkeys(nxt for s in layer for nxt in memo[s])))
+        reached = dict.fromkeys(nxt for s in layer for nxt in memo[s])
+        layers.append([t for t in reached if not (shortest and t in memo)])
 
     # backward: keep the pairs that still reach an acceptable final scene
     live = [{s for s in layers[-1] if accept(s)}]

@@ -212,7 +212,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
         rid = road_of[c]
         if rid is None:
             continue
-        for p in sorted(n.points_of_road(rid)):
+        for p in n.sorted_points_of_road(rid):
             if scene.prel_of(c, p) is N:
                 found.setdefault((RuleId.PR10, (c, p)))
     for (c, p), v in scene.prel.items():
@@ -252,7 +252,7 @@ def check_scene(scene: Scene, n: RoadNetwork, step: int = 1) -> list[Violation]:
         vxy = scene.vrel_of(x, y)
         if vxy is N:
             continue
-        for p in sorted(n.points_of_road(rx)):
+        for p in n.sorted_points_of_road(rx):
             px, py = scene.prel_of(x, p), scene.prel_of(y, p)
             if (vxy, py, px) in MIXED_FORBIDDEN:
                 found.setdefault((RuleId.PR14_TRANS, (x, y, p)))

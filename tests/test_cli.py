@@ -87,7 +87,7 @@ class TestGenerate:
         out = tmp_path / "r.result"
         assert main(["generate", data("ex1_overtake.req"), "--out", str(out)]) == OK
         err = capsys.readouterr().err.strip()
-        assert err.startswith("scenarios: 4 (mode=shortest, T*=4, nodes=33, pruned=")
+        assert err.startswith("scenarios: 4 (mode=shortest, T*=4, nodes=18, pruned=")
         assert err.endswith("s)")
 
     def test_mode_and_horizon_overrides(self, tmp_path, capsys):

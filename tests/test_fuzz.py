@@ -23,6 +23,7 @@ import xml.etree.ElementTree as ET
 from typing import Optional
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import stepwise_violations
@@ -85,17 +86,28 @@ def test_abstract_fuzzed_traces_exit_0_or_2(rows):
 
 
 OPPOSING_NET = DATA / "ex5_opposing_pass.net"
-_opposing = expand(parse_request((DATA / "ex5_opposing_pass.req").read_text()))
-OPPOSING_LINES = facts.render_result(_opposing.scenarios, _opposing.texts).splitlines()
 RELATION = st.sampled_from(["ahead", "cover", "behind", "none"])
 UNKNOWN_ID = st.sampled_from(["c9", "l9", "p9", "zz"])
 COMMENT = st.sampled_from(["% note", "%", "  % indented note"])
 
 
+@pytest.fixture(scope="module")
+def opposing_result() -> str:
+    """The ex5_opposing_pass result file; a generator fault fails only the tests that use it."""
+    res = expand(parse_request((DATA / "ex5_opposing_pass.req").read_text()))
+    return facts.render_result(res.scenarios, res.texts)
+
+
+@pytest.fixture(scope="module")
+def opposing_first(opposing_result) -> str:
+    """The first scenario of `opposing_result`."""
+    return opposing_result[: opposing_result.index("#scenario 2")]
+
+
 @st.composite
-def mutated_results(draw) -> list[str]:
+def mutated_results(draw, result: str) -> list[str]:
     """The ex5_opposing_pass result, or its first scenario, with a few lines edited."""
-    lines = list(OPPOSING_LINES)
+    lines = result.splitlines()
     if draw(st.booleans()):
         lines = lines[: lines.index("#scenario 2")]
     for _ in range(draw(st.integers(1, 5))):
@@ -142,9 +154,9 @@ def _assert_stepwise_report(code: int, out: str, result_text: str, net_text: str
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(mutated_results())
-def test_check_and_export_fuzzed_results(lines):
-    text = "\n".join(lines) + "\n"
+@given(data=st.data())
+def test_check_and_export_fuzzed_results(opposing_result, data):
+    text = "\n".join(data.draw(mutated_results(opposing_result))) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         result = pathlib.Path(tmp) / "opposing.result"
         result.write_text(text)
@@ -251,7 +263,6 @@ def test_ingest_fuzzed_maps(xodr):
 
 
 NETWORK_LINES = OPPOSING_NET.read_text().splitlines()
-OPPOSING_RESULT = "\n".join(OPPOSING_LINES) + "\n"
 NETWORK_ID = st.sampled_from(["l1", "l2", "l3", "ra", "rb", "pos", "poe", "c1", "zz", "x", "c"])
 NETWORK_NAME = st.sampled_from(
     ["lane", "left", "class", "pon", "succp", "succl", "overlap", "vehicle", "lanes", "on"]
@@ -316,13 +327,13 @@ def _network_defects(net_text: str) -> Optional[list[str]]:
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(mutated_networks())
-def test_check_fuzzed_networks(lines):
+@given(lines=mutated_networks())
+def test_check_fuzzed_networks(opposing_result, lines):
     net_text = "\n".join(lines) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         result = pathlib.Path(tmp) / "opposing.result"
         net = pathlib.Path(tmp) / "opposing.net"
-        result.write_text(OPPOSING_RESULT)
+        result.write_text(opposing_result)
         net.write_text(net_text)
         code, out = _run(["check", str(result), str(net)])
         assert code in (0, 1, 2, 3)
@@ -331,7 +342,7 @@ def test_check_fuzzed_networks(lines):
             assert code == 2
         if code in (0, 1):
             assert defects == []
-            _assert_stepwise_report(code, out, OPPOSING_RESULT, net_text)
+            _assert_stepwise_report(code, out, opposing_result, net_text)
 
 
 REQUESTS = {path.name: path.read_text().splitlines() for path in sorted(DATA.glob("*.req"))}
@@ -365,7 +376,6 @@ def test_generate_fuzzed_requests(lines):
                 assert check_scenario(sc, verdicts) == []
 
 
-OPPOSING_FIRST = "\n".join(OPPOSING_LINES[: OPPOSING_LINES.index("#scenario 2")]) + "\n"
 ODD_COORD = st.sampled_from(["nan", "inf", "-inf", "1e999", "abc", ""])
 FINITE_COORD = st.floats(-1e6, 1e6).map(repr)
 
@@ -385,13 +395,13 @@ def coords_sidecars(draw) -> str:
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(coords_sidecars())
-def test_export_fuzzed_coords(coords):
+@given(coords=coords_sidecars())
+def test_export_fuzzed_coords(opposing_first, coords):
     with tempfile.TemporaryDirectory() as tmp:
         scenario = pathlib.Path(tmp) / "first.scenario"
         sidecar = pathlib.Path(tmp) / "fuzz.coords"
         osc = pathlib.Path(tmp) / "first.osc"
-        scenario.write_text(OPPOSING_FIRST)
+        scenario.write_text(opposing_first)
         sidecar.write_text(coords)
         argv = ["export", str(scenario), str(OPPOSING_NET), "--coords", str(sidecar)]
         code, _ = _run(argv + ["--out", str(osc)])

@@ -110,12 +110,12 @@ def _horizon(text: str, directives: str) -> str:
 ORDERED = {
     "dense-3v-2l-h4": (_horizon(dense_request(2, (1, 2, 1)), "#horizon 4\n"), 6842, 241, 0),
     "dense-4v-2l-h3": (_horizon(dense_request(2, (1, 2, 1, 2)), "#horizon 3\n"), 3190, 433, 0),
-    "ex1_overtake": ((DATA / "ex1_overtake.req").read_text(), 4, 33, 25),
-    "ex2_crossing": ((DATA / "ex2_crossing.req").read_text(), 2, 10, 4),
+    "ex1_overtake": ((DATA / "ex1_overtake.req").read_text(), 4, 18, 10),
+    "ex2_crossing": ((DATA / "ex2_crossing.req").read_text(), 2, 8, 2),
     "ex3_branching": ((DATA / "ex3_branching.req").read_text(), 3, 5, 0),
     "ex4_two_crossings": ((DATA / "ex4_two_crossings.req").read_text(), 2, 10, 4),
-    "ex5_opposing_pass": ((DATA / "ex5_opposing_pass.req").read_text(), 2, 90, 80),
-    "chain-shortest": (_horizon(chain_request(), "#horizon 8\n#mode shortest\n#goal on(c1, l3)\n"), 5, 48, 35),
+    "ex5_opposing_pass": ((DATA / "ex5_opposing_pass.req").read_text(), 2, 29, 19),
+    "chain-shortest": (_horizon(chain_request(), "#horizon 8\n#mode shortest\n#goal on(c1, l3)\n"), 5, 28, 15),
     "window-opposed-h5": (_horizon(window_request("poe", "pos"), "#horizon 5\n"), 302, 68, 1),
     "two-windows-h4": (_horizon(TWO_WINDOWS, "#horizon 4\n"), 1934, 259, 0),
     "window-hop-h4": (_horizon(WINDOW_HOP, "#horizon 4\n"), 46, 36, 0),
