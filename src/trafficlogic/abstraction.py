@@ -712,12 +712,12 @@ def abstract_trace(
             orel[(a, b)] = val
             orel[(b, a)] = z.mirror(road_of[a], road_of[b], val)
         raw = ({v: placement[v][1] for v in vehicles}, vrel, prel, orel)
-        if raw == last:  # the same scene as the last one kept
+        # `Scene.build` is one-to-one on these maps (pairs x < y in vrel, no
+        # NONE value, no empty occupancy): only equal maps give the same scene
+        if raw == last:
             continue
         last = raw
-        scene = Scene.build(*raw)
-        if not collapsed or scene != collapsed[-1]:
-            collapsed.append(scene)
+        collapsed.append(Scene.build(*raw))
     return Scenario(frozenset(vehicles), n, tuple(collapsed))
 
 

@@ -206,8 +206,6 @@ class RoadNetwork:
             for i, l in enumerate(r.lanes):
                 self._lane_road[l] = r.id
                 self._lane_index[l] = i
-        self._points_of_lane: dict[str, frozenset[str]] = {}
-        self._lanes_of_point: dict[str, frozenset[str]] = {}
         by_lane: dict[str, set[str]] = {}
         by_point: dict[str, set[str]] = {}
         for p, l in self.affiliation:

@@ -28,8 +28,9 @@ distinct blocks plus the header lines.
 from __future__ import annotations
 
 import re
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from trafficlogic.domain import (
     ID_RE,
@@ -297,34 +298,31 @@ def scene_atom_lines(scene: Scene) -> list[str]:
     return sorted(out)
 
 
-def render_scenario(sc: Scenario, scene_text: Optional[dict[Scene, str]] = None) -> str:
-    """``#step <k>`` blocks of canonical atom lines, one per scene.
+def scene_block(scene: Scene) -> str:
+    """A scene's block: its `scene_atom_lines`, each ending in a line break."""
+    return "".join(line + "\n" for line in scene_atom_lines(scene))
 
-    ``scene_text`` caches each scene's atom lines: pass one dict to render
-    many scenarios that share scenes, and each scene is formatted once.
+
+def render_scenario(sc: Scenario, block: Callable[[Scene], str] = scene_block) -> str:
+    """``#step <k>`` and the scene's block (`scene_block`), for each scene in order.
+
+    ``block`` renders each block: pass one ``functools.cache(scene_block)``
+    to render many scenarios that share scenes, and each scene is formatted
+    once.
     """
-    if scene_text is None:
-        scene_text = {}
-    blocks = []
-    for k, scene in enumerate(sc.scenes, start=1):
-        blocks.append(f"#step {k}")
-        text = scene_text.get(scene)
-        if text is None:
-            text = scene_text[scene] = "\n".join(scene_atom_lines(scene))
-        if text:
-            blocks.append(text)
-    return "\n".join(blocks) + "\n"
+    return "".join(f"#step {k}\n{block(scene)}" for k, scene in enumerate(sc.scenes, start=1))
 
 
 def render_result(scenarios: Sequence[Scenario], texts: Optional[Sequence[str]] = None) -> str:
     """Concatenated scenario renderings with ``#scenario <n>`` separators.
 
     ``texts``, when given, are the scenarios' ``render_scenario`` output,
-    already made (``reasoner.ExpansionResult.texts``).
+    already made (``reasoner.ExpansionResult.texts``); otherwise each
+    distinct scene's block is rendered once.
     """
     if texts is None:
-        scene_text: dict[Scene, str] = {}
-        texts = [render_scenario(sc, scene_text) for sc in scenarios]
+        block = cache(scene_block)
+        texts = [render_scenario(sc, block) for sc in scenarios]
     parts = []
     for i, text in enumerate(texts, start=1):
         parts += (f"#scenario {i}\n", text)

@@ -15,12 +15,13 @@ shortest mode the first layer holding an acceptable final scene).  In
 shortest mode a scene sits in one layer only, the first that reaches it,
 since no shortest scenario meets a scene later than that (see `expand`);
 so the forward pass is linear in the scenes, not in (scene, depth) pairs.
-A backward pass keeps the (scene, depth) pairs that can still reach an
-acceptable final scene, and an iterative depth-first walk enumerates paths
-through those pairs only, so the work is proportional to the output.  The
-walk takes each live scene's live successors in the order of their scene
-texts, so the scenarios come out in canonical order (sorted by text)
-without a global sort, and each text is its parent's prefix plus one step.
+One backward sweep builds the live graph: each (scene, depth) pair that
+can still reach an acceptable final scene gets one entry, which holds its
+``#step`` text and its live successors' entries in the order of their
+scene blocks (`facts.scene_block`).  An iterative depth-first walk follows
+these entries only, so the work is proportional to the output, the
+scenarios come out in canonical order (sorted by text) without a global
+sort, and each text is its parent's prefix plus one entry's text.
 
 Successor scenes are generated constructively: each relation slot gets
 its candidate one-step moves, and the slots are assigned in a fixed order
@@ -77,7 +78,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import permutations, product
 from typing import Mapping, Optional
 
@@ -95,7 +96,7 @@ from trafficlogic.facts import (
     parse_atom,
     parse_scene_atom,
     render_scenario,
-    scene_atom_lines,
+    scene_block,
     scene_from_atoms,
     strip_comment,
 )
@@ -183,7 +184,8 @@ class Stats:
 class ExpansionResult:
     scenarios: tuple[Scenario, ...]
     stats: Stats
-    #: ``facts.render_scenario`` of each scenario, in the same order
+    #: ``facts.render_scenario`` of each scenario, in the same order, joined
+    #: from the live graph's entry texts
     texts: tuple[str, ...]
 
     @property
@@ -559,44 +561,29 @@ def _goal_pins(goal: Optional[Goal], net: RoadNetwork) -> dict[tuple[str, str], 
 # -- search --------------------------------------------------------------------
 
 
-def _live_scenarios(req: ExpansionRequest, memo, live) -> tuple[list[Scenario], list[str]]:
-    """Every scenario through live (scene, depth) pairs, and its text, in canonical order.
+def _live_scenarios(req: ExpansionRequest, first) -> tuple[list[Scenario], list[str]]:
+    """Every scenario through the live graph, and its text, in canonical order.
 
+    ``first`` maps each live scene at depth 0 to its entry (see `expand`).
     The canonical order sorts scenarios by text (`facts.render_scenario`).
-    Every scenario here has ``len(live)`` steps, and when one scene's text
-    is a prefix of another's, the longer goes on with a line break and an
+    Every scenario here has as many steps as the graph has depths, and when
+    one scene's block is a prefix of another's, the longer goes on with an
     atom where the shorter's scenario goes on with ``#step`` or ends.  So
-    two scenarios compare as the texts of their first differing scenes,
-    and a depth-first walk that takes each live scene's live successors in
-    text order meets the scenarios in canonical order.
+    two scenarios compare as the blocks of their first differing scenes,
+    and a depth-first walk that takes each entry's successors in order
+    meets the scenarios in canonical order.  A text concatenates its
+    entries' texts.
     """
-    blocks: dict[Scene, str] = {}
-
-    def block(s: Scene) -> str:
-        text = blocks.get(s)
-        if text is None:
-            text = blocks[s] = "".join(line + "\n" for line in scene_atom_lines(s))
-        return text
-
-    last = len(live) - 1
-    # each live (scene, depth) pair's live successors in text order, each
-    # with its step block
-    kids = [
-        {s: [(t, f"#step {d + 2}\n{block(t)}") for t in sorted(live[d + 1].intersection(memo[s]), key=block)]
-         for s in live[d]}
-        for d in range(last)
-    ]
     scenarios, texts = [], []
-    root = req.initial
-    todo = [((root,), f"#step 1\n{block(root)}")] if root in live[0] else []
+    todo = [((s,), step, kids) for s, step, kids in first.values()]
     while todo:
-        path, text = todo.pop()
-        if len(path) > last:
+        path, text, kids = todo.pop()
+        if kids:
+            # pushed last to first, so popped in text order
+            todo.extend(((*path, t), text + step, after) for t, step, after in reversed(kids))
+        else:  # only the last depth's entries have no successors
             scenarios.append(Scenario(req.vehicles, req.network, path))
             texts.append(text)
-        else:
-            # pushed last to first, so popped in text order
-            todo.extend(((*path, t), text + step) for t, step in reversed(kids[len(path) - 1][path[-1]]))
     return scenarios, texts
 
 
@@ -615,6 +602,12 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
     So every scene of a shortest scenario sits at its first depth, and the
     backward pass and the walk see the same live pairs as without the
     filter.  Exact mode keeps every (scene, depth) pair.
+
+    The backward pass builds the live graph in one sweep, from the last
+    depth down.  Each (scene, depth) pair that reaches an acceptable final
+    scene gets one entry: the scene, its ``#step`` text, and its live
+    successors' entries sorted by block (`facts.scene_block`, rendered once
+    per scene).  ``Stats.pruned`` counts the pairs without an entry.
     """
     t0 = time.monotonic()
     net = req.network
@@ -653,15 +646,19 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
         reached = dict.fromkeys(nxt for s in layer for nxt in memo[s])
         layers.append([t for t in reached if not (shortest and t in memo)])
 
-    # backward: keep the pairs that still reach an acceptable final scene
-    live = [{s for s in layers[-1] if accept(s)}]
-    for layer in reversed(layers[:-1]):
-        ahead = live[-1]
-        live.append({s for s in layer if any(nxt in ahead for nxt in memo[s])})
+    # backward: the entry of each pair that still reaches an acceptable final scene
+    block = cache(scene_block)
+    live = [{s: (s, f"#step {len(layers)}\n{block(s)}", ()) for s in layers[-1] if accept(s)}]
+    for d in range(len(layers) - 1, 0, -1):
+        ahead, entries = live[-1], {}
+        for s in layers[d - 1]:
+            if kids := [ahead[t] for t in memo[s] if t in ahead]:
+                entries[s] = (s, f"#step {d}\n{block(s)}", sorted(kids, key=lambda kid: block(kid[0])))
+        live.append(entries)
     live.reverse()
 
     nodes = sum(map(len, layers))
-    scenarios, texts = _live_scenarios(req, memo, live)
+    scenarios, texts = _live_scenarios(req, live[0])
     stats = Stats(nodes, nodes - sum(map(len, live)), time.monotonic() - t0)
     return ExpansionResult(tuple(scenarios), stats, tuple(texts))
 

@@ -192,6 +192,23 @@ class TestScenarioFiles:
         assert len(back) == 2
         assert facts.render_result(back) == text
 
+    def test_scene_without_atoms_renders_an_empty_block(self):
+        """A scene with no atoms is its ``#step`` line alone, and round-trips."""
+        net, _ = facts.parse_network(NETWORK)
+        first, last = self._scenario(net).scenes
+        empty = facts.scene_from_atoms([], vehicles=("c1",), net=net)
+        sc = Scenario(frozenset({"c1"}), net, (first, empty, last))
+        text = facts.render_scenario(sc)
+        assert text == (
+            "#step 1\nlonpr(c1,poe,behind).\nlonpr(c1,pos,behind).\non(c1,l1).\n"
+            "#step 2\n#step 3\nlonpr(c1,poe,behind).\nlonpr(c1,pos,cover).\non(c1,l1).\n"
+        )
+        result = facts.render_result([sc])
+        assert result == "#scenario 1\n" + text
+        (back,) = facts.parse_scenarios(result, net)
+        assert back.scenes == sc.scenes
+        assert facts.render_result([back]) == result
+
     def test_atoms_sorted_canonically_per_step(self):
         net, _ = facts.parse_network(NETWORK)
         text = facts.render_scenario(self._scenario(net))

@@ -6,7 +6,9 @@ to one owner; this test keeps such imports from coming back.  Window
 membership has one owner too: only `domain` asks a window whether it holds
 a vehicle, and every other module reads `RoadNetwork.window_members`.  So
 does the composition table: only `rules` reads `COMPOSITION`, and the
-generator's vehicle triangles come from `rules.triangle_rule`.
+generator's vehicle triangles come from `rules.triangle_rule`.  A scene's
+block has one renderer: only `facts` reads `scene_atom_lines`, and every
+other module renders through `facts.scene_block`.
 """
 
 from __future__ import annotations
@@ -93,3 +95,30 @@ def test_the_check_sees_a_composition_read(tmp_path):
         "ok = v in rules.COMPOSITION[a, b]\nCOMPOSITIONS = {}\n"
     )
     assert _composition_reads(probe) == ["probe.py:1", "probe.py:4"]
+
+
+def _atom_line_reads(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "scene_atom_lines")
+        or (isinstance(node, ast.Attribute) and node.attr == "scene_atom_lines")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "scene_atom_lines" for a in node.names))
+    ]
+
+
+def test_only_facts_renders_a_scene_block():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert _atom_line_reads(PACKAGE / "facts.py")
+    assert [hit for path in modules if path.name != "facts.py" for hit in _atom_line_reads(path)] == []
+
+
+def test_the_check_sees_a_scene_atom_lines_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from trafficlogic.facts import (\n    scene_atom_lines,\n)\n"
+        "text = '\\n'.join(facts.scene_atom_lines(s))\nlines = map(scene_atom_lines, scenes)\n"
+        "def scene_atom_lines_of(s): pass\n"
+    )
+    assert sorted(_atom_line_reads(probe)) == ["probe.py:1", "probe.py:4", "probe.py:5"]
