@@ -55,7 +55,6 @@ __all__ = [
     "NetworkAbstraction",
     "abstract_network",
     "connection_structures",
-    "overlap_corridor",
     "TraceSample",
     "read_trace_csv",
     "abstract_trace",
@@ -111,7 +110,7 @@ def _direction_groups(model: MapModel) -> list[tuple[RoadSpec, str, list]]:
     groups = []
     for rid in sorted(model.roads, key=_natural_key):
         road = model.roads[rid]
-        sec = road.only_section()
+        sec = road.sections[0]
         right = [l for l in sec.right if l.type == "driving"]
         left = [l for l in sec.left if l.type == "driving"]
         if right:
@@ -151,7 +150,6 @@ def _travel_edges(model: MapModel) -> set[tuple[tuple[str, int], tuple[str, int]
             if link is None or link.element_type != "road":
                 continue
             other = model.road(link.element_id)
-            cp = link.contact_point or "start"
             for lane in road.sections[0].all_lanes():
                 if lane.type != "driving":
                     continue
@@ -167,9 +165,9 @@ def _travel_edges(model: MapModel) -> set[tuple[tuple[str, int], tuple[str, int]
                     ) from None
                 if partner.type != "driving":
                     continue
-                if ends_at(lane, face) and starts_at(partner, cp):
+                if ends_at(lane, face) and starts_at(partner, link.contact_point):
                     edges.add(((road.id, lane.id), (other.id, partner.id)))
-                elif starts_at(lane, face) and ends_at(partner, cp):
+                elif starts_at(lane, face) and ends_at(partner, link.contact_point):
                     edges.add(((other.id, partner.id), (road.id, lane.id)))
     return edges
 
@@ -264,6 +262,7 @@ class NetworkAbstraction:
         grouped: dict[str, list[str]] = {}
         for a, b in edges:
             grouped.setdefault(a, []).append(b)
+        rank = {lid: i for i, lid in enumerate(self.lanes)}
         seq = 0
         for lid in self.lanes:  # creation order -> deterministic numbering
             targets = grouped.get(lid)
@@ -276,13 +275,10 @@ class NetworkAbstraction:
             builder.add("pon", (pid, lid))
             self.point_coords[pid] = tuple(map(float, lane.line.points[-1]))
             self.point_s[pid] = {lid: lane.length}
-            for tgt in sorted(targets, key=lambda l: self._lane_seq(l)):
+            for tgt in sorted(targets, key=rank.__getitem__):
                 builder.add("pon", (pid, tgt))
                 builder.add("succl", (pid, tgt))
                 self.point_s[pid][tgt] = 0.0
-
-    def _lane_seq(self, lid: str) -> int:
-        return int(lid[1:])
 
     def _lane_pairs(self, near: set[tuple[int, int]]):
         """The pairs of lanes from different xodr roads whose creation indices ``i < j`` are in ``near``.
@@ -411,28 +407,19 @@ class NetworkAbstraction:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def overlap_corridor(
-    la: AbstractLane, lb: AbstractLane, params: Config
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per vertex of ``la``: its arclength on ``lb``, heading difference, corridor mask.
+def _corridors(sources: list[AbstractLane], lb: AbstractLane, params: Config):
+    """Per lane of ``sources``, per vertex: its arclength on ``lb``, heading difference, corridor mask.
 
     A vertex is in the corridor when its lateral offset from ``lb`` is at most
     ``overlap_corridor_factor`` times the narrower lane width, and, if its
     projection is clamped to an end of ``lb``, it lies within
     ``intersection_tolerance`` of that end.  The arclength and heading
-    difference of a vertex outside the corridor carry no meaning; see
-    :func:`_corridors`.
-    """
-    return _corridors([la], lb, params)[0]
-
-
-def _corridors(sources: list[AbstractLane], lb: AbstractLane, params: Config):
-    """`overlap_corridor` of each lane in ``sources`` onto ``lb``, from one projection call.
+    difference of a vertex outside the corridor carry no meaning.
 
     No vertex farther than :func:`_corridor_reach` from ``lb`` can be in the
-    corridor, so the vertices of all sources are projected together, with
-    the largest of their reaches.  A vertex out of that reach has no
-    arclength on ``lb`` (nan).  `geometry.near_lines` has already picked
+    corridor, so the vertices of all sources are projected together, in one
+    call, with the largest of their reaches.  A vertex out of that reach has
+    no arclength on ``lb`` (nan).  `geometry.near_lines` has already picked
     the lane pairs worth this call.
     """
     reach = max(_corridor_reach(float(la.widths.max()), lb, params) for la in sources)

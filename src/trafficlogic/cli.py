@@ -5,7 +5,7 @@ Exit-code contract (scriptable CI use):
 * 0 - success
 * 1 - semantic failure (rule violations / invalid scenario)
 * 2 - input error (unreadable file, parse error, bad request, off-road trace)
-* 3 - unsupported map feature (geometry outside the documented subset)
+* 3 - unsupported map feature (geometry or lane sections outside the documented subset)
 
 All commands are deterministic given identical inputs and configuration.
 Each ``cmd_*`` reads every input before it parses any, so that inputs with

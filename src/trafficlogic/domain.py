@@ -412,15 +412,12 @@ def validate_network(n: RoadNetwork) -> list[str]:
                 defects.append(f"intersection point not on exactly two lanes of two roads: {p}")
     # succ_p restricted to one lane must be a strict total order (single
     # acyclic chain over that lane's ordered points).
-    per_lane: dict[str, set[tuple[str, str]]] = {}
-    for l, p1, p2 in n.succ_p:
-        per_lane.setdefault(l, set()).add((p1, p2))
-    for l in sorted(per_lane):
+    for l in sorted({l for l, _, _ in n.succ_p}):
         order = n.lane_order_pairs(l)
         if any(a == b for a, b in order) or any((b, a) in order for a, b in order):
             defects.append(f"point order not acyclic on lane {l}")
             continue
-        members = {p for pair in per_lane[l] for p in pair}
+        members = {p for pair in order for p in pair}
         for a in sorted(members):
             for b in sorted(members):
                 if a < b and (a, b) not in order and (b, a) not in order:

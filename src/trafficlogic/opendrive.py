@@ -1,14 +1,15 @@
 """A deliberately small OpenDRIVE (.xodr) reader.
 
 Supported subset: ``header``, ``road`` with ``planView`` geometry of kind
-``line`` or ``arc``, ``lanes``/``laneSection`` with cubic width records,
+``line`` or ``arc``, one ``laneSection`` per road with cubic width records,
 road-level ``link`` elements, and ``junction``/``connection`` tables.
-Anything geometric outside that subset (spiral, poly3, paramPoly3) raises
+Anything outside that subset (spiral, poly3 or paramPoly3 geometry, a
+second lane section) is refused when the map is read, with
 :class:`UnsupportedFeatureError`; elevation and superelevation data is
 ignored with a logged warning because the abstraction is strictly planar.
 
-The parser mirrors the file into a :class:`MapModel`; all interpretation
-(centerline sampling, network abstraction) lives elsewhere.
+The parser mirrors what the compiler reads into a :class:`MapModel`; all
+interpretation (centerline sampling, network abstraction) lives elsewhere.
 """
 
 from __future__ import annotations
@@ -166,29 +167,18 @@ class LaneSectionSpec:
 class RoadLink:
     element_type: str  # "road" | "junction"
     element_id: str
-    contact_point: str | None  # "start" | "end" | None for junctions
+    contact_point: str  # "start" | "end"; "start" when the file gives none
 
 
 @dataclass(frozen=True)
 class RoadSpec:
     id: str
-    name: str
     length: float
-    junction: str  # "-1" for ordinary roads, else owning junction id
     ref_line: tuple[RefLineSegment, ...]
-    sections: tuple[LaneSectionSpec, ...]
+    sections: tuple[LaneSectionSpec, ...]  # exactly one: the reader refuses more
     predecessor: RoadLink | None = None
     successor: RoadLink | None = None
     source_line: int | None = None
-
-    def only_section(self) -> LaneSectionSpec:
-        """The road's one lane section; several are outside the supported subset."""
-        if len(self.sections) != 1:
-            raise UnsupportedFeatureError(
-                f"road {self.id}: multiple lane sections are outside the supported subset",
-                self.source_line,
-            )
-        return self.sections[0]
 
     def poses(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Reference-line points ``x``, ``y`` and headings at road arclengths ``s``.
@@ -222,14 +212,13 @@ class JunctionConnection:
 @dataclass(frozen=True)
 class JunctionSpec:
     id: str
-    name: str
     connections: tuple[JunctionConnection, ...]
     source_line: int | None = None
 
 
 @dataclass
 class MapModel:
-    """Faithful in-memory mirror of the supported file subset."""
+    """In-memory mirror of what the compiler reads from the supported file subset."""
 
     roads: dict[str, RoadSpec] = field(default_factory=dict)
     junctions: dict[str, JunctionSpec] = field(default_factory=dict)
@@ -385,7 +374,7 @@ def _parse_road_link(elem: ET.Element | None) -> RoadLink | None:
     return RoadLink(
         element_type=_req(elem, "elementType"),
         element_id=_req(elem, "elementId"),
-        contact_point=elem.get("contactPoint"),
+        contact_point=elem.get("contactPoint", "start"),
     )
 
 
@@ -417,11 +406,14 @@ def _parse_road(road: ET.Element) -> RoadSpec:
     if link is not None:
         pred = _parse_road_link(link.find("predecessor"))
         succ = _parse_road_link(link.find("successor"))
+    rid = _req(road, "id")
+    if len(sections) > 1:
+        raise UnsupportedFeatureError(
+            f"road {rid}: multiple lane sections are outside the supported subset", _line_of(road)
+        )
     return RoadSpec(
-        id=_req(road, "id"),
-        name=road.get("name", ""),
+        id=rid,
         length=length,
-        junction=road.get("junction", "-1"),
         ref_line=segs,
         sections=sections,
         predecessor=pred,
@@ -450,7 +442,6 @@ def _parse_junction(junc: ET.Element) -> JunctionSpec:
         )
     return JunctionSpec(
         id=_req(junc, "id"),
-        name=junc.get("name", ""),
         connections=tuple(conns),
         source_line=_line_of(junc),
     )
@@ -535,15 +526,14 @@ def sample_centerline(model: MapModel, lane: tuple[str, int], step: float) -> Po
 
     ``lane`` is ``(road_id, lane_id)``.  The returned polyline follows the
     *reference line* direction (not travel direction) and includes both
-    endpoints.  Only single-section roads are supported for sampling.  The
-    reference line, the lane widths and the center offset are evaluated over
-    the whole arclength array at once.
+    endpoints.  The reference line, the lane widths and the center offset
+    are evaluated over the whole arclength array at once.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     road_id, lane_id = lane
     road = model.road(road_id)
-    section = road.only_section()
+    section = road.sections[0]
     section.lane(lane_id)  # raise early on unknown lane
     n = max(1, int(math.ceil(road.length / step - 1e-9)))
     s = np.linspace(0.0, road.length, n + 1)

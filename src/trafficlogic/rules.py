@@ -418,16 +418,15 @@ def check_transition(prev: Scene, next_: Scene, n: RoadNetwork, step: int = 1) -
 def check_scenario(sc: Scenario, verdicts: Optional[dict] = None) -> list[Violation]:
     """Scene checks at every step plus transition checks between steps.
 
-    ``verdicts`` caches each `check_scene` result under its scene and each
-    `check_transition` result under its ``(prev, next_)`` pair, both made
-    at step 1 and re-stamped with the step they occur at.  Pass one dict
-    to check many scenarios that share scenes, and each distinct scene and
-    transition is checked once.  A dict is valid for one network only.
+    ``verdicts`` caches, per network, each `check_scene` result under its
+    scene and each `check_transition` result under its ``(prev, next_)``
+    pair, both made at step 1 and re-stamped with the step they occur at.
+    Pass one dict to check many scenarios that share scenes, and each
+    distinct scene and transition is checked once per network.
     """
-    if verdicts is None:
-        verdicts = {}
-    out: list[Violation] = []
     n = sc.network
+    verdicts = {} if verdicts is None else verdicts.setdefault(n, {})
+    out: list[Violation] = []
     for k, scene in enumerate(sc.scenes, start=1):
         if sc.vehicles != scene.occ.keys():
             for c in sorted(sc.vehicles ^ scene.occ.keys()):

@@ -27,8 +27,8 @@ from trafficlogic.abstraction import (
     AbstractLane,
     NetworkAbstraction,
     TraceSample,
+    _corridors,
     abstract_trace,
-    overlap_corridor,
     read_trace_csv,
 )
 from trafficlogic.config import Config
@@ -160,7 +160,7 @@ def roads(draw) -> RoadSpec:
         left=draw(lane_specs("left", draw(st.integers(0, 3)), length)),
         right=draw(lane_specs("right", draw(st.integers(0, 3)), length)),
     )
-    return RoadSpec("1", "", length, "-1", segs, (section,))
+    return RoadSpec("1", length, segs, (section,))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -276,9 +276,9 @@ def test_random_traces_match_the_all_lanes_reference(trace):
 def test_far_apart_lanes_make_no_projection():
     la = AbstractLane("l1", "r1", "1", -1, Polyline([(0.0, 0.0), (10.0, 0.0)]), np.full(2, 3.5))
     lb = AbstractLane("l2", "r2", "2", -1, Polyline([(0.0, 50.0), (10.0, 50.0)]), np.full(2, 3.5))
-    s_b, diff, corridor = overlap_corridor(la, lb, Config())
+    s_b, diff, corridor = _corridors([la], lb, Config())[0]
     assert corridor.tolist() == [False, False]
     assert len(s_b) == len(diff) == 2
     assert np.isnan(s_b).all()
     near = AbstractLane("l3", "r3", "3", -1, Polyline([(-5.0, 1.0), (15.0, 1.0)]), np.full(2, 3.5))
-    assert overlap_corridor(la, near, Config())[2].tolist() == [True, True]
+    assert _corridors([la], near, Config())[0][2].tolist() == [True, True]

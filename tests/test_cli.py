@@ -548,7 +548,10 @@ class TestAbstract:
         two_sections.write_text(text[:end] + second + text[end:])
         code = main(["abstract", data("ex1_overtake_trace.csv"), str(two_sections)])
         assert code == UNSUPPORTED
-        assert "multiple lane sections" in capsys.readouterr().err
+        message = capsys.readouterr().err
+        assert "road 1: multiple lane sections are outside the supported subset (line " in message
+        assert main(["ingest", str(two_sections)]) == UNSUPPORTED
+        assert capsys.readouterr().err == message
 
     def test_bad_trace_header_with_valid_map(self, tmp_path, capsys):
         trace = tmp_path / "bad.csv"

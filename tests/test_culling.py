@@ -1,7 +1,7 @@
 """Grid culling in the map compiler gives the all-pairs results, bit for bit.
 
 ``polyline_intersections`` tests only the segment pairs the grid pairs up,
-``overlap_corridor`` projects each vertex only onto the segments within
+``_corridors`` projects each vertex only onto the segments within
 reach, and the compiler skips the lane pairs the map-wide grid finds far
 apart.  All are compared with the all-pairs routines kept in
 ``tests/reference_geometry.py``: on random polylines (hairpins, sharp corners,
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from reference_geometry import reference_corridor, reference_intersections, reference_network_texts
 from test_arrays import crossing_grid
 
-from trafficlogic.abstraction import AbstractLane, NetworkAbstraction, overlap_corridor
+from trafficlogic.abstraction import AbstractLane, NetworkAbstraction, _corridors
 from trafficlogic.config import Config
 from trafficlogic import geometry
 from trafficlogic.geometry import Polyline, near_lines, polyline_intersections, project_points
@@ -120,7 +120,7 @@ def corner_lanes(draw) -> tuple[AbstractLane, AbstractLane, Config]:
 
 
 def assert_same_corridor(la: AbstractLane, lb: AbstractLane, cfg: Config) -> None:
-    s_b, diff, corridor = overlap_corridor(la, lb, cfg)
+    s_b, diff, corridor = _corridors([la], lb, cfg)[0]
     ref_s, ref_diff, ref_corridor = reference_corridor(la, lb, cfg)
     assert corridor.tolist() == ref_corridor.tolist()
     assert s_b[corridor].tolist() == ref_s[corridor].tolist()

@@ -131,6 +131,21 @@ class TestParsing:
             parse_opendrive(doc(body))
         assert "(line " in str(err.value)
 
+    def test_second_lane_section_named_with_road_and_line(self):
+        wider = straight_road("2", lanes_left=3)
+        second = wider[wider.index("<laneSection") : wider.index("</lanes>")].replace('s="0"', 's="50"')
+        two_sections = straight_road("2").replace("</lanes>", second + "</lanes>")
+        text = doc(straight_road("1") + two_sections)
+        line = text.splitlines().index('<road id="2" length="100.0" junction="-1">') + 1
+        message = f"road 2: multiple lane sections are outside the supported subset (line {line})"
+        with pytest.raises(UnsupportedFeatureError) as err:
+            parse_opendrive(text)
+        assert str(err.value) == message
+        # a junction naming a lane only the second section has is refused the same way
+        with pytest.raises(UnsupportedFeatureError) as err:
+            parse_opendrive(doc(straight_road("1") + two_sections + JUNCTION.replace('to="1"', 'to="3"')))
+        assert str(err.value) == message
+
     def test_malformed_xml(self):
         with pytest.raises(MapParseError, match="XML"):
             parse_opendrive("<OpenDRIVE><road></OpenDRIVE>")

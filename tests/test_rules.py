@@ -673,6 +673,15 @@ class TestSharedVerdicts:
         assert {v.step for v in vs if v.rule is RuleId.PR1} == {1, 3}
         assert vs == stepwise_violations(sc)
 
+    def test_a_shared_dict_keeps_networks_apart(self):
+        on_l1 = (scene({"c1": ["l1"]}),)
+        without_l1 = Scenario(frozenset({"c1"}), _net("lane(l2,ra)."), on_l1)
+        expected = [Violation(RuleId.WF, 1, ("unknown_lane", "c1", "l1"))]
+        assert check_scenario(without_l1) == expected
+        shared: dict = {}
+        assert check_scenario(Scenario(frozenset({"c1"}), ROAD2, on_l1), shared) == []
+        assert check_scenario(without_l1, shared) == expected
+
     def test_whole_file_parses_like_its_sections(self, dense_result):
         net, declared = facts.parse_network(dense_result.network.read_text())
         text = dense_result.path.read_text()
