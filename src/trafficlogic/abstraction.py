@@ -121,53 +121,30 @@ def _direction_groups(model: MapModel) -> list[tuple[RoadSpec, str, list]]:
 
 
 def _travel_edges(model: MapModel) -> set[tuple[tuple[str, int], tuple[str, int]]]:
-    """Directed lane-to-lane continuations, from junctions and road links."""
+    """Directed lane-to-lane continuations, from junctions and road links.
+
+    Lanes of every type are linked, through references `parse_opendrive` resolved.
+    """
     edges: set[tuple[tuple[str, int], tuple[str, int]]] = set()
-
-    def starts_at(lane, face: str) -> bool:
-        return (lane.side == "right") == (face == "start")
-
-    def ends_at(lane, face: str) -> bool:
-        return (lane.side == "right") == (face == "end")
-
     for junc in model.junctions.values():
         for conn in junc.connections:
-            inc = model.road(conn.incoming_road)
-            con = model.road(conn.connecting_road)
-            for frm, to in conn.lane_links:
-                src = inc.sections[0].lane(frm)
-                dst = con.sections[0].lane(to)
-                if not starts_at(dst, conn.contact_point):
-                    raise AbstractionError(
-                        f"junction {junc.id} connection {conn.id}: lane {to} of road "
-                        f"{con.id} does not begin at contact point {conn.contact_point!r}"
-                    )
-                if src.type == "driving" and dst.type == "driving":
-                    edges.add(((inc.id, src.id), (con.id, dst.id)))
+            edges.update(
+                ((conn.incoming_road, frm), (conn.connecting_road, to)) for frm, to in conn.lane_links
+            )
 
     for road in model.roads.values():
         for face, link in (("start", road.predecessor), ("end", road.successor)):
             if link is None or link.element_type != "road":
                 continue
-            other = model.road(link.element_id)
+            other = model.roads[link.element_id]
             for lane in road.sections[0].all_lanes():
-                if lane.type != "driving":
-                    continue
                 partner_id = lane.successor if face == "end" else lane.predecessor
                 if partner_id is None:
                     continue
-                try:
-                    partner = other.sections[0].lane(partner_id)
-                except KeyError:
-                    raise AbstractionError(
-                        f"road {road.id} lane {lane.id}: dangling lane link to "
-                        f"lane {partner_id} of road {other.id}"
-                    ) from None
-                if partner.type != "driving":
-                    continue
-                if ends_at(lane, face) and starts_at(partner, link.contact_point):
+                partner = other.sections[0].lane(partner_id)
+                if not lane.begins_at(face) and partner.begins_at(link.contact_point):
                     edges.add(((road.id, lane.id), (other.id, partner.id)))
-                elif starts_at(lane, face) and ends_at(partner, link.contact_point):
+                elif lane.begins_at(face) and not partner.begins_at(link.contact_point):
                     edges.add(((other.id, partner.id), (road.id, lane.id)))
     return edges
 
@@ -208,7 +185,7 @@ class NetworkAbstraction:
                 line = sample_centerline(model, (road.id, spec.id), params.sampling_step)
                 svals = np.linspace(0.0, road.length, len(line))
                 widths = spec.width_at(svals - road.sections[0].s)
-                if side == "left":
+                if not spec.begins_at("start"):
                     line = line.reversed()
                     widths = widths[::-1].copy()
                 self.lanes[lid] = AbstractLane(lid, rid, road.id, spec.id, line, widths)
@@ -339,11 +316,13 @@ class NetworkAbstraction:
         for a, b in pairs:
             la, lb = self.lanes[a], self.lanes[b]
             s_b, diff, corridor = corridors[a, b]
-            if not corridor.any():
+            s_a = la.line.arclength
+            inside = s_a[corridor]
+            # every run lies inside the corridor: none can be long enough
+            if not len(inside) or inside[-1] - inside[0] < p.min_overlap_length:
                 continue
             anti = corridor & (diff >= math.pi - tol)
             same = corridor & (diff <= tol)
-            s_a = la.line.arclength
             for i0, i1 in self._runs(same):
                 if s_a[i1] - s_a[i0] < p.min_overlap_length:
                     continue

@@ -180,11 +180,11 @@ def cmd_export(
     if len(scenarios) != 1:
         raise facts.ParseError(f"export expects exactly one scenario, found {len(scenarios)}")
     try:
-        doc = emit_osc(scenarios[0], net, coords)
+        text = emit_osc(scenarios[0], net, coords)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return SEMANTIC_FAILURE
-    _emit(doc.text, _default_out(cfg, scenario_path, ".osc", out))
+    _emit(text, _default_out(cfg, scenario_path, ".osc", out))
     return OK
 
 

@@ -1,8 +1,10 @@
 """Runtime configuration: tolerances and output placement.
 
-Every geometric tolerance that influences network abstraction is carried
-here and echoed into output metadata, so that a fact file can always be
-traced back to the parameters that produced it.
+The geometric tolerances of network abstraction are carried here and echoed
+into output metadata, so a fact file can be traced back to the parameters
+that produced it; two are fixed in `abstraction` instead: the 0.5 m lane-end
+touch of ``_anchored_at_contact`` and the 1.0 m slack around an opposed
+window in which a crossing makes ``_detect_overlaps`` refuse the geometry.
 """
 
 from __future__ import annotations

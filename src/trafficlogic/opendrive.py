@@ -8,7 +8,8 @@ second lane section) is refused when the map is read, with
 :class:`UnsupportedFeatureError`; elevation and superelevation data is
 ignored with a logged warning because the abstraction is strictly planar.
 
-The parser mirrors what the compiler reads into a :class:`MapModel`; all
+The parser mirrors what the compiler reads into a :class:`MapModel`, in
+which every road, junction and lane reference resolves; all geometric
 interpretation (centerline sampling, network abstraction) lives elsewhere.
 """
 
@@ -134,6 +135,10 @@ class LaneSpec:
     predecessor: int | None = None
     successor: int | None = None
 
+    def begins_at(self, contact_point: str) -> bool:
+        """Does travel begin at ``contact_point``? Right lanes run along the reference line."""
+        return (self.side == "right") == (contact_point == "start")
+
     def width_at(self, section_s) -> np.ndarray:
         """Width at each section arclength in ``section_s``: 0 before the first record."""
         s = np.atleast_1d(np.asarray(section_s, dtype=float))
@@ -223,12 +228,6 @@ class MapModel:
     roads: dict[str, RoadSpec] = field(default_factory=dict)
     junctions: dict[str, JunctionSpec] = field(default_factory=dict)
 
-    def road(self, road_id: str) -> RoadSpec:
-        try:
-            return self.roads[road_id]
-        except KeyError:
-            raise MapParseError(f"unknown road {road_id!r}") from None
-
 
 # --------------------------------------------------------------------------
 # parsing
@@ -292,6 +291,15 @@ def _iattr(elem: ET.Element, attr: str) -> int:
         raise MapParseError(
             f"<{elem.tag}> attribute {attr}={v!r} is not an integer", _line_of(elem)
         ) from None
+
+
+def _contact_point(elem: ET.Element) -> str:
+    v = elem.get("contactPoint", "start")
+    if v not in ("start", "end"):
+        raise MapParseError(
+            f"<{elem.tag}> attribute contactPoint={v!r} is not 'start' or 'end'", _line_of(elem)
+        )
+    return v
 
 
 def _parse_geometry(geo: ET.Element) -> RefLineSegment:
@@ -374,7 +382,7 @@ def _parse_road_link(elem: ET.Element | None) -> RoadLink | None:
     return RoadLink(
         element_type=_req(elem, "elementType"),
         element_id=_req(elem, "elementId"),
-        contact_point=elem.get("contactPoint", "start"),
+        contact_point=_contact_point(elem),
     )
 
 
@@ -435,7 +443,7 @@ def _parse_junction(junc: ET.Element) -> JunctionSpec:
                 id=_req(conn, "id"),
                 incoming_road=_req(conn, "incomingRoad"),
                 connecting_road=_req(conn, "connectingRoad"),
-                contact_point=conn.get("contactPoint", "start"),
+                contact_point=_contact_point(conn),
                 lane_links=links,
                 source_line=_line_of(conn),
             )
@@ -448,8 +456,13 @@ def _parse_junction(junc: ET.Element) -> JunctionSpec:
 
 
 def _validate_model(model: MapModel) -> None:
+    """Refuse a reference that does not resolve, and a junction lane not at its contact point.
+
+    A lane ``<link>`` is followed only through a road-to-road link.
+    """
+    lanes = {rid: {l.id for l in road.sections[0].all_lanes()} for rid, road in model.roads.items()}
     for road in model.roads.values():
-        for link in (road.predecessor, road.successor):
+        for face, link in (("start", road.predecessor), ("end", road.successor)):
             if link is None:
                 continue
             pool = model.roads if link.element_type == "road" else model.junctions
@@ -458,6 +471,16 @@ def _validate_model(model: MapModel) -> None:
                     f"road {road.id}: dangling {link.element_type} link to {link.element_id!r}",
                     road.source_line,
                 )
+            if link.element_type != "road":
+                continue
+            for lane in road.sections[0].all_lanes():
+                partner = lane.successor if face == "end" else lane.predecessor
+                if partner is not None and partner not in lanes[link.element_id]:
+                    raise MapParseError(
+                        f"road {road.id} lane {lane.id}: dangling lane link to "
+                        f"lane {partner} of road {link.element_id}",
+                        road.source_line,
+                    )
     for junc in model.junctions.values():
         for conn in junc.connections:
             for rid in (conn.incoming_road, conn.connecting_road):
@@ -465,18 +488,21 @@ def _validate_model(model: MapModel) -> None:
                     raise MapParseError(
                         f"junction {junc.id}: dangling road reference {rid!r}", conn.source_line
                     )
-            inc = model.roads[conn.incoming_road]
             con = model.roads[conn.connecting_road]
             for frm, to in conn.lane_links:
-                for road, lane_id in ((inc, frm), (con, to)):
-                    try:
-                        road.sections[0].lane(lane_id)
-                    except KeyError:
+                for rid, lane_id in ((conn.incoming_road, frm), (conn.connecting_road, to)):
+                    if lane_id not in lanes[rid]:
                         raise MapParseError(
                             f"junction {junc.id}: connection {conn.id} references "
-                            f"missing lane {lane_id} of road {road.id}",
+                            f"missing lane {lane_id} of road {rid}",
                             conn.source_line,
-                        ) from None
+                        )
+                if not con.sections[0].lane(to).begins_at(conn.contact_point):
+                    raise MapParseError(
+                        f"junction {junc.id} connection {conn.id}: lane {to} of road "
+                        f"{con.id} does not begin at contact point {conn.contact_point!r}",
+                        conn.source_line,
+                    )
 
 
 def parse_opendrive(text: str | bytes) -> MapModel:
@@ -532,7 +558,7 @@ def sample_centerline(model: MapModel, lane: tuple[str, int], step: float) -> Po
     if step <= 0.0:
         raise ValueError("step must be positive")
     road_id, lane_id = lane
-    road = model.road(road_id)
+    road = model.roads[road_id]
     section = road.sections[0]
     section.lane(lane_id)  # raise early on unknown lane
     n = max(1, int(math.ceil(road.length / step - 1e-9)))

@@ -19,13 +19,12 @@ they remain recoverable from the scenario fact file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from trafficlogic.domain import LonRel, RoadNetwork, Scenario
 from trafficlogic.facts import ParseError
 from trafficlogic.rules import check_scenario, render_report
 
-__all__ = ["OscDocument", "emit_osc", "parse_coords"]
+__all__ = ["emit_osc", "parse_coords"]
 
 _INDENT = "    "
 
@@ -34,13 +33,6 @@ _PHRASE = {
     LonRel.BEHIND: "behind",
     LonRel.COVER: "same_as",
 }
-
-
-@dataclass(frozen=True)
-class OscDocument:
-    """A rendered OSC scenario."""
-
-    text: str
 
 
 def parse_coords(text: str) -> dict[str, tuple[float, float, float]]:
@@ -70,8 +62,8 @@ def emit_osc(
     sc: Scenario,
     n: RoadNetwork,
     coords: dict[str, tuple[float, float, float]] | None = None,
-) -> OscDocument:
-    """Translate a valid scenario into an OSC document (deterministic)."""
+) -> str:
+    """Translate a valid scenario into OSC text (deterministic)."""
     violations = check_scenario(sc)
     if violations:
         raise ValueError("scenario is invalid:\n" + render_report(violations))
@@ -108,5 +100,4 @@ def emit_osc(
                 rel = scene.prel_of(c, pid)
                 if rel is not LonRel.NONE:
                     lines.append(_INDENT * 4 + f"position({_PHRASE[rel]}: {pid})")
-    text = "\n".join(lines) + "\n"
-    return OscDocument(text=text)
+    return "\n".join(lines) + "\n"

@@ -161,15 +161,15 @@ def _lane(lane_id: int, kind: str = "driving", successor: int | None = None) -> 
 
 
 def _road(
-    road_id: str, x: float, y: float, hdg: float, length: float, lanes: list[str], link: str = "", side: str = "right"
+    road_id: str, x: float, y: float, hdg: float, length: float, lanes: list[str], link: str = ""
 ) -> str:
-    """A straight road with ``lanes`` on one side."""
+    """A straight road with ``lanes`` on its right side."""
     return f"""
 <road id="{road_id}" length="{length}" junction="-1">{link}
   <planView><geometry s="0" x="{x}" y="{y}" hdg="{hdg}" length="{length}"><line/></geometry></planView>
   <lanes><laneSection s="0">
     <center><lane id="0" type="none" level="false"/></center>
-    <{side}>{"".join(lanes)}</{side}>
+    <right>{"".join(lanes)}</right>
   </laneSection></lanes>
 </road>"""
 
@@ -181,22 +181,6 @@ def _map(*roads: str) -> str:
 _TO_ROAD_2 = '<link><successor elementType="road" elementId="2" contactPoint="start"/></link>'
 #: map name -> (map text, the ``ingest`` error it exits 2 with)
 MAP_FAULTS = {
-    "junction-lane-not-at-contact-point": (
-        _map(
-            _road("1", 0, 0, 0, 100, [_lane(-1)]),
-            _road("2", 0, 0, 0, 100, [_lane(1)], side="left"),
-            '<junction id="10" name="j"><connection id="0" incomingRoad="1" connectingRoad="2" '
-            'contactPoint="start"><laneLink from="-1" to="1"/></connection></junction>',
-        ),
-        "junction 10 connection 0: lane 1 of road 2 does not begin at contact point 'start'",
-    ),
-    "dangling-lane-link": (
-        _map(
-            _road("1", 0, 0, 0, 50, [_lane(-1, successor=-5), _lane(-2, "sidewalk")], _TO_ROAD_2),
-            _road("2", 50, 0, 0, 50, [_lane(-1)]),
-        ),
-        "road 1 lane -1: dangling lane link to lane -5 of road 2",
-    ),
     "same-direction-overlap": (
         _map(_road("1", 0, 0, 0, 100, [_lane(-1)]), _road("2", 20, 0, 0, 50, [_lane(-1)])),
         "lanes l1 and l2 overlap in the same direction; merging them into a single lane is not"
@@ -219,9 +203,11 @@ class TestMapFaults:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_link_from_or_to_a_lane_that_is_not_driving_makes_no_connection(self, tmp_path, capsys):
+        # road 2 links back to road 1, but its lanes name no partner
+        back = '<link><predecessor elementType="road" elementId="1" contactPoint="end"/></link>'
         lanes = {kind: _map(
             _road("1", 0, 0, 0, 50, [_lane(-1, successor=-2), _lane(-2, "sidewalk", successor=-1)], _TO_ROAD_2),
-            _road("2", 50, 0, 0, 50, [_lane(-1), _lane(-2, kind)]),
+            _road("2", 50, 0, 0, 50, [_lane(-1), _lane(-2, kind)], back),
         ) for kind in ("driving", "sidewalk")}
         out = {}
         for kind, text in lanes.items():
@@ -230,6 +216,23 @@ class TestMapFaults:
             out[kind] = capsys.readouterr().out
         assert "succl(pc1,l3)." in out["driving"]
         assert "class(" not in out["sidewalk"]
+
+    def test_opposed_run_shorter_than_the_minimum_in_a_longer_corridor_is_no_window(self, tmp_path, capsys):
+        # road 2's lane ends on road 1's, heading against it, along a quarter circle of
+        # radius 1.5 m (its reference line's is 3.5 m): its corridor on road 1's lane
+        # spans more than 1 m, but only its last 0.5 m is within 30 degrees of opposed
+        arc = _road("2", 53.5, -0.5, -math.pi / 2, 3.5 * math.pi / 2, [_lane(-1)])
+        arc = arc.replace("<line/>", f'<arc curvature="{-1 / 3.5}"/>')
+        path = tmp_path / "arc.xodr"
+        path.write_text(_map(_road("1", 0, 0, 0, 100, [_lane(-1)]), arc))
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("min_overlap_length=0.25\n")
+        outs = []
+        for options in ([], ["--config", str(cfg)]):
+            assert main([*options, "ingest", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "overlap(" not in outs[0]
+        assert "overlap(pos1,poe1)." in outs[1]
 
     def test_opposed_overlap_shorter_than_the_minimum_is_no_window(self, tmp_path, capsys):
         out = {}

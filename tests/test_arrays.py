@@ -111,7 +111,7 @@ def test_compiled_lanes_match_the_scalar_sampler(name, step):
     abst = NetworkAbstraction(model, Config(sampling_step=step))
     assert abst.lanes
     for lane in abst.lanes.values():
-        assert_lane_matches_reference(model.road(lane.source_road), lane, step)
+        assert_lane_matches_reference(model.roads[lane.source_road], lane, step)
 
 
 # -- random line and arc roads with cubic widths ------------------------------------

@@ -1,12 +1,13 @@
 """Generated inputs fed to the command line: every run ends in a documented exit code.
 
 A traceback fails the test; so does an exit-0 output that the fact parser
-cannot read back, and a ``check`` report that differs from one made by
-checking every step on its own.  Traces go through ``abstract``, edited
-result files and network files through ``check`` (results also through
-``export``), ``--config`` files and edited OpenDRIVE maps through
-``ingest``, edited requests through ``generate`` and coordinate sidecars
-through ``export``.
+cannot read back, a ``check`` report that differs from one made by
+checking every step on its own, and an edited map that ``parse_opendrive``
+accepts but whose lane links the map compiler cannot follow.  Traces go
+through ``abstract``, edited result files and network files through
+``check`` (results also through ``export``), ``--config`` files and edited
+OpenDRIVE maps through ``ingest``, edited requests through ``generate`` and
+coordinate sidecars through ``export``.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from hypothesis import strategies as st
 from oracle import stepwise_violations
 
 from trafficlogic import facts
-from trafficlogic.abstraction import abstract_network
+from trafficlogic.abstraction import _travel_edges, abstract_network
 from trafficlogic.cli import main
 from trafficlogic.config import Config
 from trafficlogic.domain import validate_network
-from trafficlogic.opendrive import parse_opendrive
+from trafficlogic.opendrive import MapError, parse_opendrive
 from trafficlogic.reasoner import expand, parse_request
 from trafficlogic.rules import check_scenario, render_report
 
@@ -260,6 +261,12 @@ def test_ingest_fuzzed_maps(xodr):
         assert code in (0, 1, 2, 3)
         if code == 0:
             facts.parse_network(out.read_text())
+    # every reference the compiler follows resolves in a map the reader accepts
+    try:
+        model = parse_opendrive(xodr)
+    except MapError:
+        return
+    _travel_edges(model)
 
 
 NETWORK_LINES = OPPOSING_NET.read_text().splitlines()

@@ -51,7 +51,7 @@ def straight_road(road_id: str = "1", length: float = 100.0, lanes_left: int = 2
 
 JUNCTION = """
 <junction id="10" name="j">
-  <connection id="0" incomingRoad="1" connectingRoad="2" contactPoint="start">
+  <connection id="0" incomingRoad="1" connectingRoad="2" contactPoint="end">
     <laneLink from="1" to="1"/>
   </connection>
 </junction>"""
@@ -89,7 +89,7 @@ class TestParsing:
     def test_single_road_mirrors_document(self):
         model = parse_opendrive(doc(straight_road()))
         assert list(model.roads) == ["1"]
-        road = model.road("1")
+        road = model.roads["1"]
         assert road.length == 100.0
         assert len(road.sections) == 1
         lanes = road.sections[0].all_lanes()
@@ -254,6 +254,32 @@ class TestParsing:
                 '<junction id="10" name="again"',
                 "duplicate junction id '10'",
             ),
+            (  # a lane link is resolved on lanes of every type
+                [
+                    ("<planView>", '<link><successor elementType="road" elementId="2"/></link><planView>'),
+                    (
+                        '<lane id="1" type="driving" level="false">',
+                        '<lane id="1" type="sidewalk" level="false"><link><successor id="5"/></link>',
+                    ),
+                ],
+                '<road id="1"',
+                "road 1 lane 1: dangling lane link to lane 5 of road 2",
+            ),
+            (  # left lanes travel from the end of their road
+                [('contactPoint="end"', 'contactPoint="start"')],
+                "<connection",
+                "junction 10 connection 0: lane 1 of road 2 does not begin at contact point 'start'",
+            ),
+            (
+                [('contactPoint="end"', 'contactPoint="abc"')],
+                "<connection",
+                "<connection> attribute contactPoint='abc' is not 'start' or 'end'",
+            ),
+            (
+                [("<planView>", '<link><successor elementType="road" elementId="2" contactPoint="abc"/></link><planView>')],
+                "<link><successor",
+                "<successor> attribute contactPoint='abc' is not 'start' or 'end'",
+            ),
         ],
     )
     def test_structural_fault_names_its_line(self, edits, anchor, message, tmp_path, capsys):
@@ -337,7 +363,7 @@ class TestSampling:
         ).replace('length="100"', 'length="10"')
         body = body.replace('length="100.0"', 'length="10.0"')
         model = parse_opendrive(doc(body))
-        road = model.road("1")
+        road = model.roads["1"]
         r = 100.0
         (x,), (y,), _ = road.poses(np.array([road.length]))
         assert x == pytest.approx(r * math.sin(road.length / r), abs=1e-9)
@@ -355,8 +381,8 @@ class TestSampling:
         model = parse_opendrive(doc(straight_road(lanes_left=1)))
         with pytest.raises(KeyError):
             sample_centerline(model, ("1", 5), step=10.0)
-        with pytest.raises(MapParseError, match="unknown road"):
-            model.road("42")
+        with pytest.raises(KeyError):
+            sample_centerline(model, ("42", 1), step=10.0)
 
     def test_nonpositive_step(self):
         model = parse_opendrive(doc(straight_road(lanes_left=1)))

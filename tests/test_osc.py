@@ -30,35 +30,35 @@ class TestGoldenDocuments:
     def test_first_scenario_matches_frozen_document(self, req_name, net_name, golden):
         sc, _ = first_scenario(req_name)
         net, _ = facts.parse_network((DATA / net_name).read_text())
-        doc = osc.emit_osc(sc, net)
-        assert doc.text == (DATA / golden).read_text()
+        text = osc.emit_osc(sc, net)
+        assert text == (DATA / golden).read_text()
 
     def test_emission_is_deterministic(self):
         sc, net = first_scenario("ex5_opposing_pass.req")
-        assert osc.emit_osc(sc, net).text == osc.emit_osc(sc, net).text
+        assert osc.emit_osc(sc, net) == osc.emit_osc(sc, net)
 
 
 class TestDocumentStructure:
     def test_blocks_follow_scene_order(self):
         sc, net = first_scenario("ex1_overtake.req")
-        doc = osc.emit_osc(sc, net)
-        labels = re.findall(r"^\s*(step_\d+): parallel:$", doc.text, re.M)
+        text = osc.emit_osc(sc, net)
+        labels = re.findall(r"^\s*(step_\d+): parallel:$", text, re.M)
         assert labels == [f"step_{k}" for k in range(1, sc.horizon + 1)]
-        assert doc.text.startswith("scenario traffic_scenario:\n")
-        assert doc.text.endswith("\n")
-        assert "\t" not in doc.text
+        assert text.startswith("scenario traffic_scenario:\n")
+        assert text.endswith("\n")
+        assert "\t" not in text
 
     def test_every_network_point_declared_exactly_once(self):
         sc, net = first_scenario("ex5_opposing_pass.req")
-        doc = osc.emit_osc(sc, net)
+        text = osc.emit_osc(sc, net)
         for pid in net.points:
-            decls = re.findall(rf"^\s*{pid}: position_3d", doc.text, re.M)
+            decls = re.findall(rf"^\s*{pid}: position_3d", text, re.M)
             assert len(decls) == 1
 
     def test_one_modifier_per_nonnull_relation_atom(self):
         sc, net = first_scenario("ex2_crossing.req")
-        doc = osc.emit_osc(sc, net)
-        body = doc.text.split("do serial:", 1)[1]
+        text = osc.emit_osc(sc, net)
+        body = text.split("do serial:", 1)[1]
         step_chunks = re.split(r"^\s*step_\d+: parallel:\n", body, flags=re.M)[1:]
         assert len(step_chunks) == sc.horizon
         for scene, chunk in zip(sc.scenes, step_chunks):
@@ -67,8 +67,8 @@ class TestDocumentStructure:
 
     def test_vehicle_relations_emitted_from_both_sides(self):
         sc, net = first_scenario("ex1_overtake.req")
-        doc = osc.emit_osc(sc, net)
-        final = doc.text.split("step_4", 1)[1]
+        text = osc.emit_osc(sc, net)
+        final = text.split("step_4", 1)[1]
         assert "position(ahead_of: c2)" in final
         assert "position(behind: c1)" in final
 
@@ -81,16 +81,16 @@ class TestDocumentStructure:
     def test_coordinates_inlined_when_available(self):
         sc, net = first_scenario("ex5_opposing_pass.req")
         coords = {"pos": (30.0, -2.0, 0.0)}
-        doc = osc.emit_osc(sc, net, coords)
-        assert "pos: position_3d = position_3d(x: 30.000000, y: -2.000000, z: 0.000000)" in doc.text
+        text = osc.emit_osc(sc, net, coords)
+        assert "pos: position_3d = position_3d(x: 30.000000, y: -2.000000, z: 0.000000)" in text
         # point without coordinates falls back to a bare declaration
-        assert re.search(r"^\s*poe: position_3d$", doc.text, re.M)
+        assert re.search(r"^\s*poe: position_3d$", text, re.M)
 
     def test_networks_without_points_skip_the_anchor_section(self):
         sc, net = first_scenario("ex1_overtake.req")
-        doc = osc.emit_osc(sc, net)
-        assert "anchor points" not in doc.text
-        assert "position_3d" not in doc.text
+        text = osc.emit_osc(sc, net)
+        assert "anchor points" not in text
+        assert "position_3d" not in text
 
 
 class TestEmissionErrors:
