@@ -42,11 +42,7 @@ from trafficlogic.geometry import (
     polyline_intersections,
     project_points,
 )
-from trafficlogic.opendrive import (
-    MapModel,
-    RoadSpec,
-    sample_centerline,
-)
+from trafficlogic.opendrive import MapModel, RoadSpec, sample_centerline
 
 __all__ = [
     "AbstractionError",
@@ -120,35 +116,6 @@ def _direction_groups(model: MapModel) -> list[tuple[RoadSpec, str, list]]:
     return groups
 
 
-def _travel_edges(model: MapModel) -> set[tuple[tuple[str, int], tuple[str, int]]]:
-    """Directed lane-to-lane continuations, from junctions and road links.
-
-    Lanes of every type are linked, through references `parse_opendrive` resolved.
-    """
-    edges: set[tuple[tuple[str, int], tuple[str, int]]] = set()
-    for junc in model.junctions.values():
-        for conn in junc.connections:
-            edges.update(
-                ((conn.incoming_road, frm), (conn.connecting_road, to)) for frm, to in conn.lane_links
-            )
-
-    for road in model.roads.values():
-        for face, link in (("start", road.predecessor), ("end", road.successor)):
-            if link is None or link.element_type != "road":
-                continue
-            other = model.roads[link.element_id]
-            for lane in road.sections[0].all_lanes():
-                partner_id = lane.successor if face == "end" else lane.predecessor
-                if partner_id is None:
-                    continue
-                partner = other.sections[0].lane(partner_id)
-                if not lane.begins_at(face) and partner.begins_at(link.contact_point):
-                    edges.add(((road.id, lane.id), (other.id, partner.id)))
-                elif lane.begins_at(face) and not partner.begins_at(link.contact_point):
-                    edges.add(((other.id, partner.id), (road.id, lane.id)))
-    return edges
-
-
 class NetworkAbstraction:
     """The full result of compiling a map: network, geometry, provenance.
 
@@ -198,7 +165,7 @@ class NetworkAbstraction:
 
         edges = [
             (by_source[src], by_source[dst])
-            for src, dst in _travel_edges(model)
+            for src, dst in model.lane_edges
             if src in by_source and dst in by_source
         ]
         self._add_connections(builder, edges)

@@ -100,7 +100,6 @@ def cmd_generate(
     out: str | None = None,
     mode: str | None = None,
     horizon: int | None = None,
-    dot: str | None = None,
 ) -> int:
     """Enumerate all rule-satisfying scenarios for an expansion request.
 
@@ -120,8 +119,6 @@ def cmd_generate(
         f"nodes={stats.nodes}, pruned={stats.pruned}, wall={stats.wall_time_s:.3f}s)",
         file=sys.stderr,
     )
-    if dot is not None:
-        _emit(_timeline_dot(result.scenarios), dot)
     return OK
 
 
@@ -188,24 +185,6 @@ def cmd_export(
     return OK
 
 
-def _timeline_dot(scenarios) -> str:
-    """A small graphviz timeline of the generated scenarios (documentation aid)."""
-    lines = ["digraph scenarios {", "    rankdir=LR;", "    node [shape=box];"]
-    for i, sc in enumerate(scenarios, start=1):
-        prev = None
-        for k, scene in enumerate(sc.scenes, start=1):
-            occ = "\\n".join(
-                f"{c}: {','.join(sorted(scene.occ_of(c)))}" for c in sorted(sc.vehicles)
-            )
-            node = f"s{i}_{k}"
-            lines.append(f'    {node} [label="#{i} step {k}\\n{occ}"];')
-            if prev is not None:
-                lines.append(f"    {prev} -> {node};")
-            prev = node
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 @functools.cache  # parsing leaves the parser as it was, so one serves every `main` call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -226,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output result file (default: stdout)")
     p.add_argument("--mode", choices=("exact", "shortest"), help="override request mode")
     p.add_argument("--horizon", type=int, help="override request horizon")
-    p.add_argument("--dot", help="write a graphviz timeline of the results")
 
     p = sub.add_parser("check", help="check scenarios against the rule catalog")
     p.add_argument("scenario", help="scenario fact file")
@@ -256,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ingest":
             return cmd_ingest(args.map, cfg, args.out, args.coords_out)
         if args.command == "generate":
-            return cmd_generate(args.request, cfg, args.out, args.mode, args.horizon, args.dot)
+            return cmd_generate(args.request, cfg, args.out, args.mode, args.horizon)
         if args.command == "check":
             return cmd_check(args.scenario, args.network)
         if args.command == "abstract":

@@ -1,16 +1,18 @@
 """A deliberately small OpenDRIVE (.xodr) reader.
 
 Supported subset: ``header``, ``road`` with ``planView`` geometry of kind
-``line`` or ``arc``, one ``laneSection`` per road with cubic width records,
-road-level ``link`` elements, and ``junction``/``connection`` tables.
-Anything outside that subset (spiral, poly3 or paramPoly3 geometry, a
-second lane section) is refused when the map is read, with
-:class:`UnsupportedFeatureError`; elevation and superelevation data is
-ignored with a logged warning because the abstraction is strictly planar.
+``line`` or ``arc``, one ``laneSection`` per road, starting at s = 0, with
+cubic width records, road-level ``link`` elements, and
+``junction``/``connection`` tables.  Anything outside that subset (spiral,
+poly3 or paramPoly3 geometry, a second or offset lane section) is refused
+when the map is read, with :class:`UnsupportedFeatureError`; elevation and
+superelevation data is ignored with a logged warning because the
+abstraction is strictly planar.
 
 The parser mirrors what the compiler reads into a :class:`MapModel`, in
-which every road, junction and lane reference resolves; all geometric
-interpretation (centerline sampling, network abstraction) lives elsewhere.
+which every reference resolves, and it owns the lane graph: every link
+becomes directed lane edges, and a link it cannot orient is refused.  All
+geometric interpretation (centerline sampling, network abstraction) lives elsewhere.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ class RoadSpec:
     id: str
     length: float
     ref_line: tuple[RefLineSegment, ...]
-    sections: tuple[LaneSectionSpec, ...]  # exactly one: the reader refuses more
+    sections: tuple[LaneSectionSpec, ...]  # exactly one, from s <= 0: the reader refuses others
     predecessor: RoadLink | None = None
     successor: RoadLink | None = None
     source_line: int | None = None
@@ -227,6 +229,8 @@ class MapModel:
 
     roads: dict[str, RoadSpec] = field(default_factory=dict)
     junctions: dict[str, JunctionSpec] = field(default_factory=dict)
+    # (road, lane) -> (road, lane) where travel continues, for lanes of every type
+    lane_edges: set[tuple[tuple[str, int], tuple[str, int]]] = field(default_factory=set)
 
 
 # --------------------------------------------------------------------------
@@ -293,11 +297,11 @@ def _iattr(elem: ET.Element, attr: str) -> int:
         ) from None
 
 
-def _contact_point(elem: ET.Element) -> str:
-    v = elem.get("contactPoint", "start")
-    if v not in ("start", "end"):
+def _choice(elem: ET.Element, attr: str, v: str, allowed: tuple[str, str]) -> str:
+    if v not in allowed:
         raise MapParseError(
-            f"<{elem.tag}> attribute contactPoint={v!r} is not 'start' or 'end'", _line_of(elem)
+            f"<{elem.tag}> attribute {attr}={v!r} is not {allowed[0]!r} or {allowed[1]!r}",
+            _line_of(elem),
         )
     return v
 
@@ -338,6 +342,8 @@ def _parse_lane(lane: ET.Element, side: str) -> LaneSpec:
                 d=_fattr(w, "d", 0.0),
             )
         )
+    if not widths:
+        raise MapParseError(f"lane {lane_id} without <width>", _line_of(lane))
     widths.sort(key=lambda r: r.s_offset)
     pred = succ = None
     link = lane.find("link")
@@ -367,6 +373,8 @@ def _parse_section(sec: ET.Element) -> LaneSectionSpec:
             spec = _parse_lane(lane, side)
             if spec.id == 0:
                 raise MapParseError("center lane listed under a side group", _line_of(lane))
+            if (spec.id > 0) != (side == "left"):
+                raise MapParseError(f"lane {spec.id} listed under <{side}>", _line_of(lane))
             bucket.append(spec)
     left.sort(key=lambda l: l.id)
     right.sort(key=lambda l: -l.id)
@@ -380,9 +388,9 @@ def _parse_road_link(elem: ET.Element | None) -> RoadLink | None:
     if elem is None:
         return None
     return RoadLink(
-        element_type=_req(elem, "elementType"),
+        element_type=_choice(elem, "elementType", _req(elem, "elementType"), ("road", "junction")),
         element_id=_req(elem, "elementId"),
-        contact_point=_contact_point(elem),
+        contact_point=_choice(elem, "contactPoint", elem.get("contactPoint", "start"), ("start", "end")),
     )
 
 
@@ -415,6 +423,11 @@ def _parse_road(road: ET.Element) -> RoadSpec:
         pred = _parse_road_link(link.find("predecessor"))
         succ = _parse_road_link(link.find("successor"))
     rid = _req(road, "id")
+    if sections[0].s > 0.0:
+        raise UnsupportedFeatureError(
+            f"road {rid}: a first lane section at s={sections[0].s!r} is outside the supported subset",
+            _line_of(road),
+        )
     if len(sections) > 1:
         raise UnsupportedFeatureError(
             f"road {rid}: multiple lane sections are outside the supported subset", _line_of(road)
@@ -443,7 +456,7 @@ def _parse_junction(junc: ET.Element) -> JunctionSpec:
                 id=_req(conn, "id"),
                 incoming_road=_req(conn, "incomingRoad"),
                 connecting_road=_req(conn, "connectingRoad"),
-                contact_point=_contact_point(conn),
+                contact_point=_choice(conn, "contactPoint", conn.get("contactPoint", "start"), ("start", "end")),
                 lane_links=links,
                 source_line=_line_of(conn),
             )
@@ -456,11 +469,13 @@ def _parse_junction(junc: ET.Element) -> JunctionSpec:
 
 
 def _validate_model(model: MapModel) -> None:
-    """Refuse a reference that does not resolve, and a junction lane not at its contact point.
+    """Resolve every reference and fill ``model.lane_edges``, refusing a link it cannot orient.
 
-    A lane ``<link>`` is followed only through a road-to-road link.
+    An edge runs from a lane that ends where a road link or junction meets
+    it to a lane that begins there; a lane ``<link>`` is followed only
+    through a road-to-road link.
     """
-    lanes = {rid: {l.id for l in road.sections[0].all_lanes()} for rid, road in model.roads.items()}
+    lanes = {rid: {l.id: l for l in road.sections[0].all_lanes()} for rid, road in model.roads.items()}
     for road in model.roads.values():
         for face, link in (("start", road.predecessor), ("end", road.successor)):
             if link is None:
@@ -475,12 +490,23 @@ def _validate_model(model: MapModel) -> None:
                 continue
             for lane in road.sections[0].all_lanes():
                 partner = lane.successor if face == "end" else lane.predecessor
-                if partner is not None and partner not in lanes[link.element_id]:
+                if partner is None:
+                    continue
+                if partner not in lanes[link.element_id]:
                     raise MapParseError(
                         f"road {road.id} lane {lane.id}: dangling lane link to "
                         f"lane {partner} of road {link.element_id}",
                         road.source_line,
                     )
+                begins = lane.begins_at(face)
+                if begins == lanes[link.element_id][partner].begins_at(link.contact_point):
+                    raise MapParseError(
+                        f"road {road.id} lane {lane.id} and road {link.element_id} lane {partner} "
+                        f"both {'begin' if begins else 'end'} where the roads meet",
+                        road.source_line,
+                    )
+                edge = ((road.id, lane.id), (link.element_id, partner))
+                model.lane_edges.add(edge[::-1] if begins else edge)
     for junc in model.junctions.values():
         for conn in junc.connections:
             for rid in (conn.incoming_road, conn.connecting_road):
@@ -488,30 +514,41 @@ def _validate_model(model: MapModel) -> None:
                     raise MapParseError(
                         f"junction {junc.id}: dangling road reference {rid!r}", conn.source_line
                     )
-            con = model.roads[conn.connecting_road]
+            inc = model.roads[conn.incoming_road]
+            faces = [face for face, link in (("start", inc.predecessor), ("end", inc.successor))
+                     if link and (link.element_type, link.element_id) == ("junction", junc.id)]
+            if not faces:
+                raise MapParseError(
+                    f"junction {junc.id} connection {conn.id}: incoming road {inc.id} "
+                    "does not link to the junction",
+                    conn.source_line,
+                )
             for frm, to in conn.lane_links:
-                for rid, lane_id in ((conn.incoming_road, frm), (conn.connecting_road, to)):
+                for rid, lane_id in ((inc.id, frm), (conn.connecting_road, to)):
                     if lane_id not in lanes[rid]:
                         raise MapParseError(
                             f"junction {junc.id}: connection {conn.id} references "
                             f"missing lane {lane_id} of road {rid}",
                             conn.source_line,
                         )
-                if not con.sections[0].lane(to).begins_at(conn.contact_point):
+                if all(lanes[inc.id][frm].begins_at(face) for face in faces):
                     raise MapParseError(
-                        f"junction {junc.id} connection {conn.id}: lane {to} of road "
-                        f"{con.id} does not begin at contact point {conn.contact_point!r}",
+                        f"junction {junc.id} connection {conn.id}: lane {frm} of road "
+                        f"{inc.id} does not end where the road meets the junction",
                         conn.source_line,
                     )
+                if not lanes[conn.connecting_road][to].begins_at(conn.contact_point):
+                    raise MapParseError(
+                        f"junction {junc.id} connection {conn.id}: lane {to} of road "
+                        f"{conn.connecting_road} does not begin at contact point {conn.contact_point!r}",
+                        conn.source_line,
+                    )
+                model.lane_edges.add(((inc.id, frm), (conn.connecting_road, to)))
 
 
 def parse_opendrive(text: str | bytes) -> MapModel:
     """Parse an OpenDRIVE document (string or bytes) into a MapModel."""
-    if isinstance(text, str):
-        data = text.encode("utf-8")
-    else:
-        data = text
-    root = _parse_with_lines(data)
+    root = _parse_with_lines(text.encode("utf-8") if isinstance(text, str) else text)
     if root.tag != "OpenDRIVE":
         raise MapParseError(f"root element is <{root.tag}>, expected <OpenDRIVE>")
     model = MapModel()

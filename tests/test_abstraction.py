@@ -151,6 +151,17 @@ class TestNetworkCompilation:
         assert facts.render_network(net) == facts.render_network(abst.network)
         assert "% meta lane.l1=1:-1" in abst.facts_text().splitlines()
 
+    @pytest.mark.parametrize("step", [0.5, 0.2, 0.1])
+    @pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.xodr")))
+    def test_every_lane_edge_joins_touching_lane_ends(self, name, step):
+        # within the 0.5 m lane-end touch of `NetworkAbstraction._anchored_at_contact`
+        abst = compile_map(name, Config(sampling_step=step))
+        point_s = abst.point_s
+        edges = [(src, tgt) for p, tgt in abst.network.succ_c for src, s in point_s[p].items() if s > 0.0]
+        assert len(edges) == {"tee_junction.xodr": 12}.get(name, 0)
+        for src, tgt in edges:
+            assert np.hypot(*(abst.lanes[src].line.points[-1] - abst.lanes[tgt].line.points[0])) <= 0.5
+
 
 def _lane(lane_id: int, kind: str = "driving", successor: int | None = None) -> str:
     link = "" if successor is None else f'<link><successor id="{successor}"/></link>'

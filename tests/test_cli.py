@@ -132,16 +132,6 @@ class TestGenerate:
         assert exc.value.code == INPUT
         assert f"unrecognized arguments: --workers {workers}" in capsys.readouterr().err
 
-    def test_dot_timeline(self, tmp_path, capsys):
-        dot = tmp_path / "t.dot"
-        out = tmp_path / "r.result"
-        assert main(
-            ["generate", data("ex3_branching.req"), "--out", str(out), "--dot", str(dot)]
-        ) == OK
-        text = dot.read_text()
-        assert text.startswith("digraph scenarios {")
-        assert "s1_1 -> s1_2" in text
-
     def test_malformed_request(self, tmp_path, capsys):
         bad = tmp_path / "bad.req"
         bad.write_text("lane(l1, ra).\n#init\non(c1, l1).\n")  # no #horizon

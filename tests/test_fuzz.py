@@ -3,7 +3,7 @@
 A traceback fails the test; so does an exit-0 output that the fact parser
 cannot read back, a ``check`` report that differs from one made by
 checking every step on its own, and an edited map that ``parse_opendrive``
-accepts but whose lane links the map compiler cannot follow.  Traces go
+accepts with a lane edge to a lane it does not have.  Traces go
 through ``abstract``, edited result files and network files through
 ``check`` (results also through ``export``), ``--config`` files and edited
 OpenDRIVE maps through ``ingest``, edited requests through ``generate`` and
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from oracle import stepwise_violations
 
 from trafficlogic import facts
-from trafficlogic.abstraction import _travel_edges, abstract_network
+from trafficlogic.abstraction import abstract_network
 from trafficlogic.cli import main
 from trafficlogic.config import Config
 from trafficlogic.domain import validate_network
@@ -212,9 +212,9 @@ XODR = {
     name: (DATA / f"{name}.xodr").read_bytes()
     for name in ("ex1_straight", "ex5_overlap", "tee_junction")
 }
-ATTRIBUTE_VALUE = st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "-1", "abc", ""]) | (
-    st.floats(0.25, 50.0).map(repr)
-)
+ATTRIBUTE_VALUE = st.sampled_from(
+    ["nan", "inf", "-inf", "1e999", "0", "-1", "abc", "", "road", "junction", "start", "end"]
+) | st.floats(0.25, 50.0).map(repr)
 
 
 # decodable, unknown, multi-byte and bytes-to-bytes encodings
@@ -228,10 +228,14 @@ ENCODING = st.sampled_from(
 def mutated_maps(draw) -> bytes:
     """A fixture map with up to four elements dropped, duplicated or given an odd attribute.
 
-    Half the maps start with an XML declaration naming a drawn encoding,
-    which ``ET.tostring`` leaves out.
+    An attribute value may also be one of the map's own road or lane ids, or
+    a lane id with its sign flipped.  Half the maps start with an XML
+    declaration naming a drawn encoding, which ``ET.tostring`` leaves out.
     """
     root = ET.fromstring(XODR[draw(st.sampled_from(sorted(XODR)))])
+    lane_ids = {int(lane.get("id")) for lane in root.iter("lane")}
+    own_ids = {road.get("id") for road in root.iter("road")} | {str(i) for i in lane_ids | {-i for i in lane_ids}}
+    value = ATTRIBUTE_VALUE | st.sampled_from(sorted(own_ids))
     for _ in range(draw(st.integers(1, 4))):
         pairs = [(parent, child) for parent in root.iter() for child in parent]
         if not pairs:
@@ -243,7 +247,7 @@ def mutated_maps(draw) -> bytes:
         elif op == "duplicate":
             parent.insert(list(parent).index(child), copy.deepcopy(child))
         elif child.attrib:
-            child.set(draw(st.sampled_from(sorted(child.attrib))), draw(ATTRIBUTE_VALUE))
+            child.set(draw(st.sampled_from(sorted(child.attrib))), draw(value))
     xml = ET.tostring(root)
     if draw(st.booleans()):
         xml = f'<?xml version="1.0" encoding="{draw(ENCODING)}"?>\n'.encode() + xml
@@ -261,12 +265,14 @@ def test_ingest_fuzzed_maps(xodr):
         assert code in (0, 1, 2, 3)
         if code == 0:
             facts.parse_network(out.read_text())
-    # every reference the compiler follows resolves in a map the reader accepts
+    # every lane edge of a map the reader accepts joins two lanes of its roads
     try:
         model = parse_opendrive(xodr)
     except MapError:
         return
-    _travel_edges(model)
+    for edge in model.lane_edges:
+        for rid, lane_id in edge:
+            assert lane_id in {lane.id for lane in model.roads[rid].sections[0].all_lanes()}
 
 
 NETWORK_LINES = OPPOSING_NET.read_text().splitlines()

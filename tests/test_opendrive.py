@@ -55,6 +55,10 @@ JUNCTION = """
     <laneLink from="1" to="1"/>
   </connection>
 </junction>"""
+# a left lane ends where its road starts: there road 1 meets junction 10
+ROAD_1_INTO_JUNCTION = straight_road("1").replace(
+    "<planView>", '<link><predecessor elementType="junction" elementId="10"/></link><planView>'
+)
 
 
 class TestRefLineSegment:
@@ -112,7 +116,7 @@ class TestParsing:
 
     def test_junction_with_missing_lane_rejected(self):
         body = (
-            straight_road("1")
+            ROAD_1_INTO_JUNCTION
             + straight_road("2")
             + """
 <junction id="10" name="j">
@@ -256,7 +260,7 @@ class TestParsing:
             ),
             (  # a lane link is resolved on lanes of every type
                 [
-                    ("<planView>", '<link><successor elementType="road" elementId="2"/></link><planView>'),
+                    ("<link>", '<link><successor elementType="road" elementId="2"/>'),
                     (
                         '<lane id="1" type="driving" level="false">',
                         '<lane id="1" type="sidewalk" level="false"><link><successor id="5"/></link>',
@@ -276,21 +280,87 @@ class TestParsing:
                 "<connection> attribute contactPoint='abc' is not 'start' or 'end'",
             ),
             (
-                [("<planView>", '<link><successor elementType="road" elementId="2" contactPoint="abc"/></link><planView>')],
+                [("<link>", '<link><successor elementType="road" elementId="2" contactPoint="abc"/>')],
                 "<link><successor",
                 "<successor> attribute contactPoint='abc' is not 'start' or 'end'",
+            ),
+            (  # both left lanes begin at the end of their road: travel cannot pass between them
+                [
+                    ("<link>", '<link><successor elementType="road" elementId="2" contactPoint="end"/>'),
+                    ('<lane id="1" type="driving" level="false">', '<lane id="1" type="driving" level="false"><link><successor id="1"/></link>'),
+                ],
+                '<road id="1"',
+                "road 1 lane 1 and road 2 lane 1 both begin where the roads meet",
+            ),
+            (
+                [('<link><predecessor elementType="junction" elementId="10"/></link>', "")],
+                "<connection",
+                "junction 10 connection 0: incoming road 1 does not link to the junction",
+            ),
+            (  # lane 1 of road 1 begins at the road's end, where it now meets the junction
+                [("<predecessor elementType", "<successor elementType")],
+                "<connection",
+                "junction 10 connection 0: lane 1 of road 1 does not end where the road meets the junction",
+            ),
+            (
+                [('elementType="junction"', 'elementType="abc"')],
+                "<link><predecessor",
+                "<predecessor> attribute elementType='abc' is not 'road' or 'junction'",
+            ),
+            ([('<width sOffset="0" a="4.0" b="0" c="0" d="0"/>', "")], '<lane id="1"', "lane 1 without <width>"),
+            ([('<lane id="1" type', '<lane id="-1" type')], '<lane id="-1"', "lane -1 listed under <left>"),
+            (  # exit 3: the supported subset is one lane section covering the road
+                [('<laneSection s="0">', '<laneSection s="8.0">')],
+                '<road id="1"',
+                "road 1: a first lane section at s=8.0 is outside the supported subset",
             ),
         ],
     )
     def test_structural_fault_names_its_line(self, edits, anchor, message, tmp_path, capsys):
-        text = doc(straight_road("1") + straight_road("2") + JUNCTION)
+        text = doc(ROAD_1_INTO_JUNCTION + straight_road("2") + JUNCTION)
         for old, new in edits:
             assert old in text
             text = text.replace(old, new, 1)
         path = tmp_path / "bad.xodr"
         path.write_text(text)
-        assert main(["ingest", str(path)]) == 2
+        assert main(["ingest", str(path)]) == (3 if "supported subset" in message else 2)
         line = text[: text.index(anchor)].count("\n") + 1
+        assert capsys.readouterr().err == f"error: {message} (line {line})\n"
+
+    @pytest.mark.parametrize(
+        "old,new,line,message",
+        [
+            (
+                '<laneLink from="-1" to="-1"/>',
+                '<laneLink from="1" to="-1"/>',
+                258,
+                "junction 99 connection 0: lane 1 of road 1 does not end where the road meets the junction",
+            ),
+            (
+                'incomingRoad="1"',
+                'incomingRoad="11"',
+                258,
+                "junction 99 connection 0: incoming road 11 does not link to the junction",
+            ),
+            (
+                'elementType="junction"',
+                'elementType="abc"',
+                7,
+                "<successor> attribute elementType='abc' is not 'road' or 'junction'",
+            ),
+            (  # road 10's lane -1 would continue road 1's lane 1, against its travel
+                '<predecessor id="-1"/>',
+                '<predecessor id="1"/>',
+                89,
+                "road 10 lane -1 and road 1 lane 1 both begin where the roads meet",
+            ),
+        ],
+    )
+    def test_one_attribute_tee_edit_names_its_line(self, old, new, line, message, tmp_path, capsys):
+        text = (DATA / "tee_junction.xodr").read_text()
+        path = tmp_path / "tee.xodr"
+        path.write_text(text.replace(old, new, 1))
+        assert main(["ingest", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message} (line {line})\n"
 
     def test_omitted_optional_numbers_take_their_defaults(self, tmp_path, capsys):
