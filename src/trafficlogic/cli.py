@@ -111,11 +111,11 @@ def cmd_generate(
     if horizon is not None:
         req = dataclasses.replace(req, horizon=horizon)
     result = expand(req)
-    _emit(facts.render_result(result.scenarios, result.texts), _default_out(cfg, request_path, ".result", out))
+    _emit(facts.render_result(texts=result.texts), _default_out(cfg, request_path, ".result", out))
     stats = result.stats
     tstar = "-" if result.shortest_length is None else str(result.shortest_length)
     print(
-        f"scenarios: {len(result.scenarios)} (mode={req.mode}, T*={tstar}, "
+        f"scenarios: {len(result.texts)} (mode={req.mode}, T*={tstar}, "
         f"nodes={stats.nodes}, pruned={stats.pruned}, wall={stats.wall_time_s:.3f}s)",
         file=sys.stderr,
     )

@@ -28,7 +28,7 @@ distinct blocks plus the header lines.
 from __future__ import annotations
 
 import re
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -283,45 +283,51 @@ def scene_from_atoms(
     return Scene.build(occ, vrel, prel, orel)
 
 
-def scene_atom_lines(scene: Scene) -> list[str]:
-    """Canonical, sorted atom lines for one scene."""
-    out = []
-    for c, ls in scene.occ.items():
-        for l in ls:
-            out.append(f"on({c},{l}).")
-    for (x, y), v in scene.vrel.items():
-        out.append(f"lonr({x},{y},{v.value}).")
-    for (c, p), v in scene.prel.items():
-        out.append(f"lonpr({c},{p},{v.value}).")
-    for (x, y), v in scene.orel.items():
-        out.append(f"lonro({x},{y},{v.value}).")
+def scene_atom_lines(scene: Scene, memo: Optional[dict] = None) -> list[str]:
+    """Canonical, sorted atom lines for one scene.
+
+    ``memo`` maps each atom, as its name and relation-map entry, to its
+    lines; share one across scenes and each atom is formatted once.
+    """
+    if memo is None:
+        memo = {}
+    out: list[str] = []
+    for name, entries in (("on", scene.occ), ("lonr", scene.vrel), ("lonpr", scene.prel), ("lonro", scene.orel)):
+        for k, v in entries.items():
+            lines = memo.get((name, k, v))
+            if lines is None:
+                lines = memo[name, k, v] = (
+                    [f"on({k},{l})." for l in v] if name == "on" else [f"{name}({k[0]},{k[1]},{v.value})."]
+                )
+            out += lines
     return sorted(out)
 
 
-def scene_block(scene: Scene) -> str:
+def scene_block(scene: Scene, memo: Optional[dict] = None) -> str:
     """A scene's block: its `scene_atom_lines`, each ending in a line break."""
-    return "".join(line + "\n" for line in scene_atom_lines(scene))
+    return "\n".join([*scene_atom_lines(scene, memo), ""])
 
 
 def render_scenario(sc: Scenario, block: Callable[[Scene], str] = scene_block) -> str:
     """``#step <k>`` and the scene's block (`scene_block`), for each scene in order.
 
-    ``block`` renders each block: pass one ``functools.cache(scene_block)``
-    to render many scenarios that share scenes, and each scene is formatted
-    once.
+    ``block`` renders each block: pass one ``functools.cache(partial(scene_block,
+    memo={}))`` to render many scenarios that share scenes, and each scene's
+    block is rendered once and each atom formatted once.
     """
     return "".join(f"#step {k}\n{block(scene)}" for k, scene in enumerate(sc.scenes, start=1))
 
 
-def render_result(scenarios: Sequence[Scenario], texts: Optional[Sequence[str]] = None) -> str:
+def render_result(scenarios: Sequence[Scenario] = (), texts: Optional[Sequence[str]] = None) -> str:
     """Concatenated scenario renderings with ``#scenario <n>`` separators.
 
-    ``texts``, when given, are the scenarios' ``render_scenario`` output,
-    already made (``reasoner.ExpansionResult.texts``); otherwise each
-    distinct scene's block is rendered once.
+    ``texts``, when given, are the renderings, already made
+    (``reasoner.ExpansionResult.texts``), and ``scenarios`` is not read;
+    otherwise each distinct scene's block is rendered once, through one
+    atom memo.
     """
     if texts is None:
-        block = cache(scene_block)
+        block = cache(partial(scene_block, memo={}))
         texts = [render_scenario(sc, block) for sc in scenarios]
     parts = []
     for i, text in enumerate(texts, start=1):

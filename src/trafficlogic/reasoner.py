@@ -18,10 +18,13 @@ so the forward pass is linear in the scenes, not in (scene, depth) pairs.
 One backward sweep builds the live graph: each (scene, depth) pair that
 can still reach an acceptable final scene gets one entry, which holds its
 ``#step`` text and its live successors' entries in the order of their
-scene blocks (`facts.scene_block`).  An iterative depth-first walk follows
-these entries only, so the work is proportional to the output, the
-scenarios come out in canonical order (sorted by text) without a global
-sort, and each text is its parent's prefix plus one entry's text.
+scene blocks (`facts.scene_block`, each rendered once, through one atom
+memo per request).  An iterative depth-first walk follows these entries
+only, so the work is proportional to the output, the texts come out in
+canonical order (sorted) without a global sort, and each text is its
+parent's prefix plus one entry's text.  The walk collects texts only;
+`ExpansionResult.scenarios` runs the same walk over the entries' scenes
+on first access.
 
 Successor scenes are generated constructively: each relation slot gets
 its candidate one-step moves, and the slots are assigned in a fixed order
@@ -77,9 +80,10 @@ any`` — mid-lane-change endings would otherwise multiply every result.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from functools import cache, partial
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from trafficlogic.domain import (
@@ -182,15 +186,24 @@ class Stats:
 
 @dataclass
 class ExpansionResult:
-    scenarios: tuple[Scenario, ...]
     stats: Stats
-    #: ``facts.render_scenario`` of each scenario, in the same order, joined
+    #: ``facts.render_scenario`` of each scenario, in canonical order, joined
     #: from the live graph's entry texts
     texts: tuple[str, ...]
+    #: the number of scenes of every scenario: the live graph's depths
+    depths: int
+    #: the request and the live graph's depth-0 entries (see `expand`)
+    _req: ExpansionRequest = field(repr=False)
+    _first: dict = field(repr=False)
+
+    @cached_property
+    def scenarios(self) -> tuple[Scenario, ...]:
+        """The scenarios `texts` render, in the same order; built on first access."""
+        return tuple(Scenario(self._req.vehicles, self._req.network, path) for path in _live_paths(self._first, 0))
 
     @property
     def shortest_length(self) -> Optional[int]:
-        return self.scenarios[0].horizon if self.scenarios else None
+        return self.depths if self.texts else None
 
 
 def canonicalize(sc: Scenario) -> str:
@@ -561,30 +574,29 @@ def _goal_pins(goal: Optional[Goal], net: RoadNetwork) -> dict[tuple[str, str], 
 # -- search --------------------------------------------------------------------
 
 
-def _live_scenarios(req: ExpansionRequest, first) -> tuple[list[Scenario], list[str]]:
-    """Every scenario through the live graph, and its text, in canonical order.
+def _live_paths(first, part: int) -> list:
+    """Every path through the live graph, in canonical order, as the sum of its entries' ``part``.
 
-    ``first`` maps each live scene at depth 0 to its entry (see `expand`).
-    The canonical order sorts scenarios by text (`facts.render_scenario`).
+    ``first`` maps each live scene at depth 0 to its entry (see `expand`);
+    part 0 of an entry is its scene as a 1-tuple, part 1 its text.  The
+    canonical order sorts scenarios by text (`facts.render_scenario`).
     Every scenario here has as many steps as the graph has depths, and when
     one scene's block is a prefix of another's, the longer goes on with an
     atom where the shorter's scenario goes on with ``#step`` or ends.  So
     two scenarios compare as the blocks of their first differing scenes,
     and a depth-first walk that takes each entry's successors in order
-    meets the scenarios in canonical order.  A text concatenates its
-    entries' texts.
+    meets the scenarios in canonical order.
     """
-    scenarios, texts = [], []
-    todo = [((s,), step, kids) for s, step, kids in first.values()]
+    out = []
+    todo = [(entry[part], entry[2]) for entry in first.values()]
     while todo:
-        path, text, kids = todo.pop()
+        acc, kids = todo.pop()
         if kids:
             # pushed last to first, so popped in text order
-            todo.extend(((*path, t), text + step, after) for t, step, after in reversed(kids))
+            todo.extend((acc + kid[part], kid[2]) for kid in reversed(kids))
         else:  # only the last depth's entries have no successors
-            scenarios.append(Scenario(req.vehicles, req.network, path))
-            texts.append(text)
-    return scenarios, texts
+            out.append(acc)
+    return out
 
 
 def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
@@ -605,9 +617,11 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
 
     The backward pass builds the live graph in one sweep, from the last
     depth down.  Each (scene, depth) pair that reaches an acceptable final
-    scene gets one entry: the scene, its ``#step`` text, and its live
-    successors' entries sorted by block (`facts.scene_block`, rendered once
-    per scene).  ``Stats.pruned`` counts the pairs without an entry.
+    scene gets one entry: the scene as a 1-tuple, its ``#step`` text, and
+    its live successors' entries sorted by text, that is by block
+    (`facts.scene_block`, rendered once per scene through one atom memo).
+    ``Stats.pruned`` counts the pairs without an entry.  The result keeps
+    the depth-0 entries, and builds its scenarios from them on first read.
     """
     t0 = time.monotonic()
     net = req.network
@@ -647,20 +661,20 @@ def expand(req: ExpansionRequest, workers: int = 1) -> ExpansionResult:
         layers.append([t for t in reached if not (shortest and t in memo)])
 
     # backward: the entry of each pair that still reaches an acceptable final scene
-    block = cache(scene_block)
-    live = [{s: (s, f"#step {len(layers)}\n{block(s)}", ()) for s in layers[-1] if accept(s)}]
+    block = cache(partial(scene_block, memo={}))
+    live = [{s: ((s,), f"#step {len(layers)}\n{block(s)}", ()) for s in layers[-1] if accept(s)}]
     for d in range(len(layers) - 1, 0, -1):
         ahead, entries = live[-1], {}
         for s in layers[d - 1]:
             if kids := [ahead[t] for t in memo[s] if t in ahead]:
-                entries[s] = (s, f"#step {d}\n{block(s)}", sorted(kids, key=lambda kid: block(kid[0])))
+                entries[s] = ((s,), f"#step {d}\n{block(s)}", sorted(kids, key=itemgetter(1)))
         live.append(entries)
     live.reverse()
 
     nodes = sum(map(len, layers))
-    scenarios, texts = _live_scenarios(req, live[0])
+    texts = tuple(_live_paths(live[0], 1))
     stats = Stats(nodes, nodes - sum(map(len, live)), time.monotonic() - t0)
-    return ExpansionResult(tuple(scenarios), stats, tuple(texts))
+    return ExpansionResult(stats, texts, len(layers), req, live[0])
 
 
 # -- request files ---------------------------------------------------------------

@@ -51,7 +51,7 @@ def _break_step(section: str, step: int) -> list[str]:
 def dense_result(tmp_path) -> DenseResult:
     """The dense result file and its network, with the scenarios in ``MUTATED`` broken."""
     result = expand(parse_request(DENSE_REQUEST))
-    sections = facts.render_result(result.scenarios, result.texts).split("#scenario ")
+    sections = facts.render_result(texts=result.texts).split("#scenario ")
     for i, step in MUTATED.items():
         blocks = _break_step(sections[i], step)
         if i == REPEATED:

@@ -57,6 +57,18 @@ def test_generate_records_scene_checks_under_successor_generation(tmp_path):
     assert counts["rules.check_transition.calls"] > 0
 
 
+@pytest.mark.parametrize("args,count", [([], 4), (["--mode", "exact", "--horizon", "4"], 16), (["--horizon", "2"], 0)])
+def test_traced_generate_counts_the_scenarios_it_writes(args, count, tmp_path):
+    """The scenario counter builds `ExpansionResult.scenarios`, which `generate` itself never reads."""
+    result = tmp_path / "r.result"
+    rec = tracer.Recorder()
+    with tracer.Tracing(rec):
+        assert main(["generate", str(DATA / "ex1_overtake.req"), "--out", str(result), *args]) == 0
+    written = result.read_text().count("#scenario ")
+    assert tracer.pass_counts(rec)["reasoner.scenarios"] == written
+    assert written == count
+
+
 def test_ingest_and_abstract_record_map_and_trace_counts(tmp_path):
     rec = tracer.Recorder()
     with tracer.Tracing(rec):

@@ -15,7 +15,7 @@ import pytest
 from oracle import stepwise_violations
 
 import trafficlogic
-from trafficlogic import abstraction, cli, domain, reasoner, rules
+from trafficlogic import abstraction, cli, domain, facts, reasoner, rules
 from trafficlogic.cli import main
 from trafficlogic.rules import render_report
 
@@ -26,6 +26,16 @@ OK, SEMANTIC, INPUT, UNSUPPORTED = 0, 1, 2, 3
 
 def data(name: str) -> str:
     return str(DATA / name)
+
+
+def _perfbench_workloads():
+    """The benchmark's request builders, ``perfbench/workloads.py``."""
+    sys.path.insert(0, str(DATA.parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
 
 
 class TestIngest:
@@ -84,11 +94,41 @@ class TestGenerate:
         assert out.read_text().count("#scenario ") == count
 
     def test_stats_line_shape(self, tmp_path, capsys):
+        # the count comes from the texts and T* from the live graph's depths
         out = tmp_path / "r.result"
         assert main(["generate", data("ex1_overtake.req"), "--out", str(out)]) == OK
         err = capsys.readouterr().err.strip()
-        assert err.startswith("scenarios: 4 (mode=shortest, T*=4, nodes=18, pruned=")
+        assert err.split(" wall=")[0] == "scenarios: 4 (mode=shortest, T*=4, nodes=18, pruned=10,"
         assert err.endswith("s)")
+
+    def test_stats_line_without_scenarios(self, tmp_path, capsys):
+        out = tmp_path / "r.result"
+        assert main(["generate", data("ex1_overtake.req"), "--out", str(out), "--horizon", "2"]) == OK
+        err = capsys.readouterr().err.strip()
+        assert err.split(" wall=")[0] == "scenarios: 0 (mode=shortest, T*=-, nodes=4, pruned=4,"
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("req", [*sorted(p.name for p in DATA.glob("ex*.req")), "dense-k3m2h3"])
+    def test_generate_builds_no_scenario(self, req, tmp_path, monkeypatch, capsys):
+        """`generate` writes the texts alone: the same bytes as rendering every scenario, none built."""
+        if req.startswith("dense"):
+            path = tmp_path / f"{req}.req"
+            path.write_text(_perfbench_workloads().reference_dense(3, 2, 3))
+        else:
+            path = DATA / req
+        result = reasoner.expand(reasoner.parse_request(path.read_text()))
+        assert result.texts == tuple(facts.render_scenario(sc) for sc in result.scenarios)
+        expected = facts.render_result(result.scenarios)
+
+        def no_scenario(*args, **kwargs):
+            raise AssertionError("generate built a Scenario")
+
+        monkeypatch.setattr(reasoner.ExpansionResult, "scenarios", property(no_scenario))
+        monkeypatch.setattr(reasoner, "Scenario", no_scenario)
+        out = tmp_path / "r.result"
+        assert main(["generate", str(path), "--out", str(out)]) == OK
+        assert out.read_bytes() == expected.encode()
+        assert capsys.readouterr().err.startswith(f"scenarios: {len(result.texts)} (")
 
     def test_mode_and_horizon_overrides(self, tmp_path, capsys):
         out = tmp_path / "r.result"

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import pathlib
+from itertools import islice
+from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from reference_facts import reference_parse_scenarios
+from test_generator_soundness import requests as soundness_requests
 from test_successors import FAMILIES, _explore
 
 from trafficlogic import facts
 from trafficlogic.domain import LonRel, Scenario, Scene
-from trafficlogic.reasoner import expand, parse_request
+from trafficlogic.reasoner import _gen_successors, expand, parse_request
 from trafficlogic.rules import check_scene, render_report
 
 A, C, B, N = LonRel.AHEAD, LonRel.COVER, LonRel.BEHIND, LonRel.NONE
@@ -374,3 +377,46 @@ def test_scenes_parse_back_from_one_sided_window_relations(name):
     for scene in scenes:
         (back,) = facts.parse_scenarios(f"#step 1\n{_one_sided(scene)}\n", net)
         assert back.scenes == (scene,)
+
+
+# -- one atom memo per request ------------------------------------------------------
+
+
+def _reached(req, depth: int, limit: Optional[int] = 100) -> list[Scene]:
+    """The scenes within ``depth`` steps of ``req``'s initial scene, breadth first, up to ``limit`` parents (``None``: all)."""
+    steps = {req.initial: 0}
+    todo = [req.initial]
+    interned: dict = {}
+    for s in islice(todo, limit):  # the iterator sees the scenes appended below
+        if steps[s] < depth:
+            for t in _gen_successors(s, req.network, req.frozen, {}, interned):
+                if t not in steps:
+                    steps[t] = steps[s] + 1
+                    todo.append(t)
+    return list(steps)
+
+
+def _memo_renders_as_fresh(scenes) -> None:
+    """Every block rendered through one shared atom memo equals the block of freshly formatted lines."""
+    memo: dict = {}
+    for scene in scenes:
+        assert facts.scene_block(scene, memo) == "".join(line + "\n" for line in facts.scene_atom_lines(scene))
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(soundness_requests())
+def test_shared_atom_memo_renders_every_reached_scene_as_fresh(case):
+    text, depth = case
+    try:
+        req = parse_request(text)
+    except facts.ParseError:
+        reject()
+    _memo_renders_as_fresh(_reached(req, depth))
+
+
+def test_shared_atom_memo_renders_opposing_pass_scenes_as_fresh():
+    req = parse_request((DATA / "ex5_opposing_pass.req").read_text())
+    scenes = _reached(req, req.horizon - 1, None)
+    lines = {line.split("(")[0] for s in scenes for line in facts.scene_atom_lines(s)}
+    assert lines == {"on", "lonr", "lonpr", "lonro"}
+    _memo_renders_as_fresh(scenes)
