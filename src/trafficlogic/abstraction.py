@@ -42,7 +42,7 @@ from trafficlogic.geometry import (
     polyline_intersections,
     project_points,
 )
-from trafficlogic.opendrive import MapModel, RoadSpec, sample_centerline
+from trafficlogic.opendrive import MapModel, RoadFrame, RoadSpec, sample_centerline
 
 __all__ = [
     "AbstractionError",
@@ -70,7 +70,8 @@ class AbstractLane:
     """A drivable lane in travel-direction coordinates.
 
     ``turn``, the largest heading change between consecutive segments, and
-    ``vertex_headings``, the heading at each vertex, are computed once, here.
+    ``vertex_headings``, the heading of the segment leaving each vertex (of
+    the last segment at the last vertex), are computed once, here.
     """
 
     id: str
@@ -85,7 +86,7 @@ class AbstractLane:
     def __post_init__(self) -> None:
         h = self.line.headings
         self.turn = float(np.max(angle_difference(h[1:], h[:-1]), initial=0.0))
-        self.vertex_headings = self.line.heading_at(self.line.arclength)
+        self.vertex_headings = np.append(h, h[-1])
 
     @property
     def length(self) -> float:
@@ -142,18 +143,19 @@ class NetworkAbstraction:
         by_source: dict[tuple[str, int], str] = {}
 
         road_seq = 0
+        frame = None
         for road, side, specs in _direction_groups(model):
             road_seq += 1
             rid = f"r{road_seq}"
             self.metadata[f"road.{rid}"] = f"{road.id}:{side}"
+            if frame is None or frame.road is not road:  # a road's sides come one after the other
+                frame = RoadFrame(road, params.sampling_step)
             ids = []
             for spec in specs:
                 lid = f"l{len(self.lanes) + 1}"
-                line = sample_centerline(model, (road.id, spec.id), params.sampling_step)
-                svals = np.linspace(0.0, road.length, len(line))
-                widths = spec.width_at(svals - road.sections[0].s)
+                line = sample_centerline(model, (road.id, spec.id), params.sampling_step, frame, travel=True)
+                widths = frame.widths[spec.id]
                 if not spec.begins_at("start"):
-                    line = line.reversed()
                     widths = widths[::-1].copy()
                 self.lanes[lid] = AbstractLane(lid, rid, road.id, spec.id, line, widths)
                 by_source[(road.id, spec.id)] = lid

@@ -111,11 +111,12 @@ def cmd_generate(
     if horizon is not None:
         req = dataclasses.replace(req, horizon=horizon)
     result = expand(req)
-    _emit(facts.render_result(texts=result.texts), _default_out(cfg, request_path, ".result", out))
-    stats = result.stats
-    tstar = "-" if result.shortest_length is None else str(result.shortest_length)
+    texts, stats, tstar = result.texts, result.stats, result.shortest_length
+    del result  # it holds the live graph, which rendering and writing do not need
+    _emit(facts.render_result(texts=texts), _default_out(cfg, request_path, ".result", out))
+    tstar = "-" if tstar is None else str(tstar)
     print(
-        f"scenarios: {len(result.texts)} (mode={req.mode}, T*={tstar}, "
+        f"scenarios: {len(texts)} (mode={req.mode}, T*={tstar}, "
         f"nodes={stats.nodes}, pruned={stats.pruned}, wall={stats.wall_time_s:.3f}s)",
         file=sys.stderr,
     )

@@ -93,9 +93,6 @@ class Polyline:
         i = np.searchsorted(self.arclength, s, side="right") - 1
         return self.headings[np.clip(i, 0, len(self.headings) - 1)]
 
-    def reversed(self) -> "Polyline":
-        return Polyline(self.points[::-1].copy())
-
     def __len__(self) -> int:
         return int(self.points.shape[0])
 

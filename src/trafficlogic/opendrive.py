@@ -11,8 +11,10 @@ abstraction is strictly planar.
 
 The parser mirrors what the compiler reads into a :class:`MapModel`, in
 which every reference resolves, and it owns the lane graph: every link
-becomes directed lane edges, and a link it cannot orient is refused.  All
-geometric interpretation (centerline sampling, network abstraction) lives elsewhere.
+becomes directed lane edges, and a link it cannot orient is refused.
+Sampling evaluates a road once per step into a :class:`RoadFrame`, from which
+:func:`sample_centerline` builds each lane's centerline, in the direction of
+the reference line or of travel; network abstraction lives elsewhere.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "JunctionSpec",
     "MapModel",
     "parse_opendrive",
+    "RoadFrame",
     "sample_centerline",
 ]
 
@@ -570,43 +573,59 @@ def parse_opendrive(text: str | bytes) -> MapModel:
 # centerline sampling
 
 
-def _center_offset(section: LaneSectionSpec, lane_id: int, section_s: np.ndarray) -> np.ndarray:
-    """Signed lateral offset of a lane center from the reference line, per arclength."""
-    if lane_id > 0:
-        chain = [l for l in section.left if l.id <= lane_id]
-        sign = 1.0
-    else:
-        chain = [l for l in section.right if l.id >= lane_id]
-        sign = -1.0
-    inner = 0.0
-    for lane in chain[:-1]:
-        inner = inner + lane.width_at(section_s)
-    return sign * (inner + 0.5 * chain[-1].width_at(section_s))
+class RoadFrame:
+    """A road sampled once at arclength intervals <= ``step``, both ends included.
 
-
-def sample_centerline(model: MapModel, lane: tuple[str, int], step: float) -> Polyline:
-    """Sample a lane center at arclength intervals <= ``step``.
-
-    ``lane`` is ``(road_id, lane_id)``.  The returned polyline follows the
-    *reference line* direction (not travel direction) and includes both
-    endpoints.  The reference line, the lane widths and the center offset
-    are evaluated over the whole arclength array at once.
+    The centerline of every lane on the road is built from it.  ``x`` and
+    ``y`` are the reference-line points and ``sin`` and ``cos`` the sine and
+    cosine of its heading, at each sampled arclength.  ``widths`` maps every
+    lane id to the lane's width there, and ``offsets`` to the signed lateral
+    offset of its center from the reference line: the widths of the lanes
+    inside it plus half its own, positive on the left.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+
+    def __init__(self, road: RoadSpec, step: float) -> None:
+        if step <= 0.0:
+            raise ValueError("step must be positive")
+        section = road.sections[0]
+        n = max(1, int(math.ceil(road.length / step - 1e-9)))
+        s = np.linspace(0.0, road.length, n + 1)
+        self.road = road
+        self.widths: dict[int, np.ndarray] = {}
+        self.offsets: dict[int, np.ndarray] = {}
+        # huge coefficients overflow to inf or nan, as they would in Python
+        # floats; Polyline rejects the vertices made from them
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.x, self.y, h = road.poses(s)
+            for sign, lanes in ((1.0, section.left), (-1.0, section.right)):
+                inner = 0.0
+                for lane in lanes:  # innermost first
+                    w = self.widths[lane.id] = lane.width_at(s - section.s)
+                    self.offsets[lane.id] = sign * (inner + 0.5 * w)
+                    inner = inner + w
+        self.sin, self.cos = _sin(h), _cos(h)
+
+
+def sample_centerline(model: MapModel, lane: tuple[str, int], step: float,
+                      frame: RoadFrame | None = None, travel: bool = False) -> Polyline:
+    """Sample a lane center at arclength intervals <= ``step``, both ends included.
+
+    ``lane`` is ``(road_id, lane_id)``.  The polyline follows the *reference
+    line* direction, or the lane's direction of travel when ``travel`` is
+    set.  Its vertices come from the road's :class:`RoadFrame` at ``step``:
+    ``frame`` when given, so that the lanes of a road share one evaluation
+    of its reference line and widths, or else one made for this call.
+    """
     road_id, lane_id = lane
     road = model.roads[road_id]
-    section = road.sections[0]
-    section.lane(lane_id)  # raise early on unknown lane
-    n = max(1, int(math.ceil(road.length / step - 1e-9)))
-    s = np.linspace(0.0, road.length, n + 1)
-    # huge coefficients overflow to inf or nan, as they would in Python
-    # floats; Polyline rejects the vertices below
+    spec = road.sections[0].lane(lane_id)  # raise early on unknown lane
+    frame = frame or RoadFrame(road, step)
+    off = frame.offsets[lane_id]
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y, h = road.poses(s)
-        off = _center_offset(section, lane_id, s - section.s)
         # left normal of the reference line is (-sin h, cos h)
-        pts = np.column_stack((x - off * _sin(h), y + off * _cos(h)))
+        pts = np.column_stack((frame.x - off * frame.sin, frame.y + off * frame.cos))
+    if travel and not spec.begins_at("start"):
+        pts = pts[::-1]
     try:
         return Polyline(pts)
     except ValueError as exc:

@@ -1,12 +1,15 @@
-"""Whole-lane array evaluation gives the scalar references' results, bit for bit.
+"""Whole-road array evaluation gives the scalar references' results, bit for bit.
 
-``sample_centerline`` evaluates a lane's reference line, widths and center
-offset over all its arclengths at once, and the map compiler takes its lane
-widths from one array evaluation; ``abstract_trace`` projects fronts and rears
-only where their ranges are read.  Each is compared with the former routine
-kept in ``tests/reference_geometry.py``: on the fixture maps, on a seeded
-crossing grid with cubic widths, on random line and arc roads, on the fixture
-traces and on random smooth traces.
+``opendrive.RoadFrame`` evaluates a road's reference line and every lane's
+width and center offset over all its arclengths at once, and
+``sample_centerline`` builds each lane's centerline from it, in reference
+order from ``(model, lane, step)`` and in travel order for the map compiler,
+which also takes its lane widths from the frame; ``abstract_trace`` projects
+fronts and rears only where their ranges are read.  Each is compared with the
+former routine kept in ``tests/reference_geometry.py``: on the fixture maps,
+on a seeded crossing grid with cubic widths, on random line and arc roads
+whose lanes may be shoulders or sidewalks, on the fixture traces and on
+random smooth traces.
 """
 
 from __future__ import annotations
@@ -118,6 +121,9 @@ def test_compiled_lanes_match_the_scalar_sampler(name, step):
 
 SMALL = st.floats(-0.05, 0.05)
 
+#: the compiler keeps only driving lanes; the others still widen the lanes outside them
+LANE_TYPES = ("driving", "driving", "shoulder", "sidewalk")
+
 
 @st.composite
 def segments(draw) -> RefLineSegment:
@@ -145,7 +151,8 @@ def lane_specs(draw, side: str, count: int, length: float) -> tuple[LaneSpec, ..
             )
             for off in offsets
         )
-        specs.append(LaneSpec(k if side == "left" else -k, side, "driving", records))
+        kind = draw(st.sampled_from(LANE_TYPES))
+        specs.append(LaneSpec(k if side == "left" else -k, side, kind, records))
     return tuple(specs)
 
 
@@ -179,6 +186,37 @@ def test_random_roads_match_the_scalar_sampler(road, step):
         assert line.points.tolist() == points.tolist()
         svals = np.linspace(0.0, road.length, len(line))
         assert spec.width_at(svals - section.s).tolist() == widths.tolist()
+
+
+def _rejected(points) -> bool:
+    try:
+        Polyline(points)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(roads(), st.sampled_from(STEPS) | st.floats(0.05, 80.0))
+def test_random_roads_compile_to_the_scalar_sampler(road, step):
+    """Compiled lanes, offset past any non-driving lanes inside them, in travel order."""
+    driving = [l.id for l in road.sections[0].all_lanes() if l.type == "driving"]
+    try:
+        abst = NetworkAbstraction(MapModel(roads={road.id: road}), Config(sampling_step=step))
+    except MapParseError:
+        assert any(_rejected(reference_centerline(road, lane_id, step)[0]) for lane_id in driving)
+        return
+    assert sorted(lane.source_lane for lane in abst.lanes.values()) == sorted(driving)
+    for lane in abst.lanes.values():
+        points, widths = reference_centerline(road, lane.source_lane, step)
+        if lane.source_lane > 0:  # left lanes travel against the reference line
+            points, widths = points[::-1], widths[::-1]
+        ref = Polyline(points)
+        assert lane.line.points.tolist() == points.tolist()
+        assert lane.widths.tolist() == widths.tolist()
+        assert lane.line.arclength.tolist() == ref.arclength.tolist()
+        assert lane.line.headings.tolist() == ref.headings.tolist()
+        assert lane.vertex_headings.tolist() == lane.line.heading_at(lane.line.arclength).tolist()
 
 
 # -- trace abstraction ------------------------------------------------------------

@@ -73,12 +73,6 @@ class TestPolyline:
         assert line.heading_at(1.0) == pytest.approx(0.0)
         assert line.heading_at(6.0) == pytest.approx(math.pi / 2)
 
-    def test_reversed_flips_direction(self):
-        line = Polyline([(0, 0), (10, 0)])
-        rev = line.reversed()
-        assert rev.point_at(0.0) == pytest.approx((10.0, 0.0))
-        assert frenet_project(rev, (3.0, 2.0)).d == pytest.approx(-2.0)
-
 
 class TestFrenetProjection:
     def test_straight_line_examples(self):
